@@ -97,26 +97,21 @@ func BenchmarkE16ScaleSweep(b *testing.B) { benchExperiment(b, "E16") }
 // BenchmarkE17Chaos regenerates the V2X chaos campaign.
 func BenchmarkE17Chaos(b *testing.B) { benchExperiment(b, "E17") }
 
-// BenchmarkE18MegaFleet regenerates the mega-fleet sweep on the
-// sharded tick engine (quick sizes; both engines per arm).
+// BenchmarkE18MegaFleet regenerates the mega-fleet sweep (quick
+// sizes).
 func BenchmarkE18MegaFleet(b *testing.B) { benchExperiment(b, "E18") }
 
 // BenchmarkE19TransitionRisk regenerates the transition-risk grid
 // (class × fault, seed-swept, planner-backed MRMs).
 func BenchmarkE19TransitionRisk(b *testing.B) { benchExperiment(b, "E19") }
 
-// benchMegaTick measures one full engine tick on a 200-pair quarry
-// (400 constituents plus agents) mid-incident, sequentially or with
-// the sharded plan installed. The ratio is the per-tick shard speedup
-// on this machine; byte-identical output is asserted elsewhere (E18's
-// sharded_match column, TestQuarryShardedMatchesSequential*).
-func benchMegaTick(b *testing.B, shards int) {
-	b.Helper()
+// BenchmarkMegaFleetTickSeq measures one full engine tick on a
+// 200-pair quarry (400 constituents plus agents) mid-incident.
+func BenchmarkMegaFleetTickSeq(b *testing.B) {
 	rig, err := scenario.NewQuarry(scenario.QuarryConfig{
 		Pairs: 200, TrucksPerPair: 1,
 		Policy: scenario.PolicyBaseline,
 		Seed:   1,
-		Shards: shards,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -132,14 +127,6 @@ func benchMegaTick(b *testing.B, shards int) {
 		rig.Engine.RunTick()
 	}
 }
-
-// BenchmarkMegaFleetTickSeq is the 200-pair tick on the sequential
-// engine.
-func BenchmarkMegaFleetTickSeq(b *testing.B) { benchMegaTick(b, 0) }
-
-// BenchmarkMegaFleetTickSharded is the same tick fanned across 4
-// shard workers.
-func BenchmarkMegaFleetTickSharded(b *testing.B) { benchMegaTick(b, 4) }
 
 // benchProximity measures one metrics.Collector.Sample pass over a
 // 10-pair quarry fleet mid-incident — the per-tick proximity hot path

@@ -284,7 +284,6 @@ func runE16Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.
 		Pairs: pairs, TrucksPerPair: 1,
 		Policy: policy,
 		Seed:   opt.Seed,
-		Shards: opt.Shards,
 	})
 	// Strand the victim mid-tunnel before anyone moves (same staging
 	// as E6): it reaches MRC on the haul road and becomes the

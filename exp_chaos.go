@@ -53,7 +53,6 @@ func RunE17(opt Options) Table {
 				rig := mustQuarry(scenario.QuarryConfig{
 					Pairs: 2, TrucksPerPair: 2, Policy: p, Seed: opt.Seed,
 					Concerted: true,
-					Shards:    opt.Shards,
 					Net:       &net,
 					Faults: []fault.Fault{{ID: "t", Target: "truck1_1",
 						Kind: fault.KindSensor, Severity: 1, Permanent: true, At: faultAt}},

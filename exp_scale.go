@@ -2,16 +2,12 @@ package coopmrm
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
 	"time"
 
 	"coopmrm/internal/artifact"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/scenario"
-	"coopmrm/internal/sim"
 )
 
 // e18CoopCap bounds the cooperative (status-sharing) arm of E18: a
@@ -21,29 +17,22 @@ import (
 // the comm-free baseline; above it only the baseline scales on.
 const e18CoopCap = 200
 
-// RunE18 is the mega-fleet scale sweep on the sharded tick engine:
-// the E16 stranded-truck incident (truck1_1 blind mid-tunnel at t=0)
-// at 50 to 2,000 quarry pairs. Every arm runs twice — on the
-// sequential engine and on the sharded engine — and the table's
-// sharded_match column records whether the two runs produced
-// byte-identical output (event stream, metrics report, delivered
-// units, network accounting): the determinism guarantee of DESIGN.md
-// §8, asserted on every row of every run of this experiment.
+// RunE18 is the mega-fleet scale sweep: the E16 stranded-truck
+// incident (truck1_1 blind mid-tunnel at t=0) at 50 to 2,000 quarry
+// pairs, one run per row.
 //
-// Tick throughput per arm and engine goes to bench.json (details
-// entries), NOT into the table: wall-clock numbers are machine-
-// dependent and the artifact contract keeps bundle bytes a function
-// of experiment + seed only. The scaling claim — sharded throughput
-// approaching shards× sequential on a multi-core host — is read from
-// the details pairs, e.g. with cmd/benchdiff on two bench.json files.
+// Tick throughput per row goes to bench.json (details entries), NOT
+// into the table: wall-clock numbers are machine-dependent and the
+// artifact contract keeps bundle bytes a function of experiment + seed
+// only.
 func RunE18(opt Options) Table {
 	opt = opt.withDefaults()
 	t := Table{
 		ID:     "E18",
-		Title:  "mega-fleet scale: sharded tick engine, 50-2000 pairs",
+		Title:  "mega-fleet scale: 50-2000 pairs",
 		Paper:  "scale extension (infrastructure-level fleets)",
-		Header: []string{"pairs", "constituents", "policy", "units_per_min", "near_misses", "sharded_match"},
-		Note:   "truck1_1 stranded blind mid-tunnel at t=0 (E16 staging); every arm runs on the sequential and the sharded engine and sharded_match asserts byte-identical output; throughput per engine is in bench.json details",
+		Header: []string{"pairs", "constituents", "policy", "units_per_min", "near_misses"},
+		Note:   "truck1_1 stranded blind mid-tunnel at t=0 (E16 staging); tick throughput per row is in bench.json details",
 	}
 	sizes := []int{50, 200, 500, 1000, 2000}
 	horizon := 60 * time.Second
@@ -51,65 +40,23 @@ func RunE18(opt Options) Table {
 		sizes = []int{50, 200}
 		horizon = 30 * time.Second
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.NumCPU()
-	}
-	if shards < 2 {
-		shards = 2 // the sharded arm must actually shard, even on one CPU
-	}
-	ticks := int64(horizon / (100 * time.Millisecond))
 	for _, pairs := range sizes {
 		policies := []scenario.PolicyKind{scenario.PolicyBaseline}
 		if pairs <= e18CoopCap {
 			policies = append(policies, scenario.PolicyStatusSharing)
 		}
 		for _, p := range policies {
-			seq := runE18Arm(opt, pairs, p, horizon, 0)
-			shd := runE18Arm(opt, pairs, p, horizon, shards)
-			for _, arm := range []struct {
-				a      e18Arm
-				shards int
-			}{{seq, 1}, {shd, shards}} {
-				opt.ObserveBench(artifact.BenchDetail{
-					ID:          fmt.Sprintf("E18/pairs=%d/%s", pairs, p),
-					Shards:      arm.shards,
-					Entities:    arm.a.entities,
-					Ticks:       ticks,
-					WallSeconds: arm.a.wall.Seconds(),
-					TicksPerSec: float64(ticks) / arm.a.wall.Seconds(),
-				})
-			}
+			a := runE18Arm(opt, pairs, p, horizon)
 			t.AddRow(fmt.Sprintf("%d", pairs), fmt.Sprintf("%d", 2*pairs), p.String(),
-				f2(seq.delivered/horizon.Minutes()),
-				fmt.Sprintf("%d", seq.report.NearMisses),
-				yesno(seq.matches(shd)))
+				f2(a.delivered/horizon.Minutes()), fmt.Sprintf("%d", a.nearMisses))
 		}
 	}
 	return t
 }
 
-// e18Arm is one engine run's complete observable output plus its
-// timing.
-type e18Arm struct {
-	delivered     float64
-	report        metrics.Report
-	events        []sim.Event
-	sent, dropped int64
-	entities      int
-	wall          time.Duration
-}
-
-// matches reports whether two runs produced identical observable
-// output — the shard-determinism assertion.
-func (a e18Arm) matches(b e18Arm) bool {
-	return a.delivered == b.delivered &&
-		a.sent == b.sent && a.dropped == b.dropped &&
-		reflect.DeepEqual(a.report, b.report) &&
-		reflect.DeepEqual(a.events, b.events)
-}
-
-func runE18Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.Duration, shards int) e18Arm {
+// runE18Arm runs one E18 row, records its bundle and its tick
+// throughput, and returns the table quantities.
+func runE18Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.Duration) e16Arm {
 	rig := mustQuarry(scenario.QuarryConfig{
 		Pairs: pairs, TrucksPerPair: 1,
 		Policy: policy,
@@ -118,7 +65,6 @@ func runE18Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.
 		// into a broadcast benchmark; the reroute behaviour only needs
 		// the blockage announced within a few seconds.
 		BeaconPeriod: 5 * time.Second,
-		Shards:       shards,
 	})
 	victim := rig.Trucks[0]
 	victim.Body().Teleport(geom.Pose{Pos: geom.V(150, 0)})
@@ -127,21 +73,15 @@ func runE18Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.
 	start := time.Now()
 	res := rig.Run(horizon)
 	wall := time.Since(start)
-	if shards <= 1 {
-		// Only the sequential arm feeds the bundle: the sharded arm is
-		// asserted identical, and recording it twice would double the
-		// artifact volume for zero information.
-		opt.Observe(fmt.Sprintf("pairs=%d/%s", pairs, policy),
-			res.Report, res.Log, rig.Net, rig.Injector)
-	}
-	sent, dropped := rig.Net.Stats()
-	return e18Arm{
-		delivered: rig.Delivered(),
-		report:    res.Report,
-		events:    res.Log.Events(),
-		sent:      sent,
-		dropped:   dropped,
-		entities:  len(rig.Engine.Entities()),
-		wall:      wall,
-	}
+	id := fmt.Sprintf("pairs=%d/%s", pairs, policy)
+	opt.Observe(id, res.Report, res.Log, rig.Net, rig.Injector)
+	ticks := int64(horizon / (100 * time.Millisecond))
+	opt.ObserveBench(artifact.BenchDetail{
+		ID:          "E18/" + id,
+		Entities:    len(rig.Engine.Entities()),
+		Ticks:       ticks,
+		WallSeconds: wall.Seconds(),
+		TicksPerSec: float64(ticks) / wall.Seconds(),
+	})
+	return e16Arm{delivered: rig.Delivered(), nearMisses: res.Report.NearMisses}
 }

@@ -440,16 +440,15 @@ type BenchExperiment struct {
 }
 
 // BenchDetail is one fine-grained timing measurement inside an
-// experiment: a single rig run with its tick throughput and the shard
-// count that produced it. The E18 scaling claim lives here — the
-// experiment *table* must stay byte-deterministic, so anything derived
-// from the wall clock is reported through bench.json instead. The
-// campaign fields (Seeds, SeedsPerSec) carry the E20 warm-rig
-// throughput claim: a seed-sweep arm reports how many seeds it
-// cycled and its rig-cycling rate (a schema addition, not a break).
+// experiment: a single rig run with its tick throughput. E18's ticks/s
+// per row lives here — the experiment *table* must stay
+// byte-deterministic, so anything derived from the wall clock is
+// reported through bench.json instead. The campaign fields (Seeds,
+// SeedsPerSec) carry the E20 warm-rig throughput claim: a seed-sweep
+// arm reports how many seeds it cycled and its rig-cycling rate (a
+// schema addition, not a break).
 type BenchDetail struct {
 	ID          string  `json:"id"` // experiment / arm label, e.g. "E18/pairs=500"
-	Shards      int     `json:"shards"`
 	Entities    int     `json:"entities"`
 	Ticks       int64   `json:"ticks"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -576,7 +575,6 @@ type Campaign struct {
 	Schema     string  `json:"schema"`
 	Experiment string  `json:"experiment"`
 	Quick      bool    `json:"quick"`
-	Shards     int     `json:"shards,omitempty"`
 	Seeds      []int64 `json:"seeds"`
 	Completed  int     `json:"completed"`
 
@@ -634,6 +632,17 @@ func ReadCampaign(path string) (Campaign, error) {
 	if c.Completed < 0 || c.Completed > len(c.Seeds) {
 		return c, fmt.Errorf("artifact: %s: completed %d out of range for %d seeds",
 			path, c.Completed, len(c.Seeds))
+	}
+	// Every fold adds one value to every cell (cells that appear late
+	// are backfilled to the folded count), so a cell whose count
+	// differs from Completed can only come from corruption.
+	for r, row := range c.Cells {
+		for i, cell := range row {
+			if cell.N != int64(c.Completed) {
+				return c, fmt.Errorf("artifact: %s: cell [%d][%d] has n=%d, want completed=%d",
+					path, r, i, cell.N, c.Completed)
+			}
+		}
 	}
 	return c, nil
 }

@@ -409,6 +409,12 @@ func TestReadCampaignValidation(t *testing.T) {
 		`{"schema":"coopmrm/campaign/v1","seeds":[1],"completed":2,"cells":[]}`)); err == nil {
 		t.Error("completed beyond the seed plan should be rejected")
 	}
+	if _, err := ReadCampaign(write("count.json",
+		`{"schema":"coopmrm/campaign/v1","seeds":[1,2,3],"completed":2,`+
+			`"cells":[[{"n":2,"all_same":true,"numeric":true,"all_pct":false,"mean":1,"m2":0},`+
+			`{"n":3,"all_same":true,"numeric":true,"all_pct":false,"mean":1,"m2":0}]]}`)); err == nil {
+		t.Error("a cell count that disagrees with completed should be rejected")
+	}
 	if _, err := ReadCampaign(write("junk.json", "{not json")); err == nil {
 		t.Error("malformed JSON should be rejected")
 	}

@@ -93,17 +93,17 @@ type Config struct {
 	Goal string
 	// Seed is the run seed the trajectory planner's private stream is
 	// derived from (together with the constituent ID); 0 means 1. The
-	// stream is private so MRM planning stays byte-identical for any
-	// worker count under the sharded tick engine (worker Envs carry no
-	// RNG by design).
+	// stream is private, so a constituent's MRM planning draws depend
+	// only on its own planning events, never on what other entities
+	// draw from the engine RNG.
 	Seed int64
 	// Planner overrides the trajectory-planner knobs (default
 	// traj.DefaultConfig()).
 	Planner *traj.Config
 	// Obstacles, when set, supplies the other constituents' observed
-	// states at planning time (a read-only per-tick snapshot — the
-	// planner must never touch live bodies from a worker goroutine).
-	// Nil plans against an empty world.
+	// states at planning time (a read-only snapshot of the tick's
+	// pre-step state, so what the planner sees does not depend on
+	// registration order). Nil plans against an empty world.
 	Obstacles func() []traj.Obstacle
 }
 
@@ -944,7 +944,7 @@ func (c *Constituent) stepPlanned(env *sim.Env) {
 
 // planRequest assembles the planning problem for the current state.
 // Obstacle states come from the rig-provided snapshot closure — never
-// from live bodies, which other worker goroutines may be stepping.
+// from live bodies, some of which have already stepped this tick.
 func (c *Constituent) planRequest(m MRC, zone world.Zone, route *geom.Path) traj.Request {
 	spec := c.body.Spec()
 	cap := c.speedCap

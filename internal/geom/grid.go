@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // Grid is a uniform-cell broad-phase index over indexed point sites.
@@ -19,40 +18,9 @@ import (
 type Grid struct {
 	cell  float64
 	cells map[gridKey][]int
-
-	// workerBufs are the per-worker pair buffers of
-	// CandidatePairsParallel, kept so a per-tick caller amortises the
-	// fan-out to zero allocations like the sequential path.
-	workerBufs [][][2]int
 }
 
 type gridKey struct{ x, y int }
-
-// cellHash folds a cell key into a stable non-negative bucket id. The
-// multipliers are the classic 2-D spatial-hash primes; the result
-// depends only on the cell coordinates (no map iteration order, no
-// pointer identity), so shard assignment and cell ownership are
-// deterministic across runs and platforms.
-func cellHash(k gridKey) uint32 {
-	return uint32(k.x)*2654435761 ^ uint32(k.y)*2246822519
-}
-
-// ShardOf assigns a point to one of shards spatial shards by hashing
-// the grid cell (of the given cell size) that contains it. Points in
-// the same cell always share a shard; a moving entity migrates to a
-// new shard exactly when it crosses a cell boundary. The assignment
-// is deterministic and balance comes from the hash, so callers can
-// re-evaluate it every tick without any cross-tick state.
-func ShardOf(p Vec2, cellSize float64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	if cellSize <= 0 {
-		cellSize = math.SmallestNonzeroFloat64
-	}
-	k := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
-	return int(cellHash(k) % uint32(shards))
-}
 
 // NewGrid returns an empty grid with the given cell size. The cell
 // size must be positive; it is the distance below which a pair of
@@ -93,89 +61,37 @@ func (g *Grid) Insert(handle int, p Vec2) {
 // apart than 2*sqrt(2)*CellSize never do.
 func (g *Grid) CandidatePairs(buf [][2]int) [][2]int {
 	start := len(buf)
+	// Forward half-neighbourhood: pairing each cell with itself and
+	// these four neighbours visits every adjacent cell pair once.
+	offsets := [4]gridKey{{1, -1}, {1, 0}, {1, 1}, {0, 1}}
 	for k, bucket := range g.cells {
 		if len(bucket) == 0 {
 			continue
 		}
-		buf = g.appendCellPairs(buf, k, bucket)
-	}
-	sortPairs(buf[start:])
-	return buf
-}
-
-// CandidatePairsParallel is CandidatePairs fanned across workers: each
-// worker enumerates the pairs of the cells it owns (ownership by cell
-// hash, so every cell is visited exactly once), reading neighbouring
-// buckets read-only for the boundary pairs, and the per-worker buffers
-// are concatenated and sorted with the sequential comparator. The
-// enumerated multiset is identical to the sequential pass whatever the
-// worker count, so after the global sort the returned slice is
-// byte-identical to CandidatePairs — the broad-phase arm of the shard
-// determinism guarantee.
-func (g *Grid) CandidatePairsParallel(buf [][2]int, workers int) [][2]int {
-	if workers <= 1 || len(g.cells) < 2*workers {
-		return g.CandidatePairs(buf)
-	}
-	for len(g.workerBufs) < workers {
-		g.workerBufs = append(g.workerBufs, nil)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := g.workerBufs[w][:0]
-			for k, bucket := range g.cells {
-				if len(bucket) == 0 || int(cellHash(k)%uint32(workers)) != w {
-					continue
+		for i := 0; i < len(bucket); i++ {
+			for j := i + 1; j < len(bucket); j++ {
+				buf = append(buf, orderPair(bucket[i], bucket[j]))
+			}
+		}
+		for _, off := range offsets {
+			nb := g.cells[gridKey{k.x + off.x, k.y + off.y}]
+			for _, a := range bucket {
+				for _, b := range nb {
+					buf = append(buf, orderPair(a, b))
 				}
-				out = g.appendCellPairs(out, k, bucket)
-			}
-			g.workerBufs[w] = out
-		}(w)
-	}
-	wg.Wait()
-	start := len(buf)
-	for w := 0; w < workers; w++ {
-		buf = append(buf, g.workerBufs[w]...)
-	}
-	sortPairs(buf[start:])
-	return buf
-}
-
-// appendCellPairs appends the candidate pairs owned by one cell: all
-// intra-bucket pairs plus the pairs against the forward
-// half-neighbourhood, which visits every adjacent cell pair exactly
-// once across the whole grid.
-func (g *Grid) appendCellPairs(buf [][2]int, k gridKey, bucket []int) [][2]int {
-	offsets := [4]gridKey{{1, -1}, {1, 0}, {1, 1}, {0, 1}}
-	for i := 0; i < len(bucket); i++ {
-		for j := i + 1; j < len(bucket); j++ {
-			buf = append(buf, orderPair(bucket[i], bucket[j]))
-		}
-	}
-	for _, off := range offsets {
-		nb := g.cells[gridKey{k.x + off.x, k.y + off.y}]
-		for _, a := range bucket {
-			for _, b := range nb {
-				buf = append(buf, orderPair(a, b))
 			}
 		}
 	}
-	return buf
-}
-
-// sortPairs orders pairs lexicographically. slices.SortFunc rather
-// than sort.Slice: the reflect-based swapper of the latter allocates
-// on every call, and this sort runs once per tick on the proximity
-// hot path.
-func sortPairs(pairs [][2]int) {
-	slices.SortFunc(pairs, func(a, b [2]int) int {
+	// slices.SortFunc rather than sort.Slice: the reflect-based
+	// swapper of the latter allocates on every call, and this sort
+	// runs once per tick on the proximity hot path.
+	slices.SortFunc(buf[start:], func(a, b [2]int) int {
 		if a[0] != b[0] {
 			return a[0] - b[0]
 		}
 		return a[1] - b[1]
 	})
+	return buf
 }
 
 func orderPair(a, b int) [2]int {

@@ -45,13 +45,6 @@ type QuarryConfig struct {
 	// Net overrides the V2X channel model (default: 50 ms latency,
 	// no loss, no chaos) — the E17 chaos knobs live here.
 	Net *comm.NetConfig
-	// Shards > 1 installs the sharded tick plan: constituents, haul
-	// agents, and status-sharing policies step on that many worker
-	// goroutines, partitioned spatially by grid cell (geom.ShardOf) and
-	// joined at a barrier per stratum. The run is byte-identical to
-	// Shards <= 1 — same events, same comm traffic, same reports — per
-	// the determinism argument in DESIGN.md §8.
-	Shards int
 }
 
 func (c QuarryConfig) withDefaults() QuarryConfig {
@@ -281,8 +274,8 @@ func (r *QuarryRig) constituent(cc core.Config) *core.Constituent {
 // construction always has: network pre-hook, constituent registration
 // (network first, then engine — registration order drives broadcast
 // fan-out and step order), haul agents, the planner obstacle
-// snapshot, the policy layer, metrics, fault injection, and the shard
-// plan. Reset replays it against rewound substrate.
+// snapshot, the policy layer, metrics, and fault injection. Reset
+// replays it against rewound substrate.
 func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	e, w, net := r.Engine, r.World, r.Net
 	g := w.Graph()
@@ -377,8 +370,8 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		}
 	}
 
-	// Planner obstacle snapshot: filled sequentially each tick before
-	// the (possibly sharded) entity steps.
+	// Planner obstacle snapshot: filled each tick before the entity
+	// steps.
 	snap.track(r.All())
 	e.AddPreHook(snap.hook())
 
@@ -448,92 +441,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		return err
 	}
 	e.AddPreHook(r.Injector.Hook())
-	r.wireShards(cfg.Shards)
 	return nil
-}
-
-// shardCell is the spatial shard cell size in metres. The haul road
-// spans ~300 m, so 30 m cells give the hash a dozen buckets along the
-// road plus one per truck staging slot — enough spread that every
-// worker owns entities at all fleet sizes the experiments run.
-const shardCell = 30.0
-
-// quarryStratum labels the entity classes audited as parallel-safe
-// within their own class: constituents (physics + own radios, no
-// cross-constituent reads), haul agents (own truck, shared route cache
-// and occupancy maps behind mutexes, neighbour reads only of the
-// fully-stepped constituent stratum), and status-sharing policies (own
-// inbox, own haul agent, sends deferred to the boundary). Everything
-// else — directors, authorities, coordination policies with
-// cross-entity writes — steps sequentially.
-func quarryStratum(ent sim.Entity) int {
-	switch ent.(type) {
-	case *core.Constituent:
-		return 0
-	case *agent.HaulAgent:
-		return 1
-	case *coop.StatusSharing:
-		return 2
-	default:
-		return -1
-	}
-}
-
-// shardAnchor returns the constituent whose position decides an
-// entity's spatial shard (nil for entities with no anchor, which land
-// on shard 0).
-func shardAnchor(ent sim.Entity) *core.Constituent {
-	switch v := ent.(type) {
-	case *core.Constituent:
-		return v
-	case *agent.HaulAgent:
-		return v.Constituent()
-	case *coop.StatusSharing:
-		return v.Base().C()
-	}
-	return nil
-}
-
-// wireShards installs the sharded tick plan on the engine: spatial
-// shard assignment over the audited strata, comm boundary mode around
-// every parallel batch (deferred sends replayed in constituent
-// registration order), and the parallel broad-phase in the collector.
-func (r *QuarryRig) wireShards(shards int) {
-	if shards <= 1 {
-		return
-	}
-	// Pre-warm the cached constituent list: the neighbour closures call
-	// all() from worker goroutines, and the lazy rebuild must happen
-	// once here, not racily on the first tick.
-	r.all()
-	order := make(map[string]int, len(r.Engine.Entities()))
-	for i, ent := range r.Engine.Entities() {
-		if c, ok := ent.(*core.Constituent); ok {
-			order[c.ID()] = i
-		}
-	}
-	r.Net.SetBoundaryOrder(func(from string) int {
-		if i, ok := order[from]; ok {
-			return i
-		}
-		// Only constituents send inside parallel batches; anything else
-		// (authority, TMS) sends sequentially and never hits the buffer.
-		return 1 << 30
-	})
-	r.Engine.SetShardPlan(sim.ShardPlan{
-		Shards:  shards,
-		Stratum: quarryStratum,
-		Assign: func(ent sim.Entity, n int) int {
-			c := shardAnchor(ent)
-			if c == nil {
-				return 0
-			}
-			return geom.ShardOf(c.Body().Position(), shardCell, n)
-		},
-		BeginParallel: func(*sim.Env) { r.Net.BeginBoundary() },
-		EndParallel:   func(*sim.Env) { r.Net.FlushBoundary() },
-	})
-	r.Collector.Workers = shards
 }
 
 // neighborsOf returns the detection targets for one constituent: the

@@ -93,13 +93,13 @@ func probeFor(c *core.Constituent, w *world.World) metrics.Probe {
 }
 
 // obstacleSnapshot feeds the constituents' trajectory planners: a
-// sequential pre-hook copies every constituent's observed state into a
-// read-only snapshot once per tick, and obstaclesFor serves
-// everyone-but-self views of it. Planning events running on worker
-// goroutines under the sharded tick engine read only the snapshot —
-// never live bodies — which keeps the sharded run race-free and
-// byte-identical to the sequential one (the snapshot is always the
-// pre-step state of the tick, whatever the step interleaving).
+// pre-hook copies every constituent's observed state into a read-only
+// snapshot once per tick, and obstaclesFor serves everyone-but-self
+// views of it. Planners therefore see the tick's pre-step state of
+// every other constituent, never a live body that may already have
+// stepped this tick: what a planner sees does not depend on where its
+// constituent sits in the registration order, and reading live bodies
+// instead would change the output bytes.
 type obstacleSnapshot struct {
 	cs    []*core.Constituent
 	radii []float64
@@ -133,7 +133,7 @@ func (s *obstacleSnapshot) fill() {
 }
 
 // hook returns the per-tick refresh; register it as a pre-hook so the
-// snapshot is filled sequentially before any entity steps.
+// snapshot is filled before any entity steps.
 func (s *obstacleSnapshot) hook() sim.Hook { return func(*sim.Env) { s.fill() } }
 
 // obstaclesFor returns the planner feed for the constituent with the

@@ -62,7 +62,6 @@ func TestCanonicalKeyDistinctSubmissions(t *testing.T) {
 		`{"experiment":"E2"}`,
 		`{"experiment":"E1","options":{"seed":2}}`,
 		`{"experiment":"E1","options":{"quick":true}}`,
-		`{"experiment":"E1","options":{"shards":4}}`,
 		`{"experiment":"E1","seeds":[1,2]}`,
 		`{"experiment":"E1","seeds":[2,1]}`,
 		`{"experiment":"E1","seeds":[1,2],"stream":false}`,

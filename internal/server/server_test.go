@@ -297,6 +297,9 @@ func TestServerHTTPErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{"experiment":"E999"}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"experiment":"E1","bogus":1}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"experiment":"E1","seeds":"0..9223372036854775807"}`, http.StatusBadRequest},
+		// The retired shards option is an unknown field now.
+		{"POST", "/v1/jobs", `{"experiment":"E1","options":{"shards":4}}`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/deadbeef", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/deadbeef/artifact", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/deadbeef/bench", "", http.StatusNotFound},

@@ -99,7 +99,6 @@ type Engine struct {
 	pre      []Hook
 	post     []Hook
 	stops    []StopCondition
-	shard    *shardState // non-nil when a multi-shard plan is installed
 }
 
 // NewEngine returns an engine for the given configuration.
@@ -124,10 +123,10 @@ func (e *Engine) Env() *Env { return e.env }
 // seed, retaining backing allocations: the clock rewinds, the RNG
 // reseeds in place to exactly NewRNG(seed)'s stream, the event log
 // truncates with capacity kept, and every registration — entities,
-// hooks, stop conditions, shard plan — is dropped for the rig to
-// re-wire in construction order. A reset engine is observationally
-// identical to NewEngine with the same config and seed; the warm-rig
-// differential tests hold that at the byte level.
+// hooks, stop conditions — is dropped for the rig to re-wire in
+// construction order. A reset engine is observationally identical to
+// NewEngine with the same config and seed; the warm-rig differential
+// tests hold that at the byte level.
 func (e *Engine) Reset(seed int64) {
 	if seed == 0 {
 		seed = 1 // Config.withDefaults' seed rule
@@ -145,7 +144,6 @@ func (e *Engine) Reset(seed int64) {
 	e.post = e.post[:0]
 	clear(e.stops)
 	e.stops = e.stops[:0]
-	e.shard = nil
 }
 
 // Register adds an entity. Registering two entities with the same ID
@@ -211,15 +209,9 @@ func (e *Engine) Run() error {
 }
 
 // RunTick executes exactly one tick: pre hooks, entity steps in
-// registration order, post hooks, then the clock advances. With a
-// shard plan installed (SetShardPlan) the entity loop runs the batch
-// schedule instead; the observable run — events, comm traffic, RNG
-// stream — is byte-identical either way.
+// registration order, post hooks, then the clock advances, all on the
+// calling goroutine.
 func (e *Engine) RunTick() {
-	if e.shard != nil {
-		e.runTickSharded()
-		return
-	}
 	for _, h := range e.pre {
 		h(e.env)
 	}

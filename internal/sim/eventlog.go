@@ -83,9 +83,9 @@ func (l *EventLog) Append(e Event) {
 }
 
 // resetKeepCapacity empties the log while retaining every backing
-// allocation (event array and index slices), so the sharded tick
-// loop's per-worker segment logs amortise to zero garbage. Events are
-// zeroed first to release their Fields maps.
+// allocation (event array and index slices), so a warm rig's log
+// amortises to zero garbage across runs. Events are zeroed first to
+// release their Fields maps.
 func (l *EventLog) resetKeepCapacity() {
 	clear(l.events)
 	l.events = l.events[:0]

@@ -12,10 +12,8 @@
 //
 // Determinism: every Planner owns a private RNG seeded from the run
 // seed and the constituent ID (Seed), so its draw stream depends only
-// on its own planning events — never on tick interleaving across
-// worker goroutines. Under the sharded tick engine constituents step
-// in parallel with a nil engine RNG; the per-constituent stream is
-// what keeps planner output byte-identical for any worker count.
+// on its own planning events — never on what other entities draw from
+// the engine RNG in between.
 package traj
 
 import (
@@ -95,7 +93,7 @@ func DefaultConfig() Config { return Config{}.withDefaults() }
 // run seed and the constituent ID (FNV-1a over the ID folded into a
 // splitmix64 step of the run seed). Streams of different constituents
 // never collide, and a constituent's stream depends only on (run
-// seed, ID) — not on registration order or worker count.
+// seed, ID) — not on registration order.
 func Seed(runSeed int64, id string) int64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(id); i++ {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"coopmrm/internal/geom"
 )
@@ -34,14 +33,6 @@ type RouteGraph struct {
 	blockedEdge map[[2]string]bool
 	nodeOrder   []string
 
-	// cacheMu guards the route memo (and its hit/miss counters): the
-	// sharded tick loop plans routes from several worker goroutines at
-	// once. Memoization of a pure function is order-independent —
-	// whichever worker populates an entry first, the cached route is
-	// the same — so the lock protects memory safety, not determinism.
-	// Topology and blocking mutations stay single-threaded by the
-	// shard plan (they only happen in sequential strata).
-	cacheMu    sync.Mutex
 	routeCache map[string]routeCacheEntry
 	cacheHits  int
 	cacheMiss  int
@@ -66,9 +57,7 @@ func NewRouteGraph() *RouteGraph {
 // invalidateRoutes drops every memoized route; called by any mutation
 // that can change planning outcomes.
 func (g *RouteGraph) invalidateRoutes() {
-	g.cacheMu.Lock()
 	clear(g.routeCache)
-	g.cacheMu.Unlock()
 }
 
 // AddNode inserts a waypoint. Re-adding an existing ID moves it.
@@ -227,26 +216,19 @@ func (g *RouteGraph) ShortestPathAvoiding(a, b string, avoid map[string]bool) ([
 // copy of the route, so mutating it cannot poison the cache.
 func (g *RouteGraph) ShortestPathWith(a, b string, av Avoidance) ([]string, error) {
 	key := routeKey(a, b, av)
-	g.cacheMu.Lock()
 	if e, ok := g.routeCache[key]; ok {
 		g.cacheHits++
-		g.cacheMu.Unlock()
 		return append([]string(nil), e.route...), e.err
 	}
 	g.cacheMiss++
-	g.cacheMu.Unlock()
 	route, err := g.shortestPath(a, b, av)
-	g.cacheMu.Lock()
 	g.routeCache[key] = routeCacheEntry{route: route, err: err}
-	g.cacheMu.Unlock()
 	return append([]string(nil), route...), err
 }
 
 // RouteCacheStats returns the cumulative shortest-path cache hit and
 // miss counts — an observability hook for scale experiments.
 func (g *RouteGraph) RouteCacheStats() (hits, misses int) {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
 	return g.cacheHits, g.cacheMiss
 }
 

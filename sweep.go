@@ -45,12 +45,16 @@ func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 		if err1 != nil || err2 != nil || b < a {
 			return nil, fmt.Errorf("seed spec %q: want <lo>..<hi> with hi >= lo", spec)
 		}
-		if b-a+1 > 1<<20 {
+		// b-a overflows int64 on wide spans (0..MaxInt64); the unsigned
+		// difference is exact for any a <= b. The loop counts rather
+		// than stepping s <= b, which never ends when b is MaxInt64.
+		span := uint64(b) - uint64(a)
+		if span >= 1<<20 {
 			return nil, fmt.Errorf("seed spec %q: range too large", spec)
 		}
-		seeds := make([]int64, 0, b-a+1)
-		for s := a; s <= b; s++ {
-			seeds = append(seeds, s)
+		seeds := make([]int64, span+1)
+		for i := range seeds {
+			seeds[i] = a + int64(i)
 		}
 		return seeds, nil
 	}

