@@ -51,8 +51,8 @@ benchdiff:
 	$(GO) run ./cmd/experiments -quick -parallel 1 -out .bench-out >/dev/null
 	$(GO) run ./cmd/benchdiff -threshold 0.5 BENCH_quick.json .bench-out/bench.json
 
-# campaign-smoke is the end-to-end exercise of the streaming campaign
-# path: run a small E19 sweep uninterrupted on fresh rig construction,
+# campaign-smoke is the end-to-end exercise of the seed campaign path:
+# run a small E19 sweep uninterrupted on fresh rig construction,
 # run the same campaign on the warm-rig pool (-reuse-rigs) aborted
 # mid-flight (-abort-after, the deterministic stand-in for a kill),
 # resume it — also warm — from the checkpoint, and require the resumed
@@ -63,13 +63,13 @@ benchdiff:
 # timing gate, so CI runs it blocking.
 campaign-smoke:
 	rm -rf .campaign-smoke && mkdir -p .campaign-smoke
-	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -stream \
+	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 \
 		>.campaign-smoke/uninterrupted.txt
-	-$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -stream -reuse-rigs \
+	-$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -reuse-rigs \
 		-checkpoint .campaign-smoke/campaign.json -checkpoint-every 2 \
 		-abort-after 4 >/dev/null 2>&1
 	test -s .campaign-smoke/campaign.json
-	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -stream -reuse-rigs \
+	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -reuse-rigs \
 		-checkpoint .campaign-smoke/campaign.json -resume \
 		>.campaign-smoke/resumed.txt
 	cmp .campaign-smoke/uninterrupted.txt .campaign-smoke/resumed.txt
@@ -93,13 +93,13 @@ servebench:
 	$(GO) run ./cmd/coopmrmd -selfbench -bench-clients 8 -bench-jobs 32 \
 		-bench-out BENCH_serve.json
 
-# memprofile-campaign captures a heap profile of a streaming warm-rig
+# memprofile-campaign captures a heap profile of a warm-rig seed
 # campaign: an E19 seed sweep served from the snapshot/reset rig pool,
 # serial so the profile reflects one worker's steady state. Inspect
 # with `go tool pprof campaign.memprofile`; the live heap should be
 # dominated by the parked rig chassis, not per-seed garbage.
 memprofile-campaign:
-	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..32 -stream -reuse-rigs \
+	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..32 -reuse-rigs \
 		-parallel 1 -memprofile campaign.memprofile >/dev/null
 	@echo "campaign.memprofile written (go tool pprof campaign.memprofile)"
 

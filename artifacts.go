@@ -2,7 +2,6 @@ package coopmrm
 
 import (
 	"context"
-	"math"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -59,140 +58,69 @@ type ExperimentArtifacts struct {
 // RunSetWithArtifacts is RunSet with observability: every job gets its
 // own artifact recorder (never shared between workers, so bundles are
 // byte-identical to the serial path for any worker count) and its
-// wall-clock duration is measured inside the worker.
+// wall-clock duration is measured inside the job.
 func RunSetWithArtifacts(es []Experiment, opt Options, parallel int) ([]ExperimentArtifacts, error) {
-	results, walls, err := runner.MapTimed(context.Background(), parallel, len(es),
+	return runner.Map(context.Background(), parallel, len(es),
 		func(_ context.Context, i int) (ExperimentArtifacts, error) {
-			jobOpt := opt
-			jobOpt.Artifacts = artifact.NewRecorder()
-			table := es[i].Run(jobOpt)
-			return ExperimentArtifacts{
-				Experiment: es[i],
-				Table:      table,
-				Runs:       jobOpt.Artifacts.Runs(),
-				Details:    jobOpt.Artifacts.Details(),
-			}, nil
+			return runObserved(es[i], opt), nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Wall = walls[i]
-	}
-	return results, nil
 }
 
-// SweepSeedsWithArtifacts is SweepSeeds with observability: the
-// per-seed jobs record into private recorders, the runs are merged in
-// seed order under a "seed=<s>/" prefix, and the wall time is the sum
-// of the per-seed job times.
-func SweepSeedsWithArtifacts(e Experiment, opt Options, seeds []int64, parallel int) (ExperimentArtifacts, error) {
-	type seedResult struct {
-		table   Table
-		runs    []artifact.Run
-		details []artifact.BenchDetail
-	}
-	results, walls, err := runner.MapTimed(context.Background(), parallel, len(seeds),
-		func(_ context.Context, i int) (seedResult, error) {
-			jobOpt := opt.WithSeed(seeds[i])
-			jobOpt.Artifacts = artifact.NewRecorder()
-			table := e.Run(jobOpt)
-			return seedResult{table: table, runs: jobOpt.Artifacts.Runs(),
-				details: jobOpt.Artifacts.Details()}, nil
-		})
-	if err != nil {
-		return ExperimentArtifacts{}, err
-	}
-	out := ExperimentArtifacts{Experiment: e}
-	tables := make([]Table, len(results))
-	for i, r := range results {
-		tables[i] = r.table
-		for _, run := range r.runs {
-			run.Name = "seed=" + strconv.FormatInt(seeds[i], 10) + "/" + run.Name
-			out.Runs = append(out.Runs, run)
-		}
-		for _, d := range r.details {
-			d.ID = "seed=" + strconv.FormatInt(seeds[i], 10) + "/" + d.ID
-			out.Details = append(out.Details, d)
-		}
-		out.Wall += walls[i]
-	}
-	out.Table = AggregateSeedTables(tables, seeds)
-	out.WallSd, out.WallN = wallStats(walls)
-	return out, nil
-}
-
-// wallStats reduces per-seed wall times to their Bessel-corrected
-// sample standard deviation and count.
-func wallStats(walls []time.Duration) (time.Duration, int) {
-	n := len(walls)
-	if n < 2 {
-		return 0, n
-	}
-	var mean, m2 float64
-	for i, w := range walls {
-		d := w.Seconds() - mean
-		mean += d / float64(i+1)
-		m2 += d * (w.Seconds() - mean)
-	}
-	sd := math.Sqrt(math.Max(m2, 0) / float64(n-1))
-	return time.Duration(sd * float64(time.Second)), n
-}
-
-// SweepSeedsStreamWithArtifacts is SweepSeedsStream with
-// observability. Unlike the retained-path sweep it cannot capture
-// every run — that would be O(seeds) memory again — so bundle capture
-// is capped to the campaign's first few seeds (merged in seed order
-// under the usual "seed=<s>/" prefix); per-seed wall statistics cover
-// every seed run in this process.
-func SweepSeedsStreamWithArtifacts(e Experiment, opt Options, seeds []int64, parallel int,
-	cfg CampaignConfig) (ExperimentArtifacts, error) {
-	table, sc, err := sweepSeedsStream(e, opt, seeds, parallel, cfg, true)
-	if err != nil {
-		return ExperimentArtifacts{}, err
-	}
+// runObserved runs e once with a private artifact recorder and times
+// the run.
+func runObserved(e Experiment, opt Options) ExperimentArtifacts {
+	opt.Artifacts = artifact.NewRecorder()
+	start := time.Now()
+	table := e.Run(opt)
 	return ExperimentArtifacts{
 		Experiment: e,
 		Table:      table,
-		Runs:       sc.runs,
-		Details:    sc.details,
-		Wall:       sc.wall,
-		WallSd:     sc.wallSd(),
-		WallN:      int(sc.wallN),
-	}, nil
+		Runs:       opt.Artifacts.Runs(),
+		Details:    opt.Artifacts.Details(),
+		Wall:       time.Since(start),
+	}
 }
 
-// RunJobArtifacts runs one experiment in the harness mode implied by
-// its arguments — a single run when seeds is empty, a retained-table
-// seed sweep, or (stream) a checkpointable streaming campaign — and
-// returns its artifacts. It is the one-experiment dispatch the
-// coopmrmd job server shares with the cmd/experiments -out paths.
-//
-// The streaming mode deliberately returns a table-only result with no
-// per-run capture: streaming capture is capped to a campaign's first
-// seeds, so a campaign interrupted past that prefix and resumed could
-// never reproduce it — and the server's cache contract is that an
-// interrupted-and-resumed job serves bytes identical to an
-// uninterrupted one.
-func RunJobArtifacts(e Experiment, opt Options, seeds []int64, parallel int,
-	stream bool, cfg CampaignConfig) (ExperimentArtifacts, error) {
-	switch {
-	case len(seeds) == 0:
-		res, err := RunSetWithArtifacts([]Experiment{e}, opt, parallel)
-		if err != nil {
-			return ExperimentArtifacts{}, err
-		}
-		return res[0], nil
-	case stream:
-		start := time.Now()
-		table, err := SweepSeedsStream(e, opt, seeds, parallel, cfg)
-		if err != nil {
-			return ExperimentArtifacts{}, err
-		}
-		return ExperimentArtifacts{Experiment: e, Table: table, Wall: time.Since(start)}, nil
-	default:
-		return SweepSeedsWithArtifacts(e, opt, seeds, parallel)
+// SweepSeedsStreamWithArtifacts is SweepSeedsStream with
+// observability. The fold runs bare; afterwards one observation pass
+// re-runs the plan's first few seeds with recorders, and their runs
+// are merged in seed order under a "seed=<s>/" prefix. The captured
+// runs therefore depend only on the seed plan — never on where an
+// interrupted campaign resumed. Wall is the sum of the folded seeds'
+// run times, with WallSd/WallN their sample sd and count.
+func SweepSeedsStreamWithArtifacts(e Experiment, opt Options, seeds []int64, parallel int,
+	cfg CampaignConfig) (ExperimentArtifacts, error) {
+	table, wall, err := sweepSeedsStream(e, opt, seeds, parallel, cfg)
+	if err != nil {
+		return ExperimentArtifacts{}, err
 	}
+	out := ExperimentArtifacts{
+		Experiment: e,
+		Table:      table,
+		Wall:       wall.total,
+		WallSd:     wall.sd(),
+		WallN:      int(wall.n),
+	}
+	captured := seeds[:min(len(seeds), streamRunsCaptureCap)]
+	obs, err := runner.Map(context.Background(), parallel, len(captured),
+		func(_ context.Context, i int) (ExperimentArtifacts, error) {
+			return runObserved(e, opt.WithSeed(captured[i])), nil
+		})
+	if err != nil {
+		return ExperimentArtifacts{}, err
+	}
+	for i, o := range obs {
+		prefix := "seed=" + strconv.FormatInt(captured[i], 10) + "/"
+		for _, run := range o.Runs {
+			run.Name = prefix + run.Name
+			out.Runs = append(out.Runs, run)
+		}
+		for _, d := range o.Details {
+			d.ID = prefix + d.ID
+			out.Details = append(out.Details, d)
+		}
+	}
+	return out, nil
 }
 
 // WriteRunArtifacts writes one artifact bundle per experiment under

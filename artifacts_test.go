@@ -1,63 +1,81 @@
 package coopmrm
 
 import (
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
-// RunJobArtifacts must dispatch to the same library paths the CLI
-// uses: single runs match RunSetWithArtifacts, retained sweeps match
-// SweepSeedsWithArtifacts, and streaming jobs return the table-only
-// result whose rendering matches the plain streaming sweep.
-func TestRunJobArtifactsDispatch(t *testing.T) {
+// SweepSeedsStreamWithArtifacts folds the table SweepSeedsStream folds
+// and captures the runs of the plan's first eight seeds in a pass after
+// the fold, so a campaign resumed past that prefix still captures
+// exactly the runs of an uninterrupted one.
+func TestSweepStreamWithArtifactsCapturesPlanPrefix(t *testing.T) {
 	e, ok := ExperimentByID("E1")
 	if !ok {
 		t.Fatal("E1 missing")
 	}
-	opt := Options{Quick: true, Seed: 1}
-	seeds := []int64{1, 2, 3}
+	opt := Options{Quick: true}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 
-	single, err := RunJobArtifacts(e, opt, nil, 2, false, CampaignConfig{})
+	full, err := SweepSeedsStreamWithArtifacts(e, opt, seeds, 2, CampaignConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunSetWithArtifacts([]Experiment{e}, opt, 2)
+	table, err := SweepSeedsStream(e, opt, seeds, 2, CampaignConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Table.Render() != ref[0].Table.Render() {
-		t.Errorf("single-run table differs from RunSetWithArtifacts")
+	if full.Table.Render() != table.Render() {
+		t.Errorf("table differs from SweepSeedsStream:\n%s\nvs\n%s", full.Table.Render(), table.Render())
 	}
-	if len(single.Runs) == 0 {
-		t.Errorf("single-run job lost its captured runs")
+	if full.WallN != len(seeds) {
+		t.Errorf("wall samples = %d, want %d", full.WallN, len(seeds))
+	}
+	captured := map[string]bool{}
+	for _, run := range full.Runs {
+		prefix, _, _ := strings.Cut(run.Name, "/")
+		captured[prefix] = true
+	}
+	for _, s := range seeds {
+		want := s <= streamRunsCaptureCap
+		if got := captured[fmt.Sprintf("seed=%d", s)]; got != want {
+			t.Errorf("seed %d captured = %v, want %v", s, got, want)
+		}
 	}
 
-	retained, err := RunJobArtifacts(e, opt, seeds, 2, false, CampaignConfig{})
+	// Abort past the capture prefix (the checkpoint holds 9 folds),
+	// then resume: only seed 10 is folded, yet the capture is whole.
+	ckpt := filepath.Join(t.TempDir(), "campaign.json")
+	_, err = SweepSeedsStreamWithArtifacts(e, opt, seeds, 2, CampaignConfig{
+		Checkpoint: ckpt,
+		Every:      3,
+		OnFold: func(done, total int) error {
+			if done >= 9 {
+				return fmt.Errorf("simulated kill")
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("aborted campaign should report the abort")
+	}
+	resumed, err := SweepSeedsStreamWithArtifacts(e, opt, seeds, 2, CampaignConfig{
+		Checkpoint: ckpt, Resume: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSweep, err := SweepSeedsWithArtifacts(e, opt, seeds, 2)
-	if err != nil {
-		t.Fatal(err)
+	if resumed.WallN != 1 {
+		t.Errorf("resumed campaign timed %d seeds, want 1", resumed.WallN)
 	}
-	if retained.Table.Render() != refSweep.Table.Render() {
-		t.Errorf("retained-sweep table differs from SweepSeedsWithArtifacts")
+	if resumed.Table.Render() != full.Table.Render() {
+		t.Error("resumed table differs from uninterrupted")
 	}
-
-	stream, err := RunJobArtifacts(e, opt, seeds, 2, true, CampaignConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refStream, err := SweepSeedsStream(e, opt, seeds, 2, CampaignConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Table.Render() != refStream.Render() {
-		t.Errorf("stream table differs from SweepSeedsStream")
-	}
-	if len(stream.Runs) != 0 {
-		// Capture is capped to a campaign's first seeds and so cannot
-		// survive a checkpoint/resume cycle; a streaming job must not
-		// pretend otherwise.
-		t.Errorf("stream job returned %d captured runs, want none", len(stream.Runs))
+	if !reflect.DeepEqual(resumed.Runs, full.Runs) {
+		t.Errorf("resumed campaign captured %d runs, uninterrupted %d; want identical",
+			len(resumed.Runs), len(full.Runs))
 	}
 }

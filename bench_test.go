@@ -222,24 +222,21 @@ func BenchmarkAllSerial(b *testing.B) { benchRunSet(b, 1) }
 // the ratio to BenchmarkAllSerial is the harness speedup.
 func BenchmarkAllParallel(b *testing.B) { benchRunSet(b, runtime.NumCPU()) }
 
-// benchSweepMemory runs a fixed-size synthetic seed sweep through
-// either the retained path (every per-seed table held until the final
-// two-pass aggregation) or the streaming campaign path (per-cell
-// Welford accumulators, memory independent of seed count) and reports
-// the peak live heap observed mid-sweep. Together the four benchmarks
-// are the memory claim behind SweepSeedsStream: peak-live-B stays flat
-// on the streaming path as seeds grow 4×, and grows linearly on the
-// retained path. The peak is sampled inside the arm's Run — called
-// once per seed on both paths — after a forced GC, so it measures
+// benchSweepMemory runs a fixed-size synthetic seed sweep through the
+// streaming campaign path (per-cell Welford accumulators, memory
+// independent of seed count) and reports the peak live heap observed
+// mid-sweep. The two benchmarks are the memory claim behind
+// SweepSeedsStream: peak-live-B stays flat as seeds grow 4×. The peak
+// is sampled inside the arm's Run after a forced GC, so it measures
 // retention, not allocation churn (B/op counts the discarded per-seed
-// tables on both paths and scales with seeds either way).
-func benchSweepMemory(b *testing.B, seeds int, stream bool) {
+// tables and scales with seeds).
+func benchSweepMemory(b *testing.B, seeds int) {
 	b.Helper()
 	var peak uint64
 	calls := 0
 	e := benchSyntheticArm(func() {
 		// Sampling with a forced GC is expensive; every 500 seeds is
-		// plenty to catch the retained path's growth.
+		// plenty.
 		if calls++; calls%500 != 0 {
 			return
 		}
@@ -257,13 +254,7 @@ func benchSweepMemory(b *testing.B, seeds int, stream bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var tab Table
-		var err error
-		if stream {
-			tab, err = SweepSeedsStream(e, Options{Quick: true}, list, 1, CampaignConfig{})
-		} else {
-			tab, err = SweepSeeds(e, Options{Quick: true}, list, 1)
-		}
+		tab, err := SweepSeedsStream(e, Options{Quick: true}, list, 1, CampaignConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,18 +291,10 @@ func benchSyntheticArm(onRun func()) Experiment {
 	}
 }
 
-// BenchmarkSweepRetained1kSeeds holds 1000 per-seed tables for the
-// final two-pass aggregation — O(seeds) retention.
-func BenchmarkSweepRetained1kSeeds(b *testing.B) { benchSweepMemory(b, 1000, false) }
-
-// BenchmarkSweepRetained4kSeeds is the linear-growth data point: ~4×
-// the peak-live-B of the 1k run.
-func BenchmarkSweepRetained4kSeeds(b *testing.B) { benchSweepMemory(b, 4000, false) }
-
-// BenchmarkSweepStream1kSeeds folds the same 1000 seeds into per-cell
+// BenchmarkSweepStream1kSeeds folds 1000 seeds into per-cell
 // accumulators — O(rows×cols) retention.
-func BenchmarkSweepStream1kSeeds(b *testing.B) { benchSweepMemory(b, 1000, true) }
+func BenchmarkSweepStream1kSeeds(b *testing.B) { benchSweepMemory(b, 1000) }
 
 // BenchmarkSweepStream4kSeeds is the flat-memory data point:
 // peak-live-B within noise of the 1k run despite 4× the seeds.
-func BenchmarkSweepStream4kSeeds(b *testing.B) { benchSweepMemory(b, 4000, true) }
+func BenchmarkSweepStream4kSeeds(b *testing.B) { benchSweepMemory(b, 4000) }

@@ -20,7 +20,7 @@
 //	GET  /v1/experiments        the runnable experiment index
 //
 // On SIGTERM/SIGINT the server drains: it stops accepting submissions,
-// streaming campaigns park at a final checkpoint (no folded seed is
+// seed campaigns park at a final checkpoint (no folded seed is
 // lost), and the next start on the same -state resumes them to results
 // byte-identical to an uninterrupted run.
 //
@@ -61,7 +61,7 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "worker pool size per job (0: one per CPU)")
 	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset); result bytes are identical either way, so it never enters the cache key")
 	jobTimeout := fs.Duration("job-timeout", 15*time.Minute, "per-job run time bound (requests may shorten, never extend)")
-	ckEvery := fs.Int("checkpoint-every", 16, "folded seeds between campaign checkpoints for streaming jobs")
+	ckEvery := fs.Int("checkpoint-every", 16, "folded seeds between campaign checkpoints for seed-sweep jobs")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long to wait for in-flight jobs to park on shutdown")
 	selfbench := fs.Bool("selfbench", false, "measure sustained job throughput instead of serving")
 	benchClients := fs.Int("bench-clients", 8, "selfbench: concurrent clients")

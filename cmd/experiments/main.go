@@ -6,20 +6,19 @@
 //	experiments [-run E3,E5] [-quick] [-seed 7] [-list]
 //	            [-parallel N] [-reuse-rigs]
 //	            [-seeds 1..32] [-format text|csv|markdown]
-//	            [-stream] [-checkpoint FILE] [-checkpoint-every N] [-resume]
+//	            [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	            [-out DIR] [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]
 //
 // Jobs fan out across a bounded worker pool (-parallel, default one
 // worker per CPU); output is emitted in index order and is
 // byte-identical to the serial path (-parallel 1) for any worker
-// count. -seeds runs each selected experiment once per seed and
-// aggregates the per-seed tables (numeric cells become mean±sd).
+// count.
 //
-// -stream switches the seed sweep to the streaming campaign path:
-// per-seed tables fold into per-cell Welford accumulators in seed
-// order as jobs complete, so memory is O(rows×cols) regardless of the
-// seed count, and aggregated numeric cells render as
-// "mean±sd [n=…, ci=…]" (Bessel-corrected sd, 95% CI half-width).
+// -seeds runs each selected experiment once per seed as a streaming
+// campaign: per-seed tables fold into per-cell Welford accumulators
+// in seed order as jobs complete, so memory is O(rows×cols)
+// regardless of the seed count, and aggregated numeric cells render
+// as "mean±sd [n=…, ci=…]" (Bessel-corrected sd, 95% CI half-width).
 // -checkpoint FILE writes a campaign/v1 checkpoint atomically every
 // -checkpoint-every folded seeds; -resume continues an interrupted
 // campaign from the checkpoint, and the resumed table is
@@ -29,8 +28,10 @@
 // -out writes one machine-readable artifact bundle per experiment
 // (table.json, runs.json, events/*.jsonl, trace/*.jsonl — see
 // EXPERIMENTS.md for the schema) plus a run-level bench.json with the
-// wall-clock accounting. Bundle bytes depend only on the selected
-// experiments and seeds, never on -parallel; bench.json is the one
+// wall-clock accounting. A seed sweep's bundle carries the runs of
+// its first eight seeds. Bundle bytes depend only on the selected
+// experiments and seeds — never on -parallel, and never on where a
+// resumed campaign was interrupted; bench.json is the one
 // intentionally non-deterministic file.
 //
 // The profiling flags wire the standard Go tooling through the runner:
@@ -70,12 +71,11 @@ func run(args []string, stdout io.Writer) error {
 	format := fs.String("format", "text", "output format: text | csv | markdown")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker pool size; 1 runs serially, output is identical either way")
 	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset) instead of constructing per seed; output is identical either way")
-	seeds := fs.String("seeds", "", `seed sweep: "1..32", "3,5,9", or "x8" (derived from -seed); aggregates per-seed tables`)
-	stream := fs.Bool("stream", false, "streaming seed-sweep campaign: fold per-seed tables online (memory independent of seed count); aggregated cells gain [n, 95% CI half-width]. Requires -seeds")
-	checkpoint := fs.String("checkpoint", "", "campaign/v1 checkpoint file for -stream: written atomically every -checkpoint-every seeds and at completion (single experiment only)")
-	checkpointEvery := fs.Int("checkpoint-every", 1000, "folded seeds between checkpoint writes")
-	resume := fs.Bool("resume", false, "resume a -stream campaign from -checkpoint when the file exists (must match experiment, options and seed list)")
-	abortAfter := fs.Int("abort-after", 0, "testing hook: abort the streaming campaign after this many folded seeds (0 = never); exercises checkpoint/resume")
+	seeds := fs.String("seeds", "", `seed sweep: "1..32", "3,5,9", or "x8" (derived from -seed); folds per-seed tables online into mean±sd [n, 95% CI half-width] cells`)
+	checkpoint := fs.String("checkpoint", "", "campaign/v1 checkpoint file for a -seeds campaign: written atomically every -checkpoint-every seeds and at completion (single experiment only)")
+	checkpointEvery := fs.Int("checkpoint-every", 1000, "folded seeds between checkpoint writes; requires -seeds")
+	resume := fs.Bool("resume", false, "resume a -seeds campaign from -checkpoint when the file exists (must match experiment, options and seed list)")
+	abortAfter := fs.Int("abort-after", 0, "testing hook: abort the -seeds campaign after this many folded seeds (0 = never); exercises checkpoint/resume")
 	outDir := fs.String("out", "", "write per-experiment artifact bundles and bench.json under this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
@@ -140,56 +140,45 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *stream && seedList == nil {
-		return fmt.Errorf("-stream requires -seeds")
-	}
-	if !*stream && (*checkpoint != "" || *resume || *abortAfter > 0) {
-		return fmt.Errorf("-checkpoint/-resume/-abort-after require -stream")
+	if seedList == nil {
+		var flagErr error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "checkpoint", "checkpoint-every", "resume", "abort-after":
+				if flagErr == nil {
+					flagErr = fmt.Errorf("-%s requires -seeds", f.Name)
+				}
+			}
+		})
+		if flagErr != nil {
+			return flagErr
+		}
 	}
 	if *checkpoint != "" && len(selected) != 1 {
 		return fmt.Errorf("-checkpoint runs one campaign per file; select exactly one experiment (-run)")
 	}
-	var cfg coopmrm.CampaignConfig
-	if *stream {
-		cfg = coopmrm.CampaignConfig{
-			Checkpoint: *checkpoint,
-			Every:      *checkpointEvery,
-			Resume:     *resume,
-		}
-		if *abortAfter > 0 {
-			n := *abortAfter
-			cfg.OnFold = func(done, total int) error {
-				if done >= n {
-					return fmt.Errorf("campaign aborted after %d of %d seeds (-abort-after testing hook)", done, total)
-				}
-				return nil
+	cfg := coopmrm.CampaignConfig{
+		Checkpoint: *checkpoint,
+		Every:      *checkpointEvery,
+		Resume:     *resume,
+	}
+	if *abortAfter > 0 {
+		n := *abortAfter
+		cfg.OnFold = func(done, total int) error {
+			if done >= n {
+				return fmt.Errorf("campaign aborted after %d of %d seeds (-abort-after testing hook)", done, total)
 			}
+			return nil
 		}
 	}
 
 	if *outDir != "" {
-		if *stream {
-			return runStreamWithArtifacts(stdout, render, selected, opt, seedList, *parallel, *seed, *outDir, cfg)
-		}
-		return runWithArtifacts(stdout, render, selected, opt, seedList, *parallel, *seed, *outDir)
-	}
-
-	if *stream {
-		for _, e := range selected {
-			table, err := coopmrm.SweepSeedsStream(e, opt, seedList, *parallel, cfg)
-			if err != nil {
-				return err
-			}
-			if err := render(table); err != nil {
-				return err
-			}
-		}
-		return nil
+		return runWithArtifacts(stdout, render, selected, opt, seedList, *parallel, *seed, *outDir, cfg)
 	}
 
 	if seedList != nil {
 		for _, e := range selected {
-			table, err := coopmrm.SweepSeeds(e, opt, seedList, *parallel)
+			table, err := coopmrm.SweepSeedsStream(e, opt, seedList, *parallel, cfg)
 			if err != nil {
 				return err
 			}
@@ -214,20 +203,19 @@ func run(args []string, stdout io.Writer) error {
 
 // runWithArtifacts is the -out path: the same experiment selection and
 // rendering as the plain path, but every job records an artifact
-// bundle and its wall time feeds bench.json.
+// bundle and its wall time feeds bench.json. A seed sweep captures the
+// runs of its first seeds in a pass after the fold and records
+// per-seed wall statistics for the variance-aware bench gate.
 func runWithArtifacts(stdout io.Writer, render func(coopmrm.Table) error,
 	selected []coopmrm.Experiment, opt coopmrm.Options,
-	seedList []int64, parallel int, seed int64, outDir string) error {
-	seedCount := 1
-	if seedList != nil {
-		seedCount = len(seedList)
-	}
-	bench := artifact.NewBench(parallel, seed, seedCount, opt.Quick)
+	seedList []int64, parallel int, seed int64, outDir string,
+	cfg coopmrm.CampaignConfig) error {
+	bench := artifact.NewBench(parallel, seed, max(1, len(seedList)), opt.Quick)
 
 	var results []coopmrm.ExperimentArtifacts
 	if seedList != nil {
 		for _, e := range selected {
-			res, err := coopmrm.SweepSeedsWithArtifacts(e, opt, seedList, parallel)
+			res, err := coopmrm.SweepSeedsStreamWithArtifacts(e, opt, seedList, parallel, cfg)
 			if err != nil {
 				return err
 			}
@@ -241,36 +229,6 @@ func runWithArtifacts(stdout io.Writer, render func(coopmrm.Table) error,
 		}
 	}
 
-	for _, res := range results {
-		if err := render(res.Table); err != nil {
-			return err
-		}
-	}
-	if err := coopmrm.WriteRunArtifacts(outDir, results, bench); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %d artifact bundle(s) + bench.json under %s\n", len(results), outDir)
-	return nil
-}
-
-// runStreamWithArtifacts is the -stream -out path: streaming campaign
-// aggregation with run capture capped to the campaign's first seeds
-// (capturing every run would reintroduce the O(seeds) retention the
-// streaming path exists to remove) and per-seed wall statistics
-// feeding the variance-aware bench gate.
-func runStreamWithArtifacts(stdout io.Writer, render func(coopmrm.Table) error,
-	selected []coopmrm.Experiment, opt coopmrm.Options,
-	seedList []int64, parallel int, seed int64, outDir string,
-	cfg coopmrm.CampaignConfig) error {
-	bench := artifact.NewBench(parallel, seed, len(seedList), opt.Quick)
-	var results []coopmrm.ExperimentArtifacts
-	for _, e := range selected {
-		res, err := coopmrm.SweepSeedsStreamWithArtifacts(e, opt, seedList, parallel, cfg)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
 	for _, res := range results {
 		if err := render(res.Table); err != nil {
 			return err

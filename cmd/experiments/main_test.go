@@ -207,20 +207,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// The streaming path renders the campaign annotation and is
-// byte-identical across worker counts, like every other output path.
+// A seed sweep renders the campaign annotation: the note names the
+// 95% CI half-width and numeric cells carry [n, ci].
 func TestStreamOutput(t *testing.T) {
-	serial := output(t, "-quick", "-run", "E1", "-seeds", "1..4", "-parallel", "1", "-stream")
-	parallel := output(t, "-quick", "-run", "E1", "-seeds", "1..4", "-parallel", "4", "-stream")
-	if serial != parallel {
-		t.Error("streaming sweep differs between worker counts")
+	out := output(t, "-quick", "-run", "E1", "-seeds", "1..4", "-parallel", "2")
+	if !strings.Contains(out, "aggregated over 4 seeds") ||
+		!strings.Contains(out, "95% CI half-width") {
+		t.Errorf("campaign note missing:\n%s", out)
 	}
-	if !strings.Contains(serial, "aggregated over 4 seeds") ||
-		!strings.Contains(serial, "95% CI half-width") {
-		t.Errorf("campaign note missing:\n%s", serial)
-	}
-	if !strings.Contains(serial, "[n=4, ci=") && !strings.Contains(serial, "±") {
-		t.Errorf("no aggregated cells rendered:\n%s", serial)
+	if !strings.Contains(out, "[n=4, ci=") && !strings.Contains(out, "±") {
+		t.Errorf("no aggregated cells rendered:\n%s", out)
 	}
 }
 
@@ -228,12 +224,12 @@ func TestStreamOutput(t *testing.T) {
 // mid-flight by -abort-after resumes from its checkpoint and renders
 // byte-identically to the uninterrupted run.
 func TestStreamCheckpointResumeByteIdentical(t *testing.T) {
-	uninterrupted := output(t, "-quick", "-run", "E1", "-seeds", "1..6", "-parallel", "2", "-stream")
+	uninterrupted := output(t, "-quick", "-run", "E1", "-seeds", "1..6", "-parallel", "2")
 
 	ckpt := filepath.Join(t.TempDir(), "campaign.json")
 	var buf bytes.Buffer
 	err := run([]string{"-quick", "-run", "E1", "-seeds", "1..6", "-parallel", "2",
-		"-stream", "-checkpoint", ckpt, "-checkpoint-every", "2", "-abort-after", "3"}, &buf)
+		"-checkpoint", ckpt, "-checkpoint-every", "2", "-abort-after", "3"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "abort-after") {
 		t.Fatalf("aborted campaign must surface the abort: %v", err)
 	}
@@ -242,19 +238,54 @@ func TestStreamCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	resumed := output(t, "-quick", "-run", "E1", "-seeds", "1..6", "-parallel", "2",
-		"-stream", "-checkpoint", ckpt, "-checkpoint-every", "2", "-resume")
+		"-checkpoint", ckpt, "-checkpoint-every", "2", "-resume")
 	if resumed != uninterrupted {
 		t.Errorf("resumed output differs from uninterrupted:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s",
 			resumed, uninterrupted)
 	}
 }
 
-// Streaming -out writes bundles with capped run capture plus the
-// per-seed wall statistics that feed the variance-aware bench gate.
+// A campaign aborted past its capture prefix and resumed with -out
+// writes the bundle an uninterrupted campaign writes, runs included:
+// capture is a pass over the plan's first seeds after the fold, so it
+// cannot depend on where the campaign was interrupted.
+func TestSeedsOutResumeBundleByteIdentical(t *testing.T) {
+	args := []string{"-quick", "-run", "E1", "-seeds", "1..12", "-parallel", "1"}
+	fullDir := t.TempDir()
+	output(t, append(args, "-out", fullDir)...)
+
+	ckpt := filepath.Join(t.TempDir(), "campaign.json")
+	var buf bytes.Buffer
+	if err := run(append(args, "-checkpoint", ckpt, "-checkpoint-every", "2",
+		"-abort-after", "10"), &buf); err == nil {
+		t.Fatal("aborted campaign must surface the abort")
+	}
+	partDir := t.TempDir()
+	output(t, append(args, "-checkpoint", ckpt, "-checkpoint-every", "2", "-resume",
+		"-out", partDir)...)
+
+	full, part := readTree(t, fullDir), readTree(t, partDir)
+	delete(full, "bench.json")
+	delete(part, "bench.json")
+	if len(full) != len(part) {
+		t.Errorf("file sets differ: uninterrupted %d files, resumed %d", len(full), len(part))
+	}
+	for name, content := range full {
+		if part[name] != content {
+			t.Errorf("%s differs between the uninterrupted and the resumed campaign", name)
+		}
+	}
+	if !strings.Contains(full[filepath.Join("E1", "runs.json")], `"seed=8/`) {
+		t.Error("bundle lacks the eighth seed's runs")
+	}
+}
+
+// A seed sweep's -out bundle carries the runs of its first seeds plus
+// the per-seed wall statistics that feed the variance-aware bench
+// gate.
 func TestStreamOutWritesBenchStats(t *testing.T) {
 	dir := t.TempDir()
-	out := output(t, "-quick", "-run", "E6", "-seeds", "1..4", "-parallel", "2",
-		"-stream", "-out", dir)
+	out := output(t, "-quick", "-run", "E6", "-seeds", "1..4", "-parallel", "2", "-out", dir)
 	if !strings.Contains(out, "bench.json") {
 		t.Errorf("missing artifact confirmation line:\n%s", out)
 	}
@@ -276,8 +307,6 @@ func TestStreamOutWritesBenchStats(t *testing.T) {
 		bench.Experiments[0].WallSamples != 4 {
 		t.Errorf("bench experiments wrong: %+v", bench.Experiments)
 	}
-	// Capture is capped to the first streamed seeds; the seed-prefixed
-	// run names must still be there for those.
 	runs, err := os.ReadFile(filepath.Join(dir, "E6", "runs.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -288,18 +317,23 @@ func TestStreamOutWritesBenchStats(t *testing.T) {
 }
 
 func TestStreamFlagValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-stream", "-quick", "-run", "E1"}, &buf); err == nil {
-		t.Error("-stream without -seeds should error")
-	}
-	if err := run([]string{"-quick", "-run", "E1", "-seeds", "1..2", "-checkpoint", "x.json"}, &buf); err == nil {
-		t.Error("-checkpoint without -stream should error")
-	}
-	if err := run([]string{"-quick", "-run", "E1", "-seeds", "1..2", "-resume"}, &buf); err == nil {
-		t.Error("-resume without -stream should error")
-	}
-	if err := run([]string{"-quick", "-run", "E1,E2", "-seeds", "1..2", "-stream",
-		"-checkpoint", "x.json"}, &buf); err == nil {
-		t.Error("-checkpoint with two experiments should error")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		// -seeds always streams; the old switch is gone.
+		{[]string{"-stream", "-quick", "-run", "E1", "-seeds", "1..2"}, "-stream"},
+		{[]string{"-quick", "-run", "E1", "-checkpoint", "x.json"}, "-checkpoint requires -seeds"},
+		{[]string{"-quick", "-run", "E1", "-checkpoint-every", "2"}, "-checkpoint-every requires -seeds"},
+		{[]string{"-quick", "-run", "E1", "-resume"}, "-resume requires -seeds"},
+		{[]string{"-quick", "-run", "E1", "-abort-after", "3"}, "-abort-after requires -seeds"},
+		{[]string{"-quick", "-run", "E1,E2", "-seeds", "1..2", "-checkpoint", "x.json"},
+			"select exactly one experiment"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want it to mention %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // The table is byte-deterministic: the digest column is a hash of
 // each arm's folded campaign table. Wall-clock rates (seeds/sec per
 // arm) are reported through bench.json details, like E18's
-// ticks/sec — the ≥2× warm-over-fresh claim lives there.
+// ticks/sec — the warm-over-fresh claim lives there.
 func RunE20(opt Options) Table {
 	opt = opt.withDefaults()
 	t := Table{
@@ -54,10 +54,9 @@ func RunE20(opt Options) Table {
 	}{{"fresh", false}, {"warm", true}}
 	tables := make([]Table, len(arms))
 	for i, arm := range arms {
-		// Jobs must never share a recorder: the sweep runs bare; the
-		// bundle gets one full observation pass below.
+		// The sweep's fold runs bare; the bundle gets one full
+		// observation pass below.
 		armOpt := opt
-		armOpt.Artifacts = nil
 		armOpt.ReuseRigs = arm.reuse
 		// Collect before the timer starts: under the full suite the
 		// earlier experiments' retained artifacts make a large live

@@ -34,11 +34,9 @@ func RunE19(opt Options) Table {
 	for i := range seeds {
 		seeds[i] = opt.Seed + int64(i)
 	}
-	// Jobs must never share a recorder: the sweep runs bare, and the
-	// bundle gets one full observation pass on the first seed below.
-	sweepOpt := opt
-	sweepOpt.Artifacts = nil
-	tab, err := SweepSeedsStream(inner, sweepOpt, seeds, 1, CampaignConfig{})
+	// The sweep's fold runs bare; the bundle gets one full observation
+	// pass on the first seed below.
+	tab, err := SweepSeedsStream(inner, opt, seeds, 1, CampaignConfig{})
 	if err != nil {
 		panic(err)
 	}

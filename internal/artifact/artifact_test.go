@@ -423,6 +423,55 @@ func TestReadCampaignValidation(t *testing.T) {
 	}
 }
 
+// FuzzReadCampaign: arbitrary checkpoint bytes either fail ReadCampaign
+// — never panic — or load a checkpoint that is consistent (0 ≤
+// completed ≤ len(seeds), every cell's n equal to completed) and whose
+// write-then-read round trip is stable: rewriting the reloaded
+// checkpoint gives the bytes the first write gave.
+func FuzzReadCampaign(f *testing.F) {
+	golden := []byte(goldenCampaign)
+	f.Add(golden)
+	for _, n := range []int{0, 1, len(golden) / 4, len(golden) / 2, len(golden) - 3} {
+		f.Add(golden[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ReadCampaign(in)
+		if err != nil {
+			return
+		}
+		if c.Completed < 0 || c.Completed > len(c.Seeds) {
+			t.Fatalf("accepted completed=%d for %d seeds", c.Completed, len(c.Seeds))
+		}
+		for r, row := range c.Cells {
+			for i, cell := range row {
+				if cell.N != int64(c.Completed) {
+					t.Fatalf("accepted cell [%d][%d] n=%d, completed=%d", r, i, cell.N, c.Completed)
+				}
+			}
+		}
+		first := filepath.Join(dir, "first.json")
+		if err := WriteCampaign(first, c); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := ReadCampaign(first)
+		if err != nil {
+			t.Fatalf("rewritten checkpoint rejected: %v", err)
+		}
+		second := filepath.Join(dir, "second.json")
+		if err := WriteCampaign(second, reloaded); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := readFile(t, first), readFile(t, second); a != b {
+			t.Fatalf("round trip unstable:\n%s\nvs\n%s", a, b)
+		}
+	})
+}
+
 // AddStats records the per-seed variance when it has one and degrades
 // to a plain entry when it does not — wall_sd_seconds must never
 // appear with a meaningless value.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // PanicError wraps a panic recovered from a job so the pool can report
@@ -51,112 +50,34 @@ func Workers(requested, jobs int) int {
 // context passed to jobs that have not started yet; jobs already
 // running are allowed to finish. A panicking job is recovered and
 // reported as a *PanicError. workers <= 1 runs every job inline in the
-// calling goroutine, preserving exact serial semantics.
+// calling goroutine, preserving exact serial semantics. Map is a
+// collector over MapStream: it stores each result at its index.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	workers = Workers(workers, n)
-
-	results := make([]T, n)
-	errs := make([]error, n)
-
-	call := func(ctx context.Context, i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				buf := make([]byte, 4096)
-				buf = buf[:runtime.Stack(buf, false)]
-				err = &PanicError{Index: i, Value: r, Stack: buf}
-			}
-		}()
-		results[i], err = fn(ctx, i)
-		return err
-	}
-
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return results, err
-			}
-			if err := call(ctx, i); err != nil {
-				return results, err
-			}
-		}
-		return results, nil
-	}
-
-	// Fan out: a shared index channel bounds concurrency; cancel stops
-	// feeding new indices but lets in-flight jobs drain.
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				if err := call(poolCtx, i); err != nil {
-					errs[i] = err
-					cancel()
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case indices <- i:
-		case <-poolCtx.Done():
-			break feed
-		}
-	}
-	close(indices)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
-}
-
-// MapTimed is Map that additionally reports each job's wall-clock
-// duration, measured inside the worker around fn. Index i of the
-// returned durations corresponds to job i; jobs that never ran (after
-// cancellation) report zero. This is the measurement substrate of the
-// bench artifacts: per-job wall time stays meaningful under any worker
-// count because it excludes queueing.
-func MapTimed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []time.Duration, error) {
-	durations := make([]time.Duration, n)
-	results, err := Map(ctx, workers, n, func(ctx context.Context, i int) (T, error) {
-		start := time.Now()
-		v, err := fn(ctx, i)
-		durations[i] = time.Since(start)
-		return v, err
+	results := make([]T, max(n, 0))
+	err := MapStream(ctx, workers, n, fn, func(i int, v T) error {
+		results[i] = v
+		return nil
 	})
-	return results, durations, err
+	return results, err
 }
 
 // MapStream runs fn(ctx, i) for i in [0, n) across at most workers
-// goroutines, like Map, but hands each result to onResult as soon as
-// its job completes — in completion order, not index order — instead
-// of retaining all n results in memory. This is the substrate of
-// streaming seed-sweep campaigns: memory stays bounded by the number
-// of in-flight jobs, independent of n.
+// goroutines and hands each result to onResult as soon as its job
+// completes — in completion order, not index order — instead of
+// retaining all n results in memory. It is the package's only worker
+// pool: streaming seed-sweep campaigns consume it directly, and Map
+// collects over it. Memory stays bounded by the number of in-flight
+// jobs, independent of n.
 //
 // onResult calls are serialized (never concurrent with each other),
 // always run on the calling goroutine, and receive the job index so
 // the consumer can reorder if it needs a deterministic fold. An error
 // from onResult cancels jobs that have not started and is returned
-// after in-flight jobs drain. Job errors keep Map's contract: the
-// first error by job index wins; onResult errors are reported only
-// when no job failed. workers <= 1 runs jobs inline in index order,
-// so the serial path is also the deterministic-delivery path.
+// after in-flight jobs drain. A job error cancels the same way; the
+// first error by job index wins, a panicking job is reported as a
+// *PanicError, and onResult errors are reported only when no job
+// failed. workers <= 1 runs jobs inline in index order, so the serial
+// path is also the deterministic-delivery path.
 func MapStream[T any](ctx context.Context, workers, n int,
 	fn func(ctx context.Context, i int) (T, error),
 	onResult func(i int, v T) error) error {
@@ -254,12 +175,4 @@ func MapStream[T any](ctx context.Context, workers, n int,
 		return sinkErr
 	}
 	return ctx.Err()
-}
-
-// ForEach is Map for jobs with no result value.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

@@ -178,25 +178,6 @@ func TestMapZeroJobs(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum int64
-	if err := ForEach(context.Background(), 4, 32, func(_ context.Context, i int) error {
-		atomic.AddInt64(&sum, int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 32*31/2 {
-		t.Errorf("sum = %d", sum)
-	}
-	sentinel := errors.New("nope")
-	if err := ForEach(context.Background(), 4, 4, func(_ context.Context, i int) error {
-		return sentinel
-	}); !errors.Is(err, sentinel) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 // Identical inputs must produce identical ordered outputs across
 // repeated parallel runs (the pool adds no nondeterminism of its own).
 func TestMapDeterministicAcrossRuns(t *testing.T) {
@@ -213,29 +194,6 @@ func TestMapDeterministicAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("run differs at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// MapTimed returns the same ordered results as Map plus a per-job
-// wall-clock duration measured inside the worker.
-func TestMapTimed(t *testing.T) {
-	out, durs, err := MapTimed(context.Background(), 4, 8, func(_ context.Context, i int) (int, error) {
-		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 8 || len(durs) != 8 {
-		t.Fatalf("lengths = %d results, %d durations", len(out), len(durs))
-	}
-	for i := range out {
-		if out[i] != i*i {
-			t.Errorf("result %d = %d", i, out[i])
-		}
-		if durs[i] <= 0 {
-			t.Errorf("duration %d = %v, want > 0", i, durs[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -77,11 +78,20 @@ func (s *Server) routes() {
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// decodeJobRequest is the strict wire decoder of POST /v1/jobs: a
+// field the API does not define — a typo, or a retired option such as
+// "stream" or "shards" — is an error, never silently ignored.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

@@ -21,12 +21,9 @@ type JobRequest struct {
 	// Seeds requests a seed sweep: either a CLI-style spec string
 	// ("1..32", "3,5,9", "x8" — derived from Options.Seed) or an
 	// explicit JSON array. Absent means a single run at Options.Seed.
+	// A sweep is a streaming campaign: it checkpoints, reports
+	// progress, and survives a server drain.
 	Seeds SeedsSpec `json:"seeds"`
-	// Stream selects the streaming campaign path for sweeps. Unset it
-	// defaults to true — streaming jobs checkpoint, report progress,
-	// and survive a server drain. Set false explicitly for the
-	// retained-table aggregation the CLI produces without -stream.
-	Stream *bool `json:"stream,omitempty"`
 	// TimeoutSeconds bounds the job's run time; 0 (or anything above
 	// it) means the server default. Operational only — never part of
 	// the cache key.
@@ -87,7 +84,6 @@ type CanonicalJob struct {
 	Seed       int64   `json:"seed"`
 	Quick      bool    `json:"quick"`
 	Seeds      []int64 `json:"seeds,omitempty"`
-	Stream     bool    `json:"stream"`
 }
 
 // Canonicalize validates a request and reduces it to canonical form.
@@ -126,11 +122,6 @@ func Canonicalize(req JobRequest) (CanonicalJob, error) {
 			return CanonicalJob{}, err
 		}
 		cj.Seeds = seeds
-	}
-	if len(cj.Seeds) > 0 {
-		cj.Stream = req.Stream == nil || *req.Stream
-	} else if req.Stream != nil && *req.Stream {
-		return CanonicalJob{}, fmt.Errorf("stream requires seeds")
 	}
 	return cj, nil
 }

@@ -10,7 +10,7 @@
 // submissions coalesce onto one underlying run (single-flight: the
 // key IS the job ID), and a cache hit is byte-identical to the run it
 // replaces. Completed results are evicted least-recently-fetched past
-// a size bound. Streaming sweep jobs checkpoint through the
+// a size bound. Seed-sweep jobs stream and checkpoint through the
 // campaign/v1 machinery; on SIGTERM the server drains gracefully
 // (in-flight campaigns park at a final checkpoint, losing no folded
 // seed) and resumes them on the next start.
@@ -57,7 +57,7 @@ type Config struct {
 	// requests may set a shorter per-job timeout, never a longer one.
 	JobTimeout time.Duration
 	// CheckpointEvery is the folded-seed interval between campaign
-	// checkpoint writes for streaming jobs (<= 0: 16).
+	// checkpoint writes for seed-sweep jobs (<= 0: 16).
 	CheckpointEvery int
 	// ReuseRigs serves each job's campaign rigs from the warm-rig pool
 	// (snapshot/reset) instead of constructing one per seed. Like
@@ -67,7 +67,7 @@ type Config struct {
 	// with) a fresh-construction one.
 	ReuseRigs bool
 
-	// foldHook, when non-nil, observes every streaming fold before the
+	// foldHook, when non-nil, observes every campaign fold before the
 	// drain and timeout checks. Test-only: it makes drain triggers
 	// deterministic instead of timing-dependent.
 	foldHook func(key string, done, total int)
@@ -233,7 +233,7 @@ func (s *Server) recover() error {
 			s.jobs[j.key] = j
 		default:
 			// queued, running (crash mid-run), interrupted (drain):
-			// run again — streaming jobs resume from their checkpoint.
+			// run again — seed jobs resume from their checkpoint.
 			j.status = stateQueued
 			pending = append(pending, rec{j, mtime})
 		}
@@ -340,8 +340,9 @@ func (s *Server) run(j *job) {
 		return
 	}
 	deadline := time.Now().Add(j.timeout)
+	sweep := len(j.spec.Seeds) > 0
 	var cfg coopmrm.CampaignConfig
-	if j.spec.Stream {
+	if sweep {
 		cfg = coopmrm.CampaignConfig{
 			Checkpoint: filepath.Join(s.jobDir(j.key), "checkpoint.json"),
 			Every:      s.cfg.CheckpointEvery,
@@ -380,21 +381,30 @@ func (s *Server) run(j *job) {
 		}()
 		opt := j.spec.options()
 		opt.ReuseRigs = s.cfg.ReuseRigs
-		res, err := coopmrm.RunJobArtifacts(e, opt, j.spec.Seeds,
-			s.cfg.Parallel, j.spec.Stream, cfg)
-		ch <- outcome{res: res, err: err}
+		var out outcome
+		if sweep {
+			out.res, out.err = coopmrm.SweepSeedsStreamWithArtifacts(e, opt, j.spec.Seeds, s.cfg.Parallel, cfg)
+		} else {
+			var res []coopmrm.ExperimentArtifacts
+			res, out.err = coopmrm.RunSetWithArtifacts([]coopmrm.Experiment{e}, opt, s.cfg.Parallel)
+			if out.err == nil {
+				out.res = res[0]
+			}
+		}
+		ch <- out
 	}()
 
 	var out outcome
-	if j.spec.Stream {
-		// Streaming jobs self-terminate between folds via OnFold
-		// (drain or timeout), checkpointing as they go.
+	if sweep {
+		// Seed jobs self-terminate between folds via OnFold (drain or
+		// timeout), checkpointing as they go; the capture pass after
+		// the fold is bounded at eight runs.
 		out = <-ch
 	} else {
-		// Single runs and retained sweeps have no mid-run preemption
-		// point; on timeout the job is reported failed and its
-		// goroutine abandoned (the buffered channel absorbs its
-		// eventual result, which is discarded).
+		// A single run has no mid-run preemption point; on timeout the
+		// job is reported failed and its goroutine abandoned (the
+		// buffered channel absorbs its eventual result, which is
+		// discarded).
 		timer := time.NewTimer(j.timeout)
 		defer timer.Stop()
 		select {
@@ -523,7 +533,7 @@ func (s *Server) evictLocked() {
 }
 
 // BeginDrain stops accepting submissions and asks running jobs to
-// park: streaming campaigns abort at their next fold with a final
+// park: seed campaigns abort at their next fold with a final
 // checkpoint and are marked interrupted; queued jobs stay queued.
 // Both resume automatically on the next server start.
 func (s *Server) BeginDrain() {

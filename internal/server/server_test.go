@@ -178,10 +178,10 @@ func TestServerCachedAndCoalescedVerdicts(t *testing.T) {
 }
 
 // TestServerDrainInterruptResume exercises the SIGTERM story end to
-// end: a draining server parks the streaming campaign at a final
-// checkpoint with zero folded seeds lost, and a fresh server over the
-// same state dir resumes it to a result byte-identical to the
-// uninterrupted library path.
+// end: a draining server parks the seed campaign at a final checkpoint
+// with zero folded seeds lost, and a fresh server over the same state
+// dir resumes it to a tar byte-identical to the bundle the CLI -out
+// path writes for an uninterrupted campaign — captured runs included.
 func TestServerDrainInterruptResume(t *testing.T) {
 	state := t.TempDir()
 	cfg := Config{StateDir: state, CheckpointEvery: 4}
@@ -220,13 +220,24 @@ func TestServerDrainInterruptResume(t *testing.T) {
 	}
 
 	// Reference: the same job run uninterrupted through the library.
-	e, _ := coopmrm.ExperimentByID("E1")
 	seeds := make([]int64, 12)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	res, err := coopmrm.RunJobArtifacts(e, coopmrm.Options{Quick: true, Seed: 1}, seeds, 0,
-		true, coopmrm.CampaignConfig{})
+	ref := sweepBundle(t, "E1", seeds)
+	compareBundles(t, served, ref)
+	if len(ref["E1/runs.json"]) < 1000 {
+		t.Errorf("reference bundle carries no runs:\n%s", ref["E1/runs.json"])
+	}
+}
+
+// sweepBundle is what cmd/experiments -out writes for a quick seed
+// sweep: SweepSeedsStreamWithArtifacts into WriteRunArtifacts.
+func sweepBundle(t *testing.T, eid string, seeds []int64) map[string][]byte {
+	t.Helper()
+	e, _ := coopmrm.ExperimentByID(eid)
+	res, err := coopmrm.SweepSeedsStreamWithArtifacts(e, coopmrm.Options{Quick: true, Seed: 1},
+		seeds, 0, coopmrm.CampaignConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +246,7 @@ func TestServerDrainInterruptResume(t *testing.T) {
 	if err := coopmrm.WriteRunArtifacts(refDir, []coopmrm.ExperimentArtifacts{res}, bench); err != nil {
 		t.Fatal(err)
 	}
-	compareBundles(t, served, readBundleDir(t, refDir, "E1"))
+	return readBundleDir(t, refDir, eid)
 }
 
 func TestServerJobTimeout(t *testing.T) {
@@ -287,6 +298,47 @@ func TestServerRecoverServesCachedResult(t *testing.T) {
 	compareBundles(t, fetchTar(t, s2.Handler(), doc.ID), served)
 }
 
+// A done job in a state dir written before the job identity lost a
+// field (here: "stream") is still recovered and served under the key
+// it was stored under, even though a resubmission now keys elsewhere.
+func TestServerRecoversLegacyJobUnderStoredKey(t *testing.T) {
+	state := t.TempDir()
+	s1 := newTestServer(t, Config{StateDir: state})
+	doc, _ := postJob(t, s1.Handler(), `{"experiment":"E1","options":{"quick":true}}`)
+	waitState(t, s1.Handler(), doc.ID, stateDone)
+	served := fetchTar(t, s1.Handler(), doc.ID)
+
+	// Re-file the job the way an older server stored it: under another
+	// key, with the retired field in its canonical form.
+	legacy := strings.Repeat("ab", 32)
+	if err := os.Rename(s1.jobDir(doc.ID), s1.jobDir(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s1.jobDir(legacy), "job.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"key": "`+doc.ID+`"`), []byte(`"key": "`+legacy+`"`), 1)
+	data = bytes.Replace(data, []byte(`"quick": true`), []byte(`"quick": true,`+"\n"+`    "stream": false`), 1)
+	if !bytes.Contains(data, []byte(legacy)) || !bytes.Contains(data, []byte(`"stream"`)) {
+		t.Fatalf("job.json not in the expected shape:\n%s", data)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{StateDir: state})
+	st := waitState(t, s2.Handler(), legacy, stateDone)
+	if st.Artifact == "" {
+		t.Fatal("recovered legacy job has no artifact link")
+	}
+	compareBundles(t, fetchTar(t, s2.Handler(), legacy), served)
+	if s2.executions.Load() != 0 {
+		t.Errorf("recovering a done job ran it again (%d executions)", s2.executions.Load())
+	}
+}
+
 func TestServerHTTPErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -298,8 +350,10 @@ func TestServerHTTPErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{"experiment":"E1","bogus":1}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"experiment":"E1","seeds":"0..9223372036854775807"}`, http.StatusBadRequest},
-		// The retired shards option is an unknown field now.
+		// The retired shards option and stream switch are unknown
+		// fields now.
 		{"POST", "/v1/jobs", `{"experiment":"E1","options":{"shards":4}}`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"experiment":"E1","seeds":"1..4","stream":true}`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/deadbeef", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/deadbeef/artifact", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/deadbeef/bench", "", http.StatusNotFound},

@@ -4,9 +4,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-
-	"coopmrm"
-	"coopmrm/internal/artifact"
 )
 
 // TestSingleFlightConcurrentSubmissions fires 100 identical
@@ -75,21 +72,8 @@ func TestSingleFlightConcurrentSubmissions(t *testing.T) {
 	}
 
 	// Every fetch serves the same bytes, and those bytes match the
-	// library path the CLI -out flag uses for a streaming sweep.
+	// library path the CLI -out flag uses for a seed sweep.
 	served := fetchTar(t, h, id)
 	compareBundles(t, fetchTar(t, h, id), served)
-
-	e, _ := coopmrm.ExperimentByID("E1")
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	res, err := coopmrm.RunJobArtifacts(e, coopmrm.Options{Quick: true, Seed: 1}, seeds, 0,
-		true, coopmrm.CampaignConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	bench := artifact.NewBench(0, 1, len(seeds), true)
-	if err := coopmrm.WriteRunArtifacts(refDir, []coopmrm.ExperimentArtifacts{res}, bench); err != nil {
-		t.Fatal(err)
-	}
-	compareBundles(t, served, readBundleDir(t, refDir, "E1"))
+	compareBundles(t, served, sweepBundle(t, "E1", []int64{1, 2, 3, 4, 5, 6}))
 }

@@ -3,33 +3,26 @@ package sim
 import "math/rand"
 
 // RNG is the engine-owned deterministic random source. It wraps
-// math/rand.Rand so all call sites share one stream, keeping runs
-// reproducible for a given seed.
+// math/rand.Rand over a fastSource — math/rand's exact stream, seeded
+// without division (rngfast.go) — so all call sites share one stream,
+// keeping runs reproducible for a given seed.
 type RNG struct {
-	r    *rand.Rand
-	fast *fastSource // adopted by the first Reseed; nil on the fresh path
+	r *rand.Rand
 }
 
 // NewRNG returns an RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := new(fastSource)
+	src.Seed(seed)
+	return &RNG{r: rand.New(src)}
 }
 
-// Reseed restores g, in place, to the exact stream NewRNG(seed) would
-// produce. The first Reseed adopts a fastSource (bit-identical to
-// math/rand's rngSource, ~6× cheaper to seed — see rngfast.go);
-// afterwards reseeding is allocation-free. rand.Rand itself carries no
+// Reseed restores g, in place and without allocating, to the exact
+// stream NewRNG(seed) would produce. rand.Rand itself carries no
 // distribution state across draws (NormFloat64 is a stateless
 // ziggurat), so reseeding the source is reseeding the stream. This is
-// the warm-rig path: a Reset rig replays a fresh rig's randomness
-// without paying rand.NewSource's Schrage-division seeding cost.
-func (g *RNG) Reseed(seed int64) {
-	if g.fast == nil {
-		g.fast = new(fastSource)
-		g.r = rand.New(g.fast)
-	}
-	g.fast.Seed(seed)
-}
+// the warm-rig path: a Reset rig replays a fresh rig's randomness.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }

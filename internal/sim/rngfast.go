@@ -1,18 +1,19 @@
 package sim
 
-// Fast reseeding for warm-rig reuse.
+// Division-free seeding for every engine RNG.
 //
-// Rig construction profiles ~60% math/rand seeding: rand.NewSource
-// runs 20 + 3×607 Lehmer steps per seed, each a Schrage-decomposition
-// division, and a quarry rig seeds half a dozen sources. fastSource is
-// an exact replica of math/rand's rngSource — same additive
-// lagged-Fibonacci recurrence (len 607, tap 273), same seeding
+// rand.NewSource runs 20 + 3×607 Lehmer steps per seed, each a
+// Schrage-decomposition division, and a quarry rig seeds half a dozen
+// sources: seeding through it was ~60% of fresh rig construction.
+// fastSource is an exact replica of math/rand's rngSource — same
+// additive lagged-Fibonacci recurrence (len 607, tap 273), same seeding
 // schedule, same rngCooked XOR — with one change: the Lehmer step
 // replaces Schrage's hi/lo division with a Mersenne-prime fold, which
-// is division-free and exactly equivalent modulo 2³¹−1. A reseed is
-// ~6× cheaper and the stream is bit-identical, which is what lets a
-// Reset rig replay a fresh rig's randomness byte for byte
-// (TestFastSourceMatchesMathRand is the proof).
+// is division-free and exactly equivalent modulo 2³¹−1. Seeding is ~6×
+// cheaper and the stream is bit-identical to rand.NewSource's
+// (TestFastSourceMatchesMathRand is the proof), so NewRNG and the
+// warm-rig Reseed share one source, and a Reset rig replays a fresh
+// rig's randomness byte for byte.
 
 const (
 	rngLen   = 607
@@ -69,8 +70,8 @@ func lehmerMul(a, x uint64) int32 {
 // Seed reinitialises the source to rngSource.Seed(seed)'s exact state.
 // Each vec entry folds three consecutive Lehmer values; the entries
 // are filled by four jump-started chains running in lockstep (see
-// lehmerJump*), which is what makes warm-rig reseeding ~6× cheaper
-// than rand.NewSource while staying bit-identical to it.
+// lehmerJump*), which is what makes seeding ~6× cheaper than
+// rand.NewSource while staying bit-identical to it.
 func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap

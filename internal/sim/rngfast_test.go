@@ -94,7 +94,8 @@ func TestSeedrandFastMatchesSchrage(t *testing.T) {
 
 // TestRNGReseedMatchesFresh proves the RNG-level contract Reset rigs
 // rely on: after Reseed(s), an RNG that has already produced draws
-// under a different seed replays exactly the stream NewRNG(s) yields.
+// under a different seed replays exactly the stream NewRNG(s) yields,
+// and both replay math/rand's own stream for s.
 func TestRNGReseedMatchesFresh(t *testing.T) {
 	warm := NewRNG(999)
 	for i := 0; i < 123; i++ {
@@ -103,12 +104,15 @@ func TestRNGReseedMatchesFresh(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1 << 33} {
 		warm.Reseed(seed)
 		fresh := NewRNG(seed)
+		ref := rand.New(rand.NewSource(seed))
 		for i := 0; i < 500; i++ {
-			if a, b := fresh.Float64(), warm.Float64(); a != b {
-				t.Fatalf("seed %d draw %d: reseeded %v != fresh %v", seed, i, b, a)
+			want := ref.Float64()
+			if a, b := fresh.Float64(), warm.Float64(); a != want || b != want {
+				t.Fatalf("seed %d draw %d: fresh %v, reseeded %v, math/rand %v", seed, i, a, b, want)
 			}
-			if a, b := fresh.Intn(13), warm.Intn(13); a != b {
-				t.Fatalf("seed %d draw %d: reseeded Intn %d != fresh %d", seed, i, b, a)
+			wantN := ref.Intn(13)
+			if a, b := fresh.Intn(13), warm.Intn(13); a != wantN || b != wantN {
+				t.Fatalf("seed %d draw %d: fresh Intn %d, reseeded %d, math/rand %d", seed, i, a, b, wantN)
 			}
 		}
 	}

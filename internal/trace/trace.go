@@ -102,8 +102,8 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses samples previously written by WriteCSV, completing
-// the record -> export -> replay round trip.
+// ReadCSV parses samples previously written by WriteCSV; tests use it
+// to check the writer's output.
 func ReadCSV(rd io.Reader) ([]Sample, error) {
 	cr := csv.NewReader(rd)
 	records, err := cr.ReadAll()

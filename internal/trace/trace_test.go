@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -111,5 +112,58 @@ func TestWriteEventCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "2.000,20") {
 		t.Errorf("time/tick missing: %q", out)
+	}
+}
+
+// Round trip: record -> WriteCSV -> ReadCSV.
+func TestCSVRoundTrip(t *testing.T) {
+	pos := geom.V(0, 0)
+	speed := 0.0
+	rec := NewRecorder(time.Second, Source{
+		ID:    "v1",
+		Pos:   func() geom.Vec2 { return pos },
+		Speed: func() float64 { return speed },
+		Mode:  func() string { return "nominal" },
+	})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
+	e.AddPostHook(rec.Hook())
+	for i := 0; i < 50; i++ {
+		pos = geom.V(float64(i), float64(2*i))
+		speed = float64(i % 7)
+		e.RunTick()
+	}
+
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rec.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("round trip lost samples: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Subject != want[i].Subject || got[i].Mode != want[i].Mode {
+			t.Fatalf("sample %d meta differs: %+v vs %+v", i, got[i], want[i])
+		}
+		if !got[i].Pos.ApproxEq(want[i].Pos, 1e-3) ||
+			math.Abs(got[i].Speed-want[i].Speed) > 1e-3 {
+			t.Fatalf("sample %d numeric differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestReadCSVErrors(t *testing.T) {
+	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
+		t.Error("empty input should error")
+	}
+	if _, err := ReadCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
+		t.Error("wrong arity should error")
+	}
+	if _, err := ReadCSV(bytes.NewBufferString("x,v,notanumber,0,0,m\n")); err == nil {
+		t.Error("bad numbers should error")
 	}
 }

@@ -5,7 +5,7 @@
 # Phase 1 runs a seed-sweep job to completion on a fresh server and
 # keeps its artifact tar as the reference. Phase 2 submits the same
 # job to a second fresh server, SIGTERMs the process mid-campaign
-# (the server drains: the streaming job parks at a final checkpoint),
+# (the server drains: the seed job parks at a final checkpoint),
 # restarts it on the same state dir (the job resumes automatically),
 # and fetches the finished artifact. The two tars must be
 # byte-identical — interruption is invisible in the output. Also

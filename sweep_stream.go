@@ -15,15 +15,15 @@ import (
 	"coopmrm/internal/runner"
 )
 
-// Streaming seed-sweep campaigns: the 10⁵–10⁶-run Monte Carlo path.
+// Streaming seed-sweep campaigns: the one path that turns seeds into
+// a table, from a six-seed -seeds sweep to a 10⁶-run Monte Carlo
+// campaign.
 //
-// SweepSeeds retains every per-seed Table before aggregating, so its
-// memory is O(seeds) and a million-run campaign is impossible. The
-// streaming path folds each per-seed table into per-cell Welford
-// accumulators as jobs complete, keeping memory O(rows × cols)
-// regardless of seed count, and periodically checkpoints the
-// accumulator state (campaign/v1) so an interrupted campaign resumes
-// from the last checkpoint instead of restarting.
+// Each per-seed table folds into per-cell Welford accumulators as jobs
+// complete, keeping memory O(rows × cols) regardless of seed count,
+// and the accumulator state is periodically checkpointed (campaign/v1)
+// so an interrupted campaign resumes from the last checkpoint instead
+// of restarting.
 //
 // Determinism: per-seed jobs complete in arbitrary order under a
 // parallel pool, but floating-point accumulation is order-sensitive —
@@ -48,15 +48,16 @@ const (
 	// thousands) the normal and t quantiles are indistinguishable.
 	ciZ = 1.96
 
-	// streamRunsCaptureCap caps per-run artifact capture under
-	// streaming: recording every run's events/metrics would be
-	// O(seeds), exactly the retention the streaming path removes, so
-	// only the first few seeds of a campaign record bundles.
+	// streamRunsCaptureCap caps per-run artifact capture: recording
+	// every run's events/metrics would be O(seeds), exactly the
+	// retention the streaming fold removes, so only the plan's first
+	// few seeds are observed, in a pass after the fold.
 	streamRunsCaptureCap = 8
 )
 
 // cellAccum is one cell's streaming aggregation state: enough to
-// render exactly what AggregateSeedTables would, without the cells.
+// render the aggregate of every value folded so far, without the
+// values.
 type cellAccum struct {
 	n        int64
 	first    string
@@ -89,10 +90,9 @@ func newBackfilledCell(k int64) *cellAccum {
 	return c
 }
 
-// add folds one cell value. The transition rules mirror aggregateCell:
-// identical-so-far cells stay verbatim, one non-finite or unparseable
-// value makes the cell non-numeric forever, one %-less value drops the
-// unit.
+// add folds one cell value. Identical-so-far cells stay verbatim, one
+// non-finite or unparseable value makes the cell non-numeric forever,
+// one %-less value drops the unit.
 func (c *cellAccum) add(s string) {
 	c.n++
 	if c.n == 1 {
@@ -329,55 +329,61 @@ type CampaignConfig struct {
 	OnFold func(done, total int) error
 }
 
-// streamJob is one per-seed job's payload crossing the pool boundary.
+// streamJob is one per-seed job's payload crossing the pool boundary:
+// the table and the wall time of the run that produced it.
 type streamJob struct {
-	table   Table
-	runs    []artifact.Run
-	details []artifact.BenchDetail
-	wall    time.Duration
+	table Table
+	wall  time.Duration
 }
 
-// streamCapture aggregates the observability side-channel of a
-// streaming sweep: capped run artifacts (merged in seed order) and
-// per-seed wall statistics for the variance-aware bench gate. Wall
-// stats cover only seeds run in this process — they are measurements,
-// not campaign state, and never enter a checkpoint.
-type streamCapture struct {
-	runs             []artifact.Run
-	details          []artifact.BenchDetail
-	wall             time.Duration
-	wallN            int64
-	wallMean, wallM2 float64 // Welford over per-seed wall seconds
+// sweepWall accumulates per-seed wall times for the variance-aware
+// bench gate. It covers only seeds run in this process — a
+// measurement, not campaign state — and never enters a checkpoint.
+type sweepWall struct {
+	total    time.Duration
+	n        int64
+	mean, m2 float64 // Welford over per-seed wall seconds
 }
 
-// wallSd returns the Bessel-corrected sample sd of the per-seed walls.
-func (sc *streamCapture) wallSd() time.Duration {
-	if sc.wallN < 2 {
+func (w *sweepWall) add(d time.Duration) {
+	w.total += d
+	w.n++
+	delta := d.Seconds() - w.mean
+	w.mean += delta / float64(w.n)
+	w.m2 += delta * (d.Seconds() - w.mean)
+}
+
+// sd returns the Bessel-corrected sample sd of the per-seed walls.
+func (w *sweepWall) sd() time.Duration {
+	if w.n < 2 {
 		return 0
 	}
-	sd := math.Sqrt(math.Max(sc.wallM2, 0) / float64(sc.wallN-1))
+	sd := math.Sqrt(math.Max(w.m2, 0) / float64(w.n-1))
 	return time.Duration(sd * float64(time.Second))
 }
 
-// SweepSeedsStream is the streaming counterpart of SweepSeeds: it runs
-// e once per seed across at most parallel workers and folds each
-// per-seed table into per-cell Welford accumulators the moment it can
-// be folded in seed order, so memory stays O(rows × cols) — not
-// O(seeds) — and aggregated numeric cells render as
-// "mean±sd [n=…, ci=…]" with Bessel-corrected sd and the 95% CI
-// half-width of the mean. With cfg.Checkpoint set the campaign
-// checkpoints periodically and, with cfg.Resume, continues from the
-// last checkpoint; a resumed campaign's table is byte-identical to an
+// SweepSeedsStream runs e once per seed across at most parallel
+// workers and folds each per-seed table into per-cell Welford
+// accumulators the moment it can be folded in seed order, so memory
+// stays O(rows × cols) — not O(seeds). Cells identical across seeds
+// are kept verbatim, numeric cells render as "mean±sd [n=…, ci=…]"
+// with Bessel-corrected sd and the 95% CI half-width of the mean, and
+// divergent non-numeric cells report the number of distinct values.
+// The fold happens in seed order, so the table is independent of the
+// worker count. With cfg.Checkpoint set the campaign checkpoints
+// periodically and, with cfg.Resume, continues from the last
+// checkpoint; a resumed campaign's table is byte-identical to an
 // uninterrupted run over the same seeds.
 func SweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int, cfg CampaignConfig) (Table, error) {
-	table, _, err := sweepSeedsStream(e, opt, seeds, parallel, cfg, false)
+	table, _, err := sweepSeedsStream(e, opt, seeds, parallel, cfg)
 	return table, err
 }
 
 func sweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int,
-	cfg CampaignConfig, capture bool) (Table, *streamCapture, error) {
+	cfg CampaignConfig) (Table, sweepWall, error) {
+	var wall sweepWall
 	if len(seeds) == 0 {
-		return Table{}, nil, fmt.Errorf("streaming sweep: no seeds")
+		return Table{}, wall, fmt.Errorf("streaming sweep: no seeds")
 	}
 	every := cfg.Every
 	if every <= 0 {
@@ -390,22 +396,21 @@ func sweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int,
 		switch {
 		case err == nil:
 			if err := validateCampaign(c, e, opt, seeds); err != nil {
-				return Table{}, nil, err
+				return Table{}, wall, err
 			}
 			st = stateFromCampaign(c)
 		case os.IsNotExist(err):
 			// No checkpoint yet: a fresh campaign, not an error — the
 			// operational meaning of -resume is "continue if possible".
 		default:
-			return Table{}, nil, err
+			return Table{}, wall, err
 		}
 	}
 	start := st.folded
 	total := len(seeds)
 
-	scap := &streamCapture{}
 	next := start
-	pending := make(map[int]streamJob)
+	pending := make(map[int]Table)
 	checkpoint := func() error {
 		if cfg.Checkpoint == "" {
 			return nil
@@ -414,22 +419,15 @@ func sweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int,
 	}
 
 	onResult := func(j int, job streamJob) error {
-		idx := start + j
-		scap.wall += job.wall
-		scap.wallN++
-		d := job.wall.Seconds() - scap.wallMean
-		scap.wallMean += d / float64(scap.wallN)
-		scap.wallM2 += d * (job.wall.Seconds() - scap.wallMean)
-		pending[idx] = job
+		wall.add(job.wall)
+		pending[start+j] = job.table
 		for {
-			jb, ok := pending[next]
+			table, ok := pending[next]
 			if !ok {
 				return nil
 			}
 			delete(pending, next)
-			st.fold(jb.table)
-			scap.runs = append(scap.runs, jb.runs...)
-			scap.details = append(scap.details, jb.details...)
+			st.fold(table)
 			next++
 			if st.folded%every == 0 && st.folded < total {
 				if err := checkpoint(); err != nil {
@@ -446,26 +444,13 @@ func sweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int,
 
 	err := runner.MapStream(context.Background(), parallel, total-start,
 		func(_ context.Context, j int) (streamJob, error) {
-			idx := start + j
-			jobOpt := opt.WithSeed(seeds[idx])
-			if capture && idx < streamRunsCaptureCap {
-				jobOpt.Artifacts = artifact.NewRecorder()
-			}
+			// The fold runs bare: jobs must never share a recorder, and
+			// run capture is a separate pass (SweepSeedsStreamWithArtifacts).
+			jobOpt := opt.WithSeed(seeds[start+j])
+			jobOpt.Artifacts = nil
 			t0 := time.Now()
 			table := e.Run(jobOpt)
-			job := streamJob{table: table, wall: time.Since(t0)}
-			if jobOpt.Artifacts != nil {
-				prefix := "seed=" + strconv.FormatInt(seeds[idx], 10) + "/"
-				for _, run := range jobOpt.Artifacts.Runs() {
-					run.Name = prefix + run.Name
-					job.runs = append(job.runs, run)
-				}
-				for _, d := range jobOpt.Artifacts.Details() {
-					d.ID = prefix + d.ID
-					job.details = append(job.details, d)
-				}
-			}
-			return job, nil
+			return streamJob{table: table, wall: time.Since(t0)}, nil
 		}, onResult)
 	if err != nil {
 		// A graceful drain owns a consistent folded prefix (folds are
@@ -477,15 +462,15 @@ func sweepSeedsStream(e Experiment, opt Options, seeds []int64, parallel int,
 				err = errors.Join(err, cerr)
 			}
 		}
-		return Table{}, nil, err
+		return Table{}, wall, err
 	}
 	if st.folded != total {
-		return Table{}, nil, fmt.Errorf("streaming sweep: folded %d of %d seeds", st.folded, total)
+		return Table{}, wall, fmt.Errorf("streaming sweep: folded %d of %d seeds", st.folded, total)
 	}
 	if err := checkpoint(); err != nil {
-		return Table{}, nil, err
+		return Table{}, wall, err
 	}
-	return st.render(seeds), scap, nil
+	return st.render(seeds), wall, nil
 }
 
 // validateCampaign checks that a loaded checkpoint belongs to this

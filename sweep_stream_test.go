@@ -381,11 +381,12 @@ func TestSweepStreamResumeValidation(t *testing.T) {
 	}
 }
 
-// The memory claim of the tentpole, at campaign scale: a 10⁵-seed
-// streaming sweep holds O(rows×cols) state — peak live heap during the
+// The memory claim of the streaming fold, at campaign scale: a
+// 10⁵-seed sweep holds O(rows×cols) state — peak live heap during the
 // campaign stays under a pinned budget that is independent of the
-// seed count — while the retained path's live set grows linearly with
-// the seed count (shown at 10k vs 20k tables).
+// seed count — while retaining the per-seed tables, as the
+// AggregateSeedTables oracle must, grows linearly with the seed count
+// (shown at 10k vs 20k tables).
 func TestSweepStreamMemoryFlatAt1e5Seeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁵-seed campaign: skipped with -short")
@@ -433,8 +434,8 @@ func TestSweepStreamMemoryFlatAt1e5Seeds(t *testing.T) {
 			grew>>20, budget>>20)
 	}
 
-	// The retained path: live heap while holding n tables (what
-	// SweepSeeds accumulates before aggregating) grows linearly in n.
+	// The retained oracle: live heap while holding n tables (what
+	// AggregateSeedTables needs before aggregating) grows linearly in n.
 	retained := func(n int) uint64 {
 		tables := make([]Table, n)
 		for i := range tables {

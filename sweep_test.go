@@ -203,24 +203,3 @@ func TestAggregateSeedTables(t *testing.T) {
 		t.Errorf("note = %q", agg.Note)
 	}
 }
-
-// A sweep must be reproducible and independent of the worker count.
-func TestSweepSeedsDeterministic(t *testing.T) {
-	e, _ := ExperimentByID("E1")
-	seeds := []int64{1, 2, 3, 4}
-	serial, err := SweepSeeds(e, Options{Quick: true}, seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepSeeds(e, Options{Quick: true}, seeds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Render() != par.Render() {
-		t.Errorf("sweep differs between 1 and 4 workers:\n%s\nvs\n%s",
-			serial.Render(), par.Render())
-	}
-	if len(serial.Rows) == 0 {
-		t.Error("sweep produced no rows")
-	}
-}

@@ -50,17 +50,18 @@ func TestCellFloatParsesAggregatedCells(t *testing.T) {
 	}
 }
 
-// A sweep table built by the real aggregator must round-trip through
-// CellFloat: the assertion pattern every TestE*Shape-style test on
-// swept tables depends on.
+// A sweep table built by the real aggregator — the streaming campaign
+// fold — must round-trip through CellFloat: the assertion pattern
+// every TestE*Shape-style test on swept tables depends on.
 func TestCellFloatOnSweptTable(t *testing.T) {
-	mk := func(v string) Table {
+	st := &campaignState{}
+	for _, v := range []string{"50%", "60%"} {
 		tab := Table{ID: "T", Header: []string{"arm", "share"}}
 		tab.AddRow("a", v)
-		return tab
+		st.fold(tab)
 	}
-	agg := AggregateSeedTables([]Table{mk("50%"), mk("60%")}, []int64{1, 2})
-	if got := agg.Cell(0, 1); got != "55.00±7.07%" {
+	agg := st.render([]int64{1, 2})
+	if got := agg.Cell(0, 1); got != "55.00±7.07% [n=2, ci=9.80]" {
 		t.Fatalf("aggregated cell = %q", got)
 	}
 	v, ok := agg.CellFloatOK(0, 1)
