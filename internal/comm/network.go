@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"coopmrm/internal/sim"
@@ -154,8 +153,8 @@ func (b Breakdown) Total() int64 {
 // (deliverAt, Seq, recipient) — the exact deterministic delivery
 // order — so Deliver pops only the due envelopes instead of scanning,
 // partitioning, and re-sorting the whole set every tick (the
-// pre-change behaviour, retained behind UseScanDeliver as the oracle
-// arm of the differential tests). Inboxes are double-buffered and the
+// pre-change behaviour, now a test-only oracle of the differential
+// tests). Inboxes are double-buffered and the
 // broadcast fan-out list is scratch storage, so a steady-state
 // send/deliver/receive tick allocates nothing.
 type Network struct {
@@ -174,16 +173,6 @@ type Network struct {
 	// (both unicast and broadcast), so Send allocates nothing once the
 	// buffer has grown to the fleet size.
 	recipBuf []string
-	// dueBuf/laterBuf are scratch for the UseScanDeliver oracle path.
-	dueBuf, laterBuf []envelope
-
-	// UseScanDeliver disables the min-heap pop loop and delivers by
-	// scanning, partitioning, and sorting the full in-transit set —
-	// byte for byte the pre-heap Deliver. It is the oracle arm of the
-	// differential tests and the baseline of the delivery benchmarks
-	// (mirroring metrics.Collector.UseBruteForce). Toggling it at any
-	// point is safe: both paths keep the heap invariant intact.
-	UseScanDeliver bool
 
 	sent      int64
 	dropped   int64
@@ -268,13 +257,6 @@ func (h *envHeap) siftDown(i int) {
 	}
 }
 
-// init re-establishes the heap invariant over arbitrary contents.
-func (h *envHeap) init() {
-	for i := len(*h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
 // inboxBuf is one endpoint's double-buffered inbox: Deliver appends
 // into cur, Receive hands cur to the caller and swaps in the drained
 // prev buffer. The slice returned by Receive therefore stays intact
@@ -337,11 +319,6 @@ func (n *Network) Reset(seed int64) {
 	clear(n.downLink)
 	clear(n.recipBuf)
 	n.recipBuf = n.recipBuf[:0]
-	clear(n.dueBuf)
-	n.dueBuf = n.dueBuf[:0]
-	clear(n.laterBuf)
-	n.laterBuf = n.laterBuf[:0]
-	n.UseScanDeliver = false
 	n.sent = 0
 	n.dropped = 0
 	n.droppedBy = [numDropCauses]int64{}
@@ -543,35 +520,8 @@ func (n *Network) recipients(m Message) []string {
 // the pre-change scan + partition + sort over everything in flight.
 func (n *Network) Deliver(now time.Duration) {
 	n.now = now
-	if n.UseScanDeliver {
-		n.deliverScan(now)
-		return
-	}
 	for len(n.transit) > 0 && n.transit[0].deliverAt <= now {
 		n.deliverOne(n.transit.popMin())
-	}
-}
-
-// deliverScan is the pre-heap Deliver — the oracle arm of the
-// differential tests. It scans the whole in-transit set, partitions
-// it into due and later, sorts the due envelopes, processes them, and
-// re-heapifies the remainder (so the fast path stays correct if the
-// flag is flipped mid-run).
-func (n *Network) deliverScan(now time.Duration) {
-	due, later := n.dueBuf[:0], n.laterBuf[:0]
-	for _, e := range n.transit {
-		if e.deliverAt <= now {
-			due = append(due, e)
-		} else {
-			later = append(later, e)
-		}
-	}
-	n.dueBuf, n.laterBuf = due, later
-	sort.Slice(due, func(i, j int) bool { return envLess(due[i], due[j]) })
-	n.transit = append(n.transit[:0], later...)
-	n.transit.init()
-	for _, e := range due {
-		n.deliverOne(e)
 	}
 }
 

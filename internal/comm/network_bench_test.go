@@ -32,7 +32,7 @@ func BenchmarkBroadcastDeliver(b *testing.B) {
 // ISSUE-5 allocation audit: 10 nodes each beaconing one status
 // broadcast per tick (90 attempted deliveries), jitter spreading the
 // due times across several ticks so the in-transit set stays
-// populated. The scan arm is the pre-heap Deliver (UseScanDeliver);
+// populated. The scan arm is the pre-heap Deliver (deliverScan);
 // the ratio between the two is the delivery-tick speedup, and the
 // heap arm's allocs/op is locked to zero by
 // TestNetworkSteadyStateTickAllocFree for the no-jitter steady state.
@@ -42,7 +42,10 @@ func benchNetworkTick10Node(b *testing.B, scan bool) {
 		Latency: 50 * time.Millisecond,
 		Jitter:  300 * time.Millisecond,
 	}, sim.NewRNG(1))
-	n.UseScanDeliver = scan
+	deliver := n.Deliver
+	if scan {
+		deliver = n.deliverScan
+	}
 	ids := make([]string, 10)
 	msgs := make([]Message, 10)
 	for i := range ids {
@@ -54,7 +57,7 @@ func benchNetworkTick10Node(b *testing.B, scan bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Deliver(time.Duration(i) * 100 * time.Millisecond)
+		deliver(time.Duration(i) * 100 * time.Millisecond)
 		for _, id := range ids {
 			n.Receive(id)
 		}

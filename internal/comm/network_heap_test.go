@@ -3,15 +3,41 @@ package comm
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"coopmrm/internal/sim"
 )
 
+// deliverScan is the pre-heap Deliver, the oracle arm of the
+// differential tests and of BenchmarkNetworkTick10NodeScan. It scans
+// the whole in-transit set, partitions it into due and later, sorts
+// the due envelopes and processes them. The remainder is not kept in
+// heap order, so a network driven by deliverScan must never call
+// Deliver.
+func (n *Network) deliverScan(now time.Duration) {
+	n.now = now
+	var due []envelope
+	later := n.transit[:0]
+	for _, e := range n.transit {
+		if e.deliverAt <= now {
+			due = append(due, e)
+		} else {
+			later = append(later, e)
+		}
+	}
+	clear(n.transit[len(later):]) // release the Message maps to the GC
+	n.transit = later
+	sort.Slice(due, func(i, j int) bool { return envLess(due[i], due[j]) })
+	for _, e := range due {
+		n.deliverOne(e)
+	}
+}
+
 // driveDifferential runs an identical randomized traffic script
 // through two networks — the min-heap Deliver and the scan+sort
-// oracle (UseScanDeliver) — and asserts every observable output is
+// oracle (deliverScan) — and asserts every observable output is
 // identical: drained inbox streams, Stats, StatsBreakdown, Pending.
 // Both arms consume their own identically-seeded RNG, so any
 // divergence is a delivery-order or accounting bug, not noise.
@@ -19,7 +45,6 @@ func driveDifferential(t *testing.T, cfg NetConfig, seed int64, ticks int) {
 	t.Helper()
 	fast := NewNetwork(cfg, sim.NewRNG(seed))
 	oracle := NewNetwork(cfg, sim.NewRNG(seed))
-	oracle.UseScanDeliver = true
 
 	ids := []string{"a", "b", "c", "d", "e", "f"}
 	for _, id := range ids {
@@ -46,7 +71,7 @@ func driveDifferential(t *testing.T, cfg NetConfig, seed int64, ticks int) {
 			oracle.SetLinkDown(a, b, down)
 		}
 		fast.Deliver(now)
-		oracle.Deliver(now)
+		oracle.deliverScan(now)
 		for _, id := range ids {
 			got := fast.Receive(id)
 			want := oracle.Receive(id)

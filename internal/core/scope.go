@@ -68,15 +68,6 @@ func NewDependencyModel() *DependencyModel {
 	}
 }
 
-// Reinit empties the model in place, reusing its map storage — the
-// warm-rig path parks and reuses the model across runs instead of
-// allocating a new one per seed.
-func (m *DependencyModel) Reinit() {
-	clear(m.provides)
-	clear(m.requires)
-	m.order = m.order[:0]
-}
-
 // AddConstituent declares a constituent, the role it provides, and
 // the roles it requires to stay productive. Duplicate IDs error.
 func (m *DependencyModel) AddConstituent(id, providesRole string, requiresRoles ...string) error {

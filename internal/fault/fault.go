@@ -126,18 +126,6 @@ func NewInjector(log func(event string, f Fault)) *Injector {
 	}
 }
 
-// Reinit resets the injector in place to NewInjector(log) — the
-// warm-rig path reuses the injector and its handler-map storage
-// across runs. Handlers and the schedule are cleared; re-register and
-// re-schedule for the new run exactly as after fresh construction.
-func (in *Injector) Reinit(log func(event string, f Fault)) {
-	clear(in.handlers)
-	in.pending = in.pending[:0]
-	in.active = in.active[:0]
-	in.applied = in.applied[:0]
-	in.log = log
-}
-
 // RegisterHandler attaches the handler for a constituent ID.
 func (in *Injector) RegisterHandler(id string, h Handler) {
 	in.handlers[id] = h

@@ -106,11 +106,6 @@ type CustomRig struct {
 	Model        *core.DependencyModel
 	Collector    *metrics.Collector
 	Injector     *fault.Injector
-
-	// Warm-rig lifecycle state (see QuarryRig).
-	cfg   FileConfig
-	wsnap world.Snapshot
-	prev  map[string]*core.Constituent
 }
 
 // Run executes the scenario for the horizon.
@@ -138,7 +133,9 @@ func Load(rd io.Reader) (*CustomRig, error) {
 	return Build(cfg)
 }
 
-// Build assembles a rig from an in-memory FileConfig.
+// Build assembles a rig from an in-memory FileConfig. Every name the
+// config references must resolve: edges, haul loops, deposits and
+// service nodes name declared nodes, and faults target fleet members.
 func Build(cfg FileConfig) (*CustomRig, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -161,6 +158,9 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 	}
 	g := w.Graph()
 	for _, n := range cfg.Nodes {
+		if _, dup := g.NodePos(n.ID); dup {
+			return nil, fmt.Errorf("scenario: duplicate node %q", n.ID)
+		}
 		g.AddNode(n.ID, geom.V(n.X, n.Y))
 	}
 	for _, e := range cfg.Edges {
@@ -173,69 +173,6 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(cfg.Seed))
 
 	rig := &CustomRig{Name: cfg.Name, Engine: engine, World: w, Net: net}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
-
-// Snapshot captures the seed-invariant world baseline Reset rewinds
-// to (see QuarryRig.Snapshot).
-func (r *CustomRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed; output is byte-identical to a freshly Built rig at that seed
-// (see QuarryRig.Reset). The weather schedule, if any, is rebuilt
-// from the FileConfig by wire, so it replays from t=0.
-func (r *CustomRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Constituents))
-	}
-	for _, c := range r.Constituents {
-		r.prev[c.ID()] = c
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.Net.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	clear(r.Constituents)
-	r.Constituents = r.Constituents[:0]
-	r.Hauls = nil
-	r.Model = nil
-	r.Collector = nil
-	r.Injector = nil
-
-	return r.wire(cfg)
-}
-
-// constituent re-adopts a parked shell by ID or builds a fresh one
-// (see QuarryRig.constituent; error-returning because Build is).
-func (r *CustomRig) constituent(cc core.Config) (*core.Constituent, error) {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	return core.NewConstituent(cc)
-}
-
-// wire performs every per-seed wiring step in fresh-construction
-// order; Reset replays it against rewound substrate.
-func (r *CustomRig) wire(cfg FileConfig) error {
-	engine, w, net := r.Engine, r.World, r.Net
-	g := w.Graph()
-	r.cfg = cfg
-	rig := r
 	engine.AddPreHook(net.Hook())
 	rig.Hauls = make(map[string]*agent.HaulAgent)
 	rig.Model = core.NewDependencyModel()
@@ -245,12 +182,12 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 	for _, vc := range cfg.Fleet {
 		kind, err := vehicle.ParseKind(vc.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := net.Register(vc.ID); err != nil {
-			return err
+			return nil, err
 		}
-		c, err := rig.constituent(core.Config{
+		c, err := core.NewConstituent(core.Config{
 			ID:        vc.ID,
 			Spec:      vehicle.DefaultSpec(kind),
 			Start:     geom.Pose{Pos: geom.V(vc.X, vc.Y)},
@@ -261,10 +198,10 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			Obstacles: snap.obstaclesFor(vc.ID),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := engine.Register(c); err != nil {
-			return err
+			return nil, err
 		}
 		rig.Constituents = append(rig.Constituents, c)
 		role := vc.Role
@@ -272,7 +209,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			role = vc.Kind
 		}
 		if err := rig.Model.AddConstituent(vc.ID, role, vc.Requires...); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	snap.track(rig.Constituents)
@@ -301,6 +238,13 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 
 	// Haul agents.
 	for i, vc := range cfg.Fleet {
+		for _, ids := range [][]string{vc.Loop, vc.Deposits, vc.ServiceNodes} {
+			for _, id := range ids {
+				if _, ok := g.NodePos(id); !ok {
+					return nil, fmt.Errorf("scenario: vehicle %q: %w: %q", vc.ID, world.ErrUnknownNode, id)
+				}
+			}
+		}
 		c := rig.Constituents[i]
 		hc := agent.Config{
 			C: c, Graph: g, World: w,
@@ -328,7 +272,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		}
 		h := agent.New(hc)
 		if err := engine.Register(h); err != nil {
-			return err
+			return nil, err
 		}
 		rig.Hauls[vc.ID] = h
 	}
@@ -345,23 +289,23 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 	case "status_sharing":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(coop.NewStatusSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	case "intent_sharing":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(coop.NewIntentSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	case "coordinated":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(collab.NewCoordinated(newBase(rig.Hauls[vc.ID]), rig.Model)); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	default:
-		return fmt.Errorf("scenario: config policy %q not supported (use baseline, status_sharing, intent_sharing or coordinated)", cfg.Policy)
+		return nil, fmt.Errorf("scenario: config policy %q not supported (use baseline, status_sharing, intent_sharing or coordinated)", cfg.Policy)
 	}
 
 	// Weather script.
@@ -370,7 +314,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		for _, wc := range cfg.Weather {
 			cond, err := world.ParseCondition(wc.Condition)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			changes = append(changes, world.WeatherChange{
 				At:           time.Duration(wc.AtSeconds * float64(time.Second)),
@@ -380,7 +324,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		}
 		sched, err := world.NewWeatherSchedule(changes...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		engine.AddPreHook(func(env *sim.Env) { sched.Apply(w, env.Clock.Now()) })
 	}
@@ -405,9 +349,12 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		rig.Injector.RegisterHandler(c.ID(), c)
 	}
 	for i, fc := range cfg.Faults {
+		if rig.Hauls[fc.Target] == nil { // every fleet member has a haul agent
+			return nil, fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, fc.Target)
+		}
 		kind, err := fault.ParseKind(fc.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sev := fc.Severity
 		if sev == 0 {
@@ -420,9 +367,9 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			ClearAt: time.Duration(fc.ClearAtSeconds * float64(time.Second)),
 		}
 		if err := rig.Injector.Schedule(f); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	engine.AddPreHook(rig.Injector.Hook())
-	return nil
+	return rig, nil
 }

@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -88,24 +92,73 @@ func TestLoadDeterministic(t *testing.T) {
 	}
 }
 
+// badSiteConfigs are site files Load must reject; FuzzLoad seeds its
+// corpus with them too.
+var badSiteConfigs = map[string]string{
+	"not json":        `{`,
+	"unknown field":   `{"name":"x","fleetz":[]}`,
+	"empty fleet":     `{"name":"x","fleet":[]}`,
+	"bad zone kind":   `{"fleet":[{"id":"a","kind":"truck"}],"zones":[{"id":"z","kind":"volcano","min":[0,0],"max":[1,1]}]}`,
+	"bad vehicle":     `{"fleet":[{"id":"a","kind":"hovercraft"}]}`,
+	"bad edge":        `{"fleet":[{"id":"a","kind":"truck"}],"edges":[["x","y"]]}`,
+	"bad policy":      `{"fleet":[{"id":"a","kind":"truck"}],"policy":"telepathy"}`,
+	"bad fault kind":  `{"fleet":[{"id":"a","kind":"truck"}],"faults":[{"target":"a","kind":"gremlins","atSeconds":1}]}`,
+	"bad weather":     `{"fleet":[{"id":"a","kind":"truck"}],"weather":[{"atSeconds":1,"condition":"meteor"}]}`,
+	"duplicate fleet": `{"fleet":[{"id":"a","kind":"truck"},{"id":"a","kind":"truck"}]}`,
+	"unknown fault target": `{"fleet":[{"id":"a","kind":"truck"}],
+		"faults":[{"target":"b","kind":"sensor","atSeconds":1,"permanent":true}]}`,
+	"unknown loop node": `{"nodes":[{"id":"p","x":0,"y":0},{"id":"q","x":50,"y":0}],"edges":[["p","q"]],
+		"fleet":[{"id":"a","kind":"truck","loop":["q","r"]}]}`,
+	"unknown deposit node": `{"nodes":[{"id":"p","x":0,"y":0},{"id":"q","x":50,"y":0}],"edges":[["p","q"]],
+		"fleet":[{"id":"a","kind":"truck","loop":["q","p"],"deposits":["r"]}]}`,
+	"unknown service node": `{"nodes":[{"id":"p","x":0,"y":0},{"id":"q","x":50,"y":0}],"edges":[["p","q"]],
+		"fleet":[{"id":"a","kind":"truck","loop":["q","p"],"serviceNodes":["r"]}]}`,
+	"duplicate node": `{"nodes":[{"id":"p","x":0,"y":0},{"id":"p","x":50,"y":0}],
+		"fleet":[{"id":"a","kind":"truck"}]}`,
+}
+
 func TestLoadRejectsBadConfigs(t *testing.T) {
-	cases := map[string]string{
-		"not json":        `{`,
-		"unknown field":   `{"name":"x","fleetz":[]}`,
-		"empty fleet":     `{"name":"x","fleet":[]}`,
-		"bad zone kind":   `{"fleet":[{"id":"a","kind":"truck"}],"zones":[{"id":"z","kind":"volcano","min":[0,0],"max":[1,1]}]}`,
-		"bad vehicle":     `{"fleet":[{"id":"a","kind":"hovercraft"}]}`,
-		"bad edge":        `{"fleet":[{"id":"a","kind":"truck"}],"edges":[["x","y"]]}`,
-		"bad policy":      `{"fleet":[{"id":"a","kind":"truck"}],"policy":"telepathy"}`,
-		"bad fault kind":  `{"fleet":[{"id":"a","kind":"truck"}],"faults":[{"target":"a","kind":"gremlins","atSeconds":1}]}`,
-		"bad weather":     `{"fleet":[{"id":"a","kind":"truck"}],"weather":[{"atSeconds":1,"condition":"meteor"}]}`,
-		"duplicate fleet": `{"fleet":[{"id":"a","kind":"truck"},{"id":"a","kind":"truck"}]}`,
-	}
-	for name, js := range cases {
+	for name, js := range badSiteConfigs {
 		if _, err := Load(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the site-file loader. Load must
+// never panic, and a site it accepts must run a short horizon without
+// panicking and with consistent network accounting.
+func FuzzLoad(f *testing.F) {
+	f.Add([]byte(testSiteJSON))
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "custom", "*.json"))
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example site files found (err %v)", err)
+	}
+	for _, p := range examples {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	names := make([]string, 0, len(badSiteConfigs))
+	for name := range badSiteConfigs {
+		names = append(names, name)
+	}
+	sort.Strings(names) // stable seed#N numbering
+	for _, name := range names {
+		f.Add([]byte(badSiteConfigs[name]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rig, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rig.Run(5 * time.Second)
+		if sent, dropped := rig.Net.Stats(); dropped > sent {
+			t.Fatalf("network dropped %d of %d sent", dropped, sent)
+		}
+	})
 }
 
 func TestLoadWeatherSchedule(t *testing.T) {

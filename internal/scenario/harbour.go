@@ -57,11 +57,6 @@ type HarbourRig struct {
 	// allBuf caches the crane+forklifts concatenation for the per-tick
 	// neighbor closures (see all).
 	allBuf []*core.Constituent
-
-	// Warm-rig lifecycle state (see QuarryRig).
-	cfg   HarbourConfig
-	wsnap world.Snapshot
-	prev  map[string]*core.Constituent
 }
 
 // All returns crane plus forklifts.
@@ -173,8 +168,7 @@ func (s *HarbourSupervisor) declareGlobal(env *sim.Env, reason string) {
 	}
 }
 
-// NewHarbour builds the harbour rig: seed-invariant chassis, then
-// wire() — the per-seed wiring a warm Reset replays (see NewQuarry).
+// NewHarbour builds the harbour rig.
 func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 	cfg = cfg.withDefaults()
 	w := world.New()
@@ -194,73 +188,8 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
 	rig := &HarbourRig{Engine: e, World: w}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
 
-// Snapshot captures the seed-invariant world baseline Reset rewinds
-// to (see QuarryRig.Snapshot).
-func (r *HarbourRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed; output is byte-identical to a fresh rig at that seed (see
-// QuarryRig.Reset). The configured weather schedule, if any, rewinds
-// with the rig.
-func (r *HarbourRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	cfg = cfg.withDefaults()
-
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, 1+len(r.Forklifts))
-	}
-	r.prev[r.Crane.ID()] = r.Crane
-	for _, f := range r.Forklifts {
-		r.prev[f.ID()] = f
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	r.Crane = nil
-	clear(r.Forklifts)
-	r.Forklifts = r.Forklifts[:0]
-	clear(r.Hauls)
-	r.Hauls = r.Hauls[:0]
-	r.allBuf = r.allBuf[:0]
-	r.Supervisor = nil
-	r.Collector = nil
-	r.Injector = nil
-
-	return r.wire(cfg)
-}
-
-// constituent re-adopts a parked shell by ID or builds a fresh one
-// (see QuarryRig.constituent).
-func (r *HarbourRig) constituent(cc core.Config) *core.Constituent {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	return core.MustConstituent(cc)
-}
-
-// wire performs every per-seed wiring step in fresh-construction
-// order; Reset replays it against rewound substrate.
-func (r *HarbourRig) wire(cfg HarbourConfig) error {
-	e, w := r.Engine, r.World
-	g := w.Graph()
-	r.cfg = cfg
-	rig := r
-
-	// A reused schedule must replay from t=0 exactly as a fresh one
-	// would (no-op on fresh construction).
+	// A schedule passed to several rigs must replay from t=0 in each.
 	if cfg.Weather != nil {
 		cfg.Weather.Rewind()
 	}
@@ -273,7 +202,7 @@ func (r *HarbourRig) wire(cfg HarbourConfig) error {
 	tolerantODD.MaxCondition = world.HeavyRain
 
 	snap := &obstacleSnapshot{}
-	rig.Crane = rig.constituent(core.Config{
+	rig.Crane = core.MustConstituent(core.Config{
 		ID:        "crane",
 		Spec:      vehicle.DefaultSpec(vehicle.KindCrane),
 		Start:     geom.Pose{Pos: geom.V(-5, 10)},
@@ -288,7 +217,7 @@ func (r *HarbourRig) wire(cfg HarbourConfig) error {
 	craneWorks := func() bool { return rig.Crane.Operational() }
 	for i := 0; i < cfg.Forklifts; i++ {
 		id := fmt.Sprintf("forklift%d", i+1)
-		f := rig.constituent(core.Config{
+		f := core.MustConstituent(core.Config{
 			ID:        id,
 			Spec:      vehicle.DefaultSpec(vehicle.KindForklift),
 			Start:     geom.Pose{Pos: geom.V(float64(-10*(i+1)), -5)},
@@ -300,7 +229,6 @@ func (r *HarbourRig) wire(cfg HarbourConfig) error {
 		})
 		e.MustRegister(f)
 		rig.Forklifts = append(rig.Forklifts, f)
-		f = rig.Forklifts[i]
 		h := agent.New(agent.Config{
 			C:               f,
 			Graph:           g,
@@ -371,8 +299,8 @@ func (r *HarbourRig) wire(cfg HarbourConfig) error {
 		rig.Injector.RegisterHandler(c.ID(), c)
 	}
 	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
-		return err
+		return nil, err
 	}
 	e.AddPreHook(rig.Injector.Hook())
-	return nil
+	return rig, nil
 }

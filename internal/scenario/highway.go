@@ -66,11 +66,6 @@ type HighwayRig struct {
 	Ego       *core.Constituent
 	Collector *metrics.Collector
 	Injector  *fault.Injector
-
-	// Warm-rig lifecycle state (see QuarryRig).
-	cfg   HighwayConfig
-	wsnap world.Snapshot
-	prev  map[string]*core.Constituent
 }
 
 // Run executes the scenario for the horizon.
@@ -134,67 +129,6 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		sim.NewRNG(cfg.Seed))
 
 	rig := &HighwayRig{Engine: e, World: w, Net: net}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
-
-// Snapshot captures the seed-invariant world baseline Reset rewinds
-// to (see QuarryRig.Snapshot).
-func (r *HighwayRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed; output is byte-identical to a fresh rig at that seed (see
-// QuarryRig.Reset).
-func (r *HighwayRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	cfg = cfg.withDefaults()
-
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Cars))
-	}
-	for _, c := range r.Cars {
-		r.prev[c.ID()] = c
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.Net.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	clear(r.Cars)
-	r.Cars = r.Cars[:0]
-	clear(r.Hauls)
-	r.Hauls = r.Hauls[:0]
-	r.Ego = nil
-	r.Collector = nil
-	r.Injector = nil
-
-	return r.wire(cfg)
-}
-
-// constituent re-adopts a parked shell by ID or builds a fresh one
-// (see QuarryRig.constituent).
-func (r *HighwayRig) constituent(cc core.Config) *core.Constituent {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	return core.MustConstituent(cc)
-}
-
-// wire performs every per-seed wiring step in fresh-construction
-// order; Reset replays it against rewound substrate.
-func (r *HighwayRig) wire(cfg HighwayConfig) error {
-	e, w, net := r.Engine, r.World, r.Net
-	g := w.Graph()
-	r.cfg = cfg
-	rig := r
 	e.AddPreHook(net.Hook())
 
 	snap := &obstacleSnapshot{}
@@ -202,7 +136,7 @@ func (r *HighwayRig) wire(cfg HighwayConfig) error {
 	for i := 0; i < cfg.NCars; i++ {
 		id := fmt.Sprintf("car%d", i+1)
 		net.MustRegister(id)
-		c := rig.constituent(core.Config{
+		c := core.MustConstituent(core.Config{
 			ID:        id,
 			Spec:      vehicle.DefaultSpec(vehicle.KindCar),
 			Start:     geom.Pose{Pos: geom.V(float64((cfg.NCars-1-i)*60), 2)},
@@ -281,7 +215,7 @@ func (r *HighwayRig) wire(cfg HighwayConfig) error {
 			e.MustRegister(p)
 		}
 	default:
-		return fmt.Errorf("scenario: unsupported highway policy %v", cfg.Policy)
+		return nil, fmt.Errorf("scenario: unsupported highway policy %v", cfg.Policy)
 	}
 
 	probes := make([]metrics.Probe, 0, len(rig.Cars))
@@ -303,8 +237,8 @@ func (r *HighwayRig) wire(cfg HighwayConfig) error {
 		rig.Injector.RegisterHandler(c.ID(), c)
 	}
 	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
-		return err
+		return nil, err
 	}
 	e.AddPreHook(rig.Injector.Hook())
-	return nil
+	return rig, nil
 }

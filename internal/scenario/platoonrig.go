@@ -45,11 +45,6 @@ type PlatoonRig struct {
 	Members   []*core.Constituent
 	Collector *metrics.Collector
 	Injector  *fault.Injector
-
-	// Warm-rig lifecycle state (see QuarryRig).
-	cfg   PlatoonConfig
-	wsnap world.Snapshot
-	prev  map[string]*core.Constituent
 }
 
 // Run executes the scenario for the horizon.
@@ -71,70 +66,12 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
 	rig := &PlatoonRig{Engine: e, World: w}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
-
-// Snapshot captures the seed-invariant world baseline Reset rewinds
-// to (see QuarryRig.Snapshot).
-func (r *PlatoonRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed; output is byte-identical to a fresh rig at that seed (see
-// QuarryRig.Reset).
-func (r *PlatoonRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	cfg = cfg.withDefaults()
-
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Members))
-	}
-	for _, c := range r.Members {
-		r.prev[c.ID()] = c
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	clear(r.Members)
-	r.Members = r.Members[:0]
-	r.Platoon = nil
-	r.Collector = nil
-	r.Injector = nil
-
-	return r.wire(cfg)
-}
-
-// constituent re-adopts a parked shell by ID or builds a fresh one
-// (see QuarryRig.constituent).
-func (r *PlatoonRig) constituent(cc core.Config) *core.Constituent {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	return core.MustConstituent(cc)
-}
-
-// wire performs every per-seed wiring step in fresh-construction
-// order; Reset replays it against rewound substrate.
-func (r *PlatoonRig) wire(cfg PlatoonConfig) error {
-	const length = 200000.0
-	e, w := r.Engine, r.World
-	r.cfg = cfg
-	rig := r
 	roadODD := odd.DefaultRoadSpec()
 
 	snap := &obstacleSnapshot{}
 	for i := 0; i < cfg.Members; i++ {
 		id := fmt.Sprintf("member%d", i+1)
-		c := rig.constituent(core.Config{
+		c := core.MustConstituent(core.Config{
 			ID:        id,
 			Spec:      vehicle.DefaultSpec(vehicle.KindTruck),
 			Start:     geom.Pose{Pos: geom.V(float64(-25*i), 2)},
@@ -174,8 +111,8 @@ func (r *PlatoonRig) wire(cfg PlatoonConfig) error {
 		rig.Injector.RegisterHandler(c.ID(), c)
 	}
 	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
-		return err
+		return nil, err
 	}
 	e.AddPreHook(rig.Injector.Hook())
-	return nil
+	return rig, nil
 }

@@ -14,7 +14,7 @@ import (
 // seed-less configuration; AcquireQuarry resets a parked rig to the
 // requested seed in O(mutable state) instead of building a new one.
 // Reset output is byte-identical to fresh construction (the warm-rig
-// differentials hold every rig to that), so pooling is purely an
+// differentials hold the quarry to that), so pooling is purely an
 // operational knob: results cannot depend on it.
 //
 // The pool is a keyed LIFO free list. Under runner.MapStream at

@@ -97,21 +97,19 @@ type QuarryRig struct {
 	allBuf []*core.Constituent
 
 	// Warm-rig lifecycle state: the configuration wire() replays on
-	// Reset, the world baseline Snapshot captured, the parked
-	// constituent shells a Reset re-adopts by ID, and the pool key a
-	// Release files the rig under (empty for unpooled rigs).
+	// Reset, the world baseline taken right after chassis
+	// construction, the parked constituent shells a Reset re-adopts by
+	// ID, and the pool key a Release files the rig under (empty for
+	// unpooled rigs).
 	cfg     QuarryConfig
 	wsnap   world.Snapshot
 	prev    map[string]*core.Constituent
 	poolKey string
 
-	// Parked per-seed layer components a Reset reuses in place when
-	// the replayed wiring matches (same fleet, same policy shape) —
-	// see the reuse sites in wire() for the matching rules. idsBuf is
-	// scratch for the collector fleet check.
+	// prevCollector is the parked collector a Reset reuses when the
+	// replayed fleet matches (see the reuse site in wire()); idsBuf is
+	// scratch for that fleet check.
 	prevCollector *metrics.Collector
-	prevInjector  *fault.Injector
-	prevModel     *core.DependencyModel
 	idsBuf        []string
 }
 
@@ -189,20 +187,12 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	}
 	net := comm.NewNetwork(netCfg, sim.NewRNG(cfg.Seed))
 
-	rig := &QuarryRig{Engine: e, World: w, Net: net}
-	rig.Snapshot()
+	rig := &QuarryRig{Engine: e, World: w, Net: net, wsnap: w.Snapshot()}
 	if err := rig.wire(cfg); err != nil {
 		return nil, err
 	}
 	return rig, nil
 }
-
-// Snapshot captures the rig's seed-invariant baseline — the world
-// state Reset rewinds to. NewQuarry takes it right after chassis
-// construction; callers that deliberately mutate the world before
-// running (blocking an edge, scripting weather) may re-take it to
-// make that mutation part of the baseline.
-func (r *QuarryRig) Snapshot() { r.wsnap = r.World.Snapshot() }
 
 // Reset returns the rig to its just-constructed state under a new
 // seed, in O(mutable state) instead of O(world): the engine, network
@@ -242,9 +232,7 @@ func (r *QuarryRig) Reset(seed int64) error {
 	clear(r.Policies)
 	r.Policies = r.Policies[:0]
 	r.allBuf = r.allBuf[:0]
-	r.prevModel = r.Model
 	r.prevCollector = r.Collector
-	r.prevInjector = r.Injector
 	r.Model = nil
 	r.Collector = nil
 	r.Injector = nil
@@ -282,14 +270,8 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	e.AddPreHook(net.Hook())
 
 	r.cfg = cfg
-	// A parked dependency model and groups map empty in place — both
-	// are rebuilt from scratch below either way.
-	if r.prevModel != nil {
-		r.Model, r.prevModel = r.prevModel, nil
-		r.Model.Reinit()
-	} else {
-		r.Model = core.NewDependencyModel()
-	}
+	r.Model = core.NewDependencyModel()
+	// The groups map empties in place; it is rebuilt below either way.
 	if r.Groups == nil {
 		r.Groups = make(map[string]string)
 	} else {
@@ -416,8 +398,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	})
 	e.AddPostHook(r.Collector.Hook())
 
-	// Fault injection: a parked injector empties in place; handlers
-	// and the schedule are re-registered from scratch either way.
+	// Fault injection.
 	logFault := func(event string, f fault.Fault) {
 		kind := sim.EventFaultInjected
 		if event == "clear" {
@@ -428,12 +409,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 			Kind: kind, Subject: f.Target, Detail: f.Kind.String() + "/" + f.ID,
 		})
 	}
-	if r.prevInjector != nil {
-		r.Injector, r.prevInjector = r.prevInjector, nil
-		r.Injector.Reinit(logFault)
-	} else {
-		r.Injector = fault.NewInjector(logFault)
-	}
+	r.Injector = fault.NewInjector(logFault)
 	for _, c := range r.all() {
 		r.Injector.RegisterHandler(c.ID(), c)
 	}

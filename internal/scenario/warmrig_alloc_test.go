@@ -13,23 +13,24 @@ import (
 // time.
 //
 // Reset is not alloc-free by design: wire() rebuilds the genuinely
-// per-seed layer every seed — ~90 allocations on the 2-pair
-// coordinated quarry, mostly the haul agents and policy stack. The
-// rest of that layer reinitialises in place: constituent components
-// (body, sensor suite, ODD monitor, degradation manager, fault map)
-// through Constituent.Reinit, and the parked collector, injector and
-// dependency model through their own Reinit methods. What Reset must
-// never re-allocate is the seed-invariant chassis — world geometry,
-// route graph, zone index, engine and network backbones — which is
-// what separates it from NewQuarry (~350 allocations before the
-// first tick, and an order of magnitude more bytes).
+// per-seed layer every seed — ~100 allocations on the 2-pair
+// coordinated quarry, mostly the haul agents, the policy stack, the
+// fault injector and the dependency model. The rest of that layer
+// reinitialises in place: constituent components (body, sensor suite,
+// ODD monitor, degradation manager, fault map) through
+// Constituent.Reinit, and the parked collector through its own
+// Reinit. What Reset must never re-allocate is the seed-invariant
+// chassis — world geometry, route graph, zone index, engine and
+// network backbones — which is what separates it from NewQuarry
+// (~350 allocations before the first tick, and an order of magnitude
+// more bytes).
 const (
 	// maxResetAllocs bounds one Reset(seed) on a parked 2-pair
-	// coordinated quarry (measured ≈90).
+	// coordinated quarry (measured ≈100).
 	maxResetAllocs = 120
 	// maxWarmCycleAllocs bounds one full campaign cycle —
 	// AcquireQuarry, a 5-tick run, Release — on the same rig
-	// (measured ≈255; a fresh-construction cycle costs ≈525).
+	// (measured ≈267; a fresh-construction cycle costs ≈520).
 	maxWarmCycleAllocs = 310
 )
 

@@ -10,14 +10,13 @@ import (
 	"coopmrm/internal/comm"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/sim"
-	"coopmrm/internal/world"
 )
 
-// Warm-rig differential: a rig Reset to seed S must produce output
-// byte-identical to a rig freshly constructed at seed S — same event
-// stream, same report, same delivered work, same network traffic.
-// This is the oracle the whole snapshot/reset lifecycle answers to;
-// the campaign engine's correctness reduces to it.
+// Warm-rig differential: a quarry rig Reset to seed S must produce
+// output byte-identical to a rig freshly constructed at seed S — same
+// event stream, same report, same delivered work, same network
+// traffic. This is the oracle the reset lifecycle answers to; the
+// warm campaign path (AcquireQuarry) reduces to it.
 
 // runDigest runs the rig for the horizon and renders everything
 // observable into one byte string: the full event log as JSON, the
@@ -172,193 +171,6 @@ func TestWarmRigQuarryBlockedEdgeDoesNotLeak(t *testing.T) {
 	}
 	if got := quarryDigest(t, warm, horizon); got != want {
 		t.Error("seed with blocked edge leaked into the next seed's run")
-	}
-}
-
-func harbourDigest(t *testing.T, r *HarbourRig, horizon time.Duration) string {
-	t.Helper()
-	res := r.Run(horizon)
-	return runDigest(t, res.Log, res.Report,
-		fmt.Sprintf("delivered=%v level=%d", r.Delivered(), r.Supervisor.Level()))
-}
-
-func TestWarmRigHarbourResetMatchesFresh(t *testing.T) {
-	const horizon = 2 * time.Minute
-	// The scripted rain onset drives the MRC1/MRC2 escalation, and the
-	// schedule is externally owned — exactly the stateful-cursor case
-	// Reset must handle (wire rewinds it).
-	mk := func(seed int64) HarbourConfig {
-		return HarbourConfig{
-			Forklifts: 4, Seed: seed, TwoLevel: true,
-			Weather: world.MustWeatherSchedule(
-				world.WeatherChange{At: 30 * time.Second, Condition: world.Rain, TemperatureC: 3},
-			),
-			Faults: []fault.Fault{
-				{ID: "f1", Target: "forklift2", Kind: fault.KindPropulsion,
-					Severity: 0.5, At: 50 * time.Second, ClearAt: 80 * time.Second},
-			},
-		}
-	}
-	fresh7, err := NewHarbour(mk(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want7 := harbourDigest(t, fresh7, horizon)
-	if c := fresh7.Engine.Env().Log.Count(sim.EventMRCLocal); c == 0 {
-		t.Fatal("weather script never escalated — differential too tame")
-	}
-
-	warm, err := NewHarbour(mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	harbourDigest(t, warm, horizon)
-	if err := warm.Reset(7); err != nil {
-		t.Fatal(err)
-	}
-	if got := harbourDigest(t, warm, horizon); got != want7 {
-		t.Error("harbour reset(7) diverged from fresh seed-7 run")
-	}
-}
-
-func highwayDigest(t *testing.T, r *HighwayRig, horizon time.Duration) string {
-	t.Helper()
-	res := r.Run(horizon)
-	sent, dropped := r.Net.Stats()
-	return runDigest(t, res.Log, res.Report,
-		fmt.Sprintf("progress=%v sent=%d dropped=%d", r.Progress(), sent, dropped))
-}
-
-func TestWarmRigHighwayResetMatchesFresh(t *testing.T) {
-	const horizon = 90 * time.Second
-	mk := func(seed int64) HighwayConfig {
-		cfg := HighwayConfig{NCars: 5, Policy: PolicyAgreementSeeking, Seed: seed, Loss: 0.1, EgoIndex: -1}
-		return cfg
-	}
-	cfg7 := mk(7)
-	fresh7, err := NewHighway(cfg7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh7.Injector.MustSchedule(fresh7.PerceptionFault(20*time.Second, 30, true))
-	want7 := highwayDigest(t, fresh7, horizon)
-
-	fresh11, err := NewHighway(mk(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh11.Injector.MustSchedule(fresh11.PerceptionFault(20*time.Second, 30, true))
-	if got := highwayDigest(t, fresh11, horizon); got == want7 {
-		t.Fatal("seeds 7 and 11 produced identical output — differential has no power")
-	}
-
-	warm, err := NewHighway(mk(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Injector.MustSchedule(warm.PerceptionFault(20*time.Second, 30, true))
-	highwayDigest(t, warm, horizon)
-	if err := warm.Reset(7); err != nil {
-		t.Fatal(err)
-	}
-	// Post-wire injections are not part of the replayed config; redo
-	// them as a fresh caller would.
-	warm.Injector.MustSchedule(warm.PerceptionFault(20*time.Second, 30, true))
-	if got := highwayDigest(t, warm, horizon); got != want7 {
-		t.Error("highway reset(7) diverged from fresh seed-7 run")
-	}
-}
-
-func platoonDigest(t *testing.T, r *PlatoonRig, horizon time.Duration) string {
-	t.Helper()
-	res := r.Run(horizon)
-	return runDigest(t, res.Log, res.Report, "")
-}
-
-func TestWarmRigPlatoonResetMatchesFresh(t *testing.T) {
-	const horizon = 2 * time.Minute
-	mk := func(seed int64) PlatoonConfig {
-		return PlatoonConfig{
-			Members: 4, Seed: seed,
-			Faults: []fault.Fault{
-				{ID: "f1", Target: "member2", Kind: fault.KindPropulsion,
-					Severity: 0.7, Permanent: true, At: 30 * time.Second},
-			},
-		}
-	}
-	fresh7, err := NewPlatoon(mk(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want7 := platoonDigest(t, fresh7, horizon)
-
-	warm, err := NewPlatoon(mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	platoonDigest(t, warm, horizon)
-	if err := warm.Reset(7); err != nil {
-		t.Fatal(err)
-	}
-	if got := platoonDigest(t, warm, horizon); got != want7 {
-		t.Error("platoon reset(7) diverged from fresh seed-7 run")
-	}
-}
-
-func customDigest(t *testing.T, r *CustomRig, horizon time.Duration) string {
-	t.Helper()
-	res := r.Run(horizon)
-	sent, dropped := r.Net.Stats()
-	return runDigest(t, res.Log, res.Report,
-		fmt.Sprintf("delivered=%v sent=%d dropped=%d", r.Delivered(), sent, dropped))
-}
-
-func TestWarmRigCustomResetMatchesFresh(t *testing.T) {
-	const horizon = 90 * time.Second
-	mk := func(seed int64) FileConfig {
-		return FileConfig{
-			Name: "warmrig-site",
-			Seed: seed,
-			Zones: []ZoneConfig{
-				{ID: "pit", Kind: "loading", Min: [2]float64{-20, -20}, Max: [2]float64{20, 20}},
-				{ID: "dump", Kind: "unloading", Min: [2]float64{180, -20}, Max: [2]float64{220, 20}},
-			},
-			Nodes: []NodeConfig{
-				{ID: "pit", X: 0, Y: 0}, {ID: "dump", X: 200, Y: 0},
-			},
-			Edges: [][2]string{{"pit", "dump"}},
-			Fleet: []VehicleConfig{
-				{ID: "dig1", Kind: "digger", X: 5, Y: 8, Role: "digger", Goal: "load"},
-				{ID: "haul1", Kind: "truck", X: -10, Y: 0, Role: "truck", Requires: []string{"digger"},
-					Loop: []string{"dump", "pit"}, Deposits: []string{"dump"}, ServiceNodes: []string{"pit"}},
-				{ID: "haul2", Kind: "truck", X: -20, Y: 0, Role: "truck", Requires: []string{"digger"},
-					Loop: []string{"dump", "pit"}, Deposits: []string{"dump"}, ServiceNodes: []string{"pit"}},
-			},
-			Policy: "coordinated",
-			Faults: []FaultConfig{
-				{Target: "dig1", Kind: "propulsion", AtSeconds: 25, Permanent: true},
-			},
-			Weather: []WeatherConfig{
-				{AtSeconds: 40, Condition: "rain", TemperatureC: 2},
-			},
-		}
-	}
-	fresh7, err := Build(mk(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want7 := customDigest(t, fresh7, horizon)
-
-	warm, err := Build(mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	customDigest(t, warm, horizon)
-	if err := warm.Reset(7); err != nil {
-		t.Fatal(err)
-	}
-	if got := customDigest(t, warm, horizon); got != want7 {
-		t.Error("custom reset(7) diverged from fresh seed-7 run")
 	}
 }
 

@@ -82,46 +82,6 @@ func NewSuiteStrict(sensors ...Sensor) (*Suite, error) {
 	return NewSuite(sensors...), nil
 }
 
-// Reinit resets the suite in place to what NewSuite(sensors...) would
-// build — the warm-rig path reuses suite allocations across runs.
-// When the definitions match the suite's current sensors by name and
-// order (the steady state: a reused rig rebuilds the same fleet), the
-// existing map entries and order slice are reused; otherwise the
-// storage is rebuilt as NewSuite would.
-func (st *Suite) Reinit(sensors ...Sensor) {
-	st.weatherFactor = 1
-	if len(sensors) == len(st.order) {
-		same := true
-		for i, s := range sensors {
-			if st.order[i] != s.Name {
-				same = false
-				break
-			}
-		}
-		if same {
-			for _, s := range sensors {
-				s.health = 1
-				*st.sensors[s.Name] = s
-			}
-			return
-		}
-	}
-	st.order = st.order[:0]
-	clear(st.sensors)
-	if st.sensors == nil {
-		st.sensors = make(map[string]*Sensor, len(sensors))
-	}
-	for _, s := range sensors {
-		s := s
-		s.health = 1
-		if _, dup := st.sensors[s.Name]; dup {
-			continue
-		}
-		st.sensors[s.Name] = &s
-		st.order = append(st.order, s.Name)
-	}
-}
-
 // standardSensors is the fixed definition list behind StandardSuite
 // and ReinitStandard — one source so the two paths cannot diverge.
 func standardSensors(nominalRange float64) [3]Sensor {
@@ -144,10 +104,15 @@ func StandardSuite(nominalRange float64) *Suite {
 }
 
 // ReinitStandard resets the suite in place to exactly
-// StandardSuite(nominalRange), reusing its storage.
+// StandardSuite(nominalRange), overwriting its three sensor entries.
+// The suite must have been built by StandardSuite: no method adds or
+// renames sensors, so its entries are exactly the standard ones.
 func (st *Suite) ReinitStandard(nominalRange float64) {
-	defs := standardSensors(nominalRange)
-	st.Reinit(defs[:]...)
+	st.weatherFactor = 1
+	for _, s := range standardSensors(nominalRange) {
+		s.health = 1
+		*st.sensors[s.Name] = s
+	}
 }
 
 // Names returns the sensor names in definition order.

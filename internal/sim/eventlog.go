@@ -59,8 +59,8 @@ type Event struct {
 // inside per-tick stop conditions of long experiment runs, where the
 // log grows to tens of thousands of entries; the linear scans they
 // replaced were the dominant tick cost after the proximity broad-phase
-// landed. The scan implementations are retained (unexported *Scan
-// methods) as the oracle arm of the differential tests.
+// landed. The scan implementations live in the tests (unexported
+// *Scan methods) as the oracle arm of the differential tests.
 type EventLog struct {
 	events    []Event
 	byKind    map[EventKind][]int
@@ -172,69 +172,6 @@ func (l *EventLog) KindHistogram() map[EventKind]int {
 	h := make(map[EventKind]int, len(l.byKind))
 	for k, idx := range l.byKind {
 		h[k] = len(idx)
-	}
-	return h
-}
-
-// byKindScan is the pre-index ByKind: a full linear scan. It is the
-// oracle the differential tests compare the index against.
-func (l *EventLog) byKindScan(kind EventKind) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// bySubjectScan is the pre-index BySubject oracle.
-func (l *EventLog) bySubjectScan(subject string) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Subject == subject {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// countScan is the pre-index Count oracle.
-func (l *EventLog) countScan(kind EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// firstScan is the pre-index First oracle.
-func (l *EventLog) firstScan(kind EventKind) (Event, bool) {
-	for _, e := range l.events {
-		if e.Kind == kind {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// lastScan is the pre-index Last oracle.
-func (l *EventLog) lastScan(kind EventKind) (Event, bool) {
-	for i := len(l.events) - 1; i >= 0; i-- {
-		if l.events[i].Kind == kind {
-			return l.events[i], true
-		}
-	}
-	return Event{}, false
-}
-
-// kindHistogramScan is the pre-index KindHistogram oracle.
-func (l *EventLog) kindHistogramScan() map[EventKind]int {
-	h := make(map[EventKind]int)
-	for _, e := range l.events {
-		h[e.Kind]++
 	}
 	return h
 }

@@ -30,6 +30,69 @@ func randomEventStream(rng *RNG, n int) *EventLog {
 	return l
 }
 
+// byKindScan is the pre-index ByKind: a full linear scan. It is the
+// oracle the differential tests compare the index against.
+func (l *EventLog) byKindScan(kind EventKind) []Event {
+	var out []Event
+	for _, e := range l.events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// bySubjectScan is the pre-index BySubject oracle.
+func (l *EventLog) bySubjectScan(subject string) []Event {
+	var out []Event
+	for _, e := range l.events {
+		if e.Subject == subject {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// countScan is the pre-index Count oracle.
+func (l *EventLog) countScan(kind EventKind) int {
+	n := 0
+	for _, e := range l.events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// firstScan is the pre-index First oracle.
+func (l *EventLog) firstScan(kind EventKind) (Event, bool) {
+	for _, e := range l.events {
+		if e.Kind == kind {
+			return e, true
+		}
+	}
+	return Event{}, false
+}
+
+// lastScan is the pre-index Last oracle.
+func (l *EventLog) lastScan(kind EventKind) (Event, bool) {
+	for i := len(l.events) - 1; i >= 0; i-- {
+		if l.events[i].Kind == kind {
+			return l.events[i], true
+		}
+	}
+	return Event{}, false
+}
+
+// kindHistogramScan is the pre-index KindHistogram oracle.
+func (l *EventLog) kindHistogramScan() map[EventKind]int {
+	h := make(map[EventKind]int)
+	for _, e := range l.events {
+		h[e.Kind]++
+	}
+	return h
+}
+
 // The differential guarantee of the event-log index: every query
 // method must agree with its pre-index linear-scan oracle on
 // randomized streams, including kinds and subjects that never occur.

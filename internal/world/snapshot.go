@@ -2,17 +2,17 @@ package world
 
 import "maps"
 
-// Warm-rig world reuse. A rig's world — zone set, route graph
-// topology, memoized route cache — is seed-invariant: construction
-// builds it once and every seed of a campaign would rebuild the exact
-// same thing. Snapshot captures the little mutable state layered on
-// top (weather, graph blocking), and Restore rewinds it, keeping the
-// expensive structures — including the warmed route cache when no
-// blocking diverged — for the next seed.
+// Warm-rig world reuse. The pooled quarry rig's world — zone set,
+// route graph topology, memoized route cache — is seed-invariant:
+// construction builds it once and every seed of a campaign would
+// rebuild the exact same thing. Snapshot captures the little mutable
+// state layered on top (weather, graph blocking), and Restore rewinds
+// it, keeping the expensive structures — including the warmed route
+// cache when no blocking diverged — for the next seed.
 
 // Snapshot is the mutable-state capture of a freshly constructed
-// world, taken by rigs right after construction and replayed by their
-// Reset.
+// world, taken by NewQuarry right after construction and replayed by
+// QuarryRig.Reset.
 type Snapshot struct {
 	weather     Weather
 	blockedNode map[string]bool

@@ -146,7 +146,7 @@ func (s *WeatherSchedule) Apply(w *World, now time.Duration) []WeatherChange {
 func (s *WeatherSchedule) Done() bool { return s.next >= len(s.changes) }
 
 // Rewind rewinds the schedule's cursor so the full script replays from
-// t=0. Rigs that hold an externally supplied schedule call this on
-// Reset (and, harmlessly, on fresh construction) so a reused schedule
-// behaves exactly like a freshly built one.
+// t=0. Rigs that take an externally supplied schedule call this on
+// construction, so a schedule passed to several rigs behaves in each
+// exactly like a freshly built one.
 func (s *WeatherSchedule) Rewind() { s.next = 0 }
