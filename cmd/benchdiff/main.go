@@ -49,6 +49,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -99,20 +100,48 @@ func run(args []string, stdout io.Writer) (int, error) {
 	return diff(stdout, old, new_, *threshold), nil
 }
 
-// readBench loads and schema-checks one report.
+// readBench loads and checks one report.
 func readBench(path string) (artifact.Bench, error) {
-	var b artifact.Bench
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return b, err
+		return artifact.Bench{}, err
 	}
-	if err := json.Unmarshal(data, &b); err != nil {
+	b, err := parseBench(data)
+	if err != nil {
 		return b, fmt.Errorf("%s: %w", path, err)
 	}
-	if b.Schema != artifact.SchemaBench {
-		return b, fmt.Errorf("%s: schema %q, want %q", path, b.Schema, artifact.SchemaBench)
-	}
 	return b, nil
+}
+
+// parseBench decodes one report and checks its schema. Row IDs must be
+// unique within each section: diff keys rows by ID, so a repeated ID
+// would pair one row with another and report a change that did not
+// happen.
+func parseBench(data []byte) (artifact.Bench, error) {
+	var b artifact.Bench
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, err
+	}
+	if b.Schema != artifact.SchemaBench {
+		return b, fmt.Errorf("schema %q, want %q", b.Schema, artifact.SchemaBench)
+	}
+	return b, errors.Join(
+		uniqueIDs("experiments", b.Experiments, func(r artifact.BenchExperiment) string { return r.ID }),
+		uniqueIDs("serve", b.Serve, func(r artifact.ServeBench) string { return r.ID }),
+		uniqueIDs("details", b.Details, func(r artifact.BenchDetail) string { return r.ID }),
+	)
+}
+
+// uniqueIDs reports the first ID that repeats within one section.
+func uniqueIDs[T any](section string, rows []T, id func(T) string) error {
+	seen := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		if seen[id(r)] {
+			return fmt.Errorf("%s: duplicate id %q", section, id(r))
+		}
+		seen[id(r)] = true
+	}
+	return nil
 }
 
 // diff renders the comparison and returns the verdict exit code.

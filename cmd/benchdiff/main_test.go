@@ -295,3 +295,55 @@ func TestDiffCampaignSeedsPerSec(t *testing.T) {
 		t.Errorf("50%% seeds/sec drop: code = %d, want 1 with slower marker\n%s", code, out.String())
 	}
 }
+
+// duplicateBenches are bench/v1 reports that repeat a row ID within one
+// section, the two rows differing. diff keys rows by ID, so it would
+// pair them crosswise: the experiments case diffed against itself
+// would flag a regression.
+var duplicateBenches = map[string]string{
+	"experiments": `{"schema":"coopmrm/bench/v1","wall_seconds":3,"experiments":[
+		{"id":"E1","wall_seconds":2},{"id":"E1","wall_seconds":1}]}`,
+	"serve": `{"schema":"coopmrm/bench/v1","serve":[
+		{"id":"serve/cold","wall_seconds":1,"jobs_per_sec":1},{"id":"serve/cold","wall_seconds":1,"jobs_per_sec":2}]}`,
+	"details": `{"schema":"coopmrm/bench/v1","details":[
+		{"id":"E20/warm","wall_seconds":1,"seeds_per_sec":1},{"id":"E20/warm","wall_seconds":1,"seeds_per_sec":2}]}`,
+}
+
+func TestRejectsDuplicateIDs(t *testing.T) {
+	for section, js := range duplicateBenches {
+		path := filepath.Join(t.TempDir(), "dup.json")
+		if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, err := run([]string{path, path}, &bytes.Buffer{})
+		if code != 2 || err == nil || !strings.Contains(err.Error(), section+": duplicate id") {
+			t.Errorf("%s: code = %d, err = %v, want a duplicate-id error", section, code, err)
+		}
+	}
+}
+
+// FuzzReadBench feeds arbitrary bytes to the bench/v1 parser. A report
+// it accepts must diff against itself without panicking and without
+// flagging a regression.
+func FuzzReadBench(f *testing.F) {
+	for _, name := range []string{"BENCH_quick.json", "BENCH_serve.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, section := range []string{"experiments", "serve", "details"} {
+		f.Add([]byte(duplicateBenches[section]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := parseBench(data)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if code := diff(&out, b, b, 0.25); code != 0 {
+			t.Fatalf("report diffed against itself exits %d:\n%s", code, out.String())
+		}
+	})
+}

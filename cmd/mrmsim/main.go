@@ -203,21 +203,15 @@ func parseFaults(spec string) ([]fault.Fault, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	kinds := map[string]fault.Kind{
-		"sensor": fault.KindSensor, "brake": fault.KindBrake,
-		"steering": fault.KindSteering, "propulsion": fault.KindPropulsion,
-		"comm": fault.KindComm, "tool": fault.KindTool,
-		"localization": fault.KindLocalization,
-	}
 	var out []fault.Fault
 	for i, part := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("fault %q: want target:kind:onset", part)
 		}
-		kind, ok := kinds[fields[1]]
-		if !ok {
-			return nil, fmt.Errorf("fault %q: unknown kind %q", part, fields[1])
+		kind, err := fault.ParseKind(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("fault %q: %v", part, err)
 		}
 		at, err := time.ParseDuration(fields[2])
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,6 +65,13 @@ func TestRunScenarios(t *testing.T) {
 	}
 	if err := run([]string{"-policy", "zzz"}); err == nil {
 		t.Error("unknown policy should error")
+	}
+}
+
+func TestRunRejectsFaultOutsideFleet(t *testing.T) {
+	err := run([]string{"-scenario", "highway", "-policy", "baseline", "-fault", "car9:sensor:10s"})
+	if err == nil || !strings.Contains(err.Error(), "not in the fleet") {
+		t.Errorf("fault on car9 of a 5-car highway: err = %v, want \"not in the fleet\"", err)
 	}
 }
 

@@ -29,7 +29,6 @@ func main() {
 func run() error {
 	rig, err := scenario.NewPlatoon(scenario.PlatoonConfig{
 		Members: 5,
-		Speed:   20,
 		Faults: []fault.Fault{
 			{ID: "radar", Target: "member1", Kind: fault.KindSensor,
 				Detail: "long_range_radar", Severity: 1, Permanent: true, At: 60 * time.Second},

@@ -24,24 +24,14 @@ type Config struct {
 	// Loop is the node cycle to drive (e.g. load -> deposit -> ...).
 	Loop []string
 	// DepositNodes marks the loop nodes whose arrival counts as a
-	// delivery.
+	// delivery of one unit.
 	DepositNodes map[string]bool
-	// UnitsPerDeposit is the productivity credited per delivery.
-	UnitsPerDeposit float64
 	// Speed is the cruise speed for task legs.
 	Speed float64
 	// Neighbors returns the detectable positions of the other
 	// constituents, used for the operational obstacle hold. Nil
 	// disables holding.
 	Neighbors func() []sensor.Target
-	// OnDeliver is called with the credited units per delivery.
-	OnDeliver func(units float64)
-	// HoldMargin is the extra distance kept to an obstacle beyond the
-	// stopping distance (default 8 m).
-	HoldMargin float64
-	// CorridorHalfWidth is the lateral reach of the obstacle check
-	// (default 2.5 m).
-	CorridorHalfWidth float64
 	// ServiceNodes marks loop nodes where the vehicle must be
 	// serviced (e.g. loaded by a digger) before departing.
 	ServiceNodes map[string]bool
@@ -57,12 +47,9 @@ type Config struct {
 	// represent directly). Obstacles inside tunnel zones block
 	// indefinitely — the narrow passages of the paper's mine examples.
 	World *world.World
-	// Patience is how long to wait before passing around a
-	// non-tunnel obstacle (default 8 s).
+	// Patience overrides the obstacle monitor's wait before passing
+	// around a non-tunnel obstacle (default 8 s).
 	Patience time.Duration
-	// PassWindow is how long a pass-around suppresses holding
-	// (default 6 s).
-	PassWindow time.Duration
 }
 
 // HaulAgent drives one constituent around its loop.
@@ -89,32 +76,15 @@ var _ sim.Entity = (*HaulAgent)(nil)
 // New returns a haul agent; the constituent starts idle and picks up
 // the first leg on its first step.
 func New(cfg Config) *HaulAgent {
-	if cfg.HoldMargin <= 0 {
-		cfg.HoldMargin = 8
-	}
-	if cfg.CorridorHalfWidth <= 0 {
-		cfg.CorridorHalfWidth = 2.5
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = 8 * time.Second
-	}
-	if cfg.PassWindow <= 0 {
-		cfg.PassWindow = 6 * time.Second
-	}
 	a := &HaulAgent{
 		cfg:        cfg,
 		avoid:      make(map[string]bool),
 		avoidEdges: make(map[[2]string]bool),
 	}
 	if cfg.Neighbors != nil {
-		a.monitor = &ObstacleMonitor{
-			C:                 cfg.C,
-			Neighbors:         cfg.Neighbors,
-			World:             cfg.World,
-			HoldMargin:        cfg.HoldMargin,
-			CorridorHalfWidth: cfg.CorridorHalfWidth,
-			Patience:          cfg.Patience,
-			PassWindow:        cfg.PassWindow,
+		a.monitor = NewObstacleMonitor(cfg.C, cfg.Neighbors, cfg.World)
+		if cfg.Patience > 0 {
+			a.monitor.Patience = cfg.Patience
 		}
 	}
 	return a
@@ -232,13 +202,10 @@ func (a *HaulAgent) completeLeg(env *sim.Env) {
 	a.enRoute = false
 	a.legsDone++
 	if a.cfg.DepositNodes[a.target] {
-		a.delivered += a.cfg.UnitsPerDeposit
+		a.delivered++
 		env.EmitFields(sim.EventTaskDone, a.cfg.C.ID(),
 			fmt.Sprintf("delivered at %s", a.target),
 			map[string]string{"node": a.target})
-		if a.cfg.OnDeliver != nil {
-			a.cfg.OnDeliver(a.cfg.UnitsPerDeposit)
-		}
 	}
 	if a.cfg.ServiceNodes[a.target] {
 		a.inService = true

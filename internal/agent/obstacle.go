@@ -9,6 +9,18 @@ import (
 	"coopmrm/internal/world"
 )
 
+// Obstacle-hold geometry and timing, the same for every monitor.
+const (
+	// holdMargin is the distance kept to an obstacle beyond the
+	// stopping distance, in metres.
+	holdMargin = 8.0
+	// corridorHalfWidth is the lateral reach of the obstacle check,
+	// in metres.
+	corridorHalfWidth = 2.5
+	// passWindow is how long a pass-around suppresses holding.
+	passWindow = 6 * time.Second
+)
+
 // ObstacleMonitor implements the operational-level collision
 // avoidance shared by the task agents: brake for any detected
 // constituent inside the forward corridor within stopping distance
@@ -20,11 +32,10 @@ type ObstacleMonitor struct {
 	C         *core.Constituent
 	Neighbors func() []sensor.Target
 	// World enables the tunnel distinction; nil makes every hold hard.
-	World             *world.World
-	HoldMargin        float64
-	CorridorHalfWidth float64
-	Patience          time.Duration
-	PassWindow        time.Duration
+	World *world.World
+	// Patience is how long a hold outside tunnels lasts before the
+	// vehicle passes around (8 s from NewObstacleMonitor).
+	Patience time.Duration
 
 	holding   bool
 	holdStart time.Duration
@@ -34,17 +45,9 @@ type ObstacleMonitor struct {
 	detBuf []sensor.Detection
 }
 
-// NewObstacleMonitor returns a monitor with conventional defaults.
+// NewObstacleMonitor returns a monitor with the default 8 s patience.
 func NewObstacleMonitor(c *core.Constituent, neighbors func() []sensor.Target, w *world.World) *ObstacleMonitor {
-	return &ObstacleMonitor{
-		C:                 c,
-		Neighbors:         neighbors,
-		World:             w,
-		HoldMargin:        8,
-		CorridorHalfWidth: 2.5,
-		Patience:          8 * time.Second,
-		PassWindow:        6 * time.Second,
-	}
+	return &ObstacleMonitor{C: c, Neighbors: neighbors, World: w, Patience: 8 * time.Second}
 }
 
 // Apply evaluates the corridor and sets/clears the constituent's
@@ -61,7 +64,7 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 	}
 	pos := c.Body().Position()
 	forward := c.Body().Pose().Forward()
-	holdDist := c.Body().StoppingDistance() + m.HoldMargin
+	holdDist := c.Body().StoppingDistance() + holdMargin
 	blocked := false
 	inTunnel := false
 	m.detBuf = c.Suite().DetectInto(m.detBuf[:0], pos, m.Neighbors())
@@ -72,7 +75,7 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 		if lat < 0 {
 			lat = -lat
 		}
-		if fd > 0.5 && fd < holdDist && lat < m.CorridorHalfWidth {
+		if fd > 0.5 && fd < holdDist && lat < corridorHalfWidth {
 			blocked = true
 			if m.World != nil {
 				inTunnel = m.World.HasZoneKindAt(world.ZoneTunnel, d.Pos)
@@ -93,7 +96,7 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 	}
 	if !inTunnel && now-m.holdStart >= m.Patience {
 		m.holding = false
-		m.passUntil = now + m.PassWindow
+		m.passUntil = now + passWindow
 		c.HoldForObstacle(false)
 		return
 	}

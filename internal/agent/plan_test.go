@@ -120,7 +120,7 @@ func TestObstacleMonitorPassAroundOutsideTunnel(t *testing.T) {
 		t.Error("hold must stay released during the pass window")
 	}
 	// After the window it re-engages (the obstacle is still there).
-	step(mon.PassWindow)
+	step(passWindow)
 	if !mover.Holding() {
 		t.Error("hold should re-engage after the pass window")
 	}
@@ -167,11 +167,10 @@ func TestHaulAgentReplansWhileHeld(t *testing.T) {
 	c := planConstituent(w, geom.V(30, 0))
 	h := New(Config{
 		C: c, Graph: w.Graph(),
-		Loop:            []string{"b", "a"},
-		DepositNodes:    map[string]bool{"b": true},
-		UnitsPerDeposit: 1,
-		Speed:           8,
-		World:           w,
+		Loop:         []string{"b", "a"},
+		DepositNodes: map[string]bool{"b": true},
+		Speed:        8,
+		World:        w,
 		Neighbors: func() []sensor.Target {
 			return []sensor.Target{{ID: "wreck", Pos: blocked}}
 		},

@@ -80,15 +80,14 @@ func newQuarry(t *testing.T, nTrucks int) *quarry {
 		q.model.MustAddConstituent(id, "truck", "digger")
 
 		h := agent.New(agent.Config{
-			C:               c,
-			Graph:           g,
-			Loop:            []string{"dep", "load"},
-			DepositNodes:    map[string]bool{"dep": true},
-			UnitsPerDeposit: 1,
-			Speed:           8,
-			ServiceNodes:    map[string]bool{"load": true},
-			ServiceTime:     2 * time.Second,
-			ServiceGate:     func() bool { return q.digger.Operational() },
+			C:            c,
+			Graph:        g,
+			Loop:         []string{"dep", "load"},
+			DepositNodes: map[string]bool{"dep": true},
+			Speed:        8,
+			ServiceNodes: map[string]bool{"load": true},
+			ServiceTime:  2 * time.Second,
+			ServiceGate:  func() bool { return q.digger.Operational() },
 		})
 		e.MustRegister(h)
 		q.hauls = append(q.hauls, h)

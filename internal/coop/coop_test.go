@@ -66,12 +66,11 @@ func newRig(t *testing.T, n int) *rig {
 	for i := range r.trucks {
 		i := i
 		h := agent.New(agent.Config{
-			C:               r.trucks[i],
-			Graph:           g,
-			Loop:            []string{"dep", "load"},
-			DepositNodes:    map[string]bool{"dep": true},
-			UnitsPerDeposit: 1,
-			Speed:           8,
+			C:            r.trucks[i],
+			Graph:        g,
+			Loop:         []string{"dep", "load"},
+			DepositNodes: map[string]bool{"dep": true},
+			Speed:        8,
 			Neighbors: func() []sensor.Target {
 				var ts []sensor.Target
 				for j, o := range r.trucks {

@@ -47,6 +47,9 @@ type Probe struct {
 	// the maximum, and the manoeuvre count. Nil when the constituent
 	// does not quantify its manoeuvres.
 	TransitionRisk func() (sum, max float64, n int)
+	// Interventions returns the constituent's cumulative user
+	// interventions (recoveries), read at report time. Nil counts none.
+	Interventions func() int
 }
 
 // riskRelevant reports whether the probe currently contributes
@@ -87,19 +90,18 @@ type Collector struct {
 	// benchmarks. Reports are identical either way.
 	UseBruteForce bool
 
-	taskUnits     float64
-	riskExposure  float64
-	collisions    int
-	nearMisses    int
-	minSep        float64
-	sepSeen       bool
-	pairSeen      bool
-	modeTime      map[string]map[string]time.Duration // id -> mode -> time
-	stoppedLane   map[string]time.Duration
-	inContact     map[[2]string]bool
-	inNear        map[[2]string]bool
-	duration      time.Duration
-	interventions func() int
+	taskUnits    float64
+	riskExposure float64
+	collisions   int
+	nearMisses   int
+	minSep       float64
+	sepSeen      bool
+	pairSeen     bool
+	modeTime     map[string]map[string]time.Duration // id -> mode -> time
+	stoppedLane  map[string]time.Duration
+	inContact    map[[2]string]bool
+	inNear       map[[2]string]bool
+	duration     time.Duration
 
 	// Per-tick scratch state, reused across samples: the footprint
 	// cache (each probe's Footprint() runs exactly once per tick), the
@@ -142,8 +144,8 @@ func NewCollector(probes ...Probe) *Collector {
 // closures, and its latch and scratch storage across runs instead of
 // reallocating them per seed. The caller owns the precondition that
 // the probes still describe the new run's fleet (they do when the rig
-// re-adopts its constituent and body allocations in place; the rigs
-// check fleet identity before reusing). Behaviour after Reinit is
+// re-adopts its constituent and body allocations in place; the rig
+// assembly checks fleet identity before reusing). Behaviour after Reinit is
 // identical to a fresh collector's: every accumulator and latch is
 // cleared, and the per-tick scratch (footprint cache, relevance,
 // grid, pair buffer) is overwritten before it is read each Sample.
@@ -165,11 +167,10 @@ func (c *Collector) Reinit() {
 	clear(c.inNear)
 	clear(c.scored)
 	c.duration = 0
-	c.interventions = nil
 }
 
 // ProbeIDs appends the collector's probe IDs, in probe order, to dst
-// — the warm-rig rigs use it to check that a parked collector's fleet
+// — the rig assembly uses it to check that a parked collector's fleet
 // matches before reusing it.
 func (c *Collector) ProbeIDs(dst []string) []string {
 	for _, p := range c.probes {
@@ -177,10 +178,6 @@ func (c *Collector) ProbeIDs(dst []string) []string {
 	}
 	return dst
 }
-
-// SetInterventionCounter wires a callback returning the cumulative
-// intervention count (queried at report time).
-func (c *Collector) SetInterventionCounter(f func() int) { c.interventions = f }
 
 // AddTaskUnits records completed productive work (loads delivered,
 // containers stacked, metres of goal progress — scenario-defined).
@@ -395,9 +392,6 @@ func (c *Collector) Report() Report {
 	if c.duration > 0 {
 		r.Productivity = c.taskUnits / c.duration.Minutes()
 	}
-	if c.interventions != nil {
-		r.Interventions = c.interventions()
-	}
 	var opSum, riskSum float64
 	for _, p := range c.probes {
 		share := make(map[string]float64)
@@ -409,6 +403,9 @@ func (c *Collector) Report() Report {
 		r.ModeShare[p.ID] = share
 		opSum += share["nominal"] + share["degraded"]
 		r.StoppedInLane += c.stoppedLane[p.ID]
+		if p.Interventions != nil {
+			r.Interventions += p.Interventions()
+		}
 		if p.TransitionRisk != nil {
 			sum, max, n := p.TransitionRisk()
 			riskSum += sum

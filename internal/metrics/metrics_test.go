@@ -181,9 +181,12 @@ func TestStoppedInLane(t *testing.T) {
 }
 
 func TestProductivityAndInterventions(t *testing.T) {
-	c := NewCollector()
 	n := 0
-	c.SetInterventionCounter(func() int { return n })
+	c := NewCollector(Probe{
+		ID:            "a",
+		Mode:          func() string { return "nominal" },
+		Interventions: func() int { return n },
+	})
 	e := sim.NewEngine(sim.Config{Step: time.Second})
 	e.AddPostHook(c.Hook())
 	e.RunFor(2 * time.Minute)

@@ -14,7 +14,6 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
@@ -106,6 +105,8 @@ type CustomRig struct {
 	Model        *core.DependencyModel
 	Collector    *metrics.Collector
 	Injector     *fault.Injector
+
+	fleet // the constituents
 }
 
 // Run executes the scenario for the horizon.
@@ -169,7 +170,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 		}
 	}
 
-	engine := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
+	engine := newEngine(cfg.Seed)
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(cfg.Seed))
 
 	rig := &CustomRig{Name: cfg.Name, Engine: engine, World: w, Net: net}
@@ -204,6 +205,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			return nil, err
 		}
 		rig.Constituents = append(rig.Constituents, c)
+		rig.cs = append(rig.cs, c)
 		role := vc.Role
 		if role == "" {
 			role = vc.Kind
@@ -212,28 +214,16 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			return nil, err
 		}
 	}
-	snap.track(rig.Constituents)
+	snap.track(rig.cs)
 	engine.AddPreHook(snap.hook())
 
 	toolersWork := func() bool {
-		for _, c := range rig.Constituents {
+		for _, c := range rig.cs {
 			if c.Body().Spec().HasTool && c.Operational() {
 				return true
 			}
 		}
 		return false
-	}
-	neighborsOf := func(self *core.Constituent) func() []sensor.Target {
-		var buf []sensor.Target // per-closure scratch, reused every tick
-		return func() []sensor.Target {
-			buf = buf[:0]
-			for _, o := range rig.Constituents {
-				if o != self {
-					buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-				}
-			}
-			return buf
-		}
 	}
 
 	// Haul agents.
@@ -245,13 +235,12 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 				}
 			}
 		}
-		c := rig.Constituents[i]
+		c := rig.cs[i]
 		hc := agent.Config{
 			C: c, Graph: g, World: w,
-			Loop:            vc.Loop,
-			UnitsPerDeposit: 1,
-			Speed:           vc.SpeedMS,
-			Neighbors:       neighborsOf(c),
+			Loop:      vc.Loop,
+			Speed:     vc.SpeedMS,
+			Neighbors: rig.neighbours(c),
 		}
 		if hc.Speed <= 0 {
 			hc.Speed = 8
@@ -278,29 +267,24 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 	}
 
 	// Policy.
-	period := time.Second
-	newBase := func(h *agent.HaulAgent) *coop.Base {
-		b := coop.NewBase(h, net, g, period)
-		b.World = w
-		return b
-	}
+	base := func(id string) *coop.Base { return newBase(rig.Hauls[id], net, w, time.Second) }
 	switch cfg.Policy {
 	case "", "baseline":
 	case "status_sharing":
 		for _, vc := range cfg.Fleet {
-			if err := engine.Register(coop.NewStatusSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
+			if err := engine.Register(coop.NewStatusSharing(base(vc.ID))); err != nil {
 				return nil, err
 			}
 		}
 	case "intent_sharing":
 		for _, vc := range cfg.Fleet {
-			if err := engine.Register(coop.NewIntentSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
+			if err := engine.Register(coop.NewIntentSharing(base(vc.ID))); err != nil {
 				return nil, err
 			}
 		}
 	case "coordinated":
 		for _, vc := range cfg.Fleet {
-			if err := engine.Register(collab.NewCoordinated(newBase(rig.Hauls[vc.ID]), rig.Model)); err != nil {
+			if err := engine.Register(collab.NewCoordinated(base(vc.ID), rig.Model)); err != nil {
 				return nil, err
 			}
 		}
@@ -330,28 +314,8 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 	}
 
 	// Metrics and faults.
-	probes := make([]metrics.Probe, 0, len(rig.Constituents))
-	for _, c := range rig.Constituents {
-		probes = append(probes, probeFor(c, w))
-	}
-	rig.Collector = metrics.NewCollector(probes...)
-	rig.Collector.SetInterventionCounter(func() int {
-		n := 0
-		for _, c := range rig.Constituents {
-			n += c.Interventions()
-		}
-		return n
-	})
-	engine.AddPostHook(rig.Collector.Hook())
-
-	rig.Injector = fault.NewInjector(nil)
-	for _, c := range rig.Constituents {
-		rig.Injector.RegisterHandler(c.ID(), c)
-	}
+	faults := make([]fault.Fault, len(cfg.Faults))
 	for i, fc := range cfg.Faults {
-		if rig.Hauls[fc.Target] == nil { // every fleet member has a haul agent
-			return nil, fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, fc.Target)
-		}
 		kind, err := fault.ParseKind(fc.Kind)
 		if err != nil {
 			return nil, err
@@ -360,16 +324,16 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 		if sev == 0 {
 			sev = 1
 		}
-		f := fault.Fault{
+		faults[i] = fault.Fault{
 			ID: fmt.Sprintf("cfg-%d", i), Target: fc.Target, Kind: kind,
 			Detail: fc.Detail, Severity: sev, Permanent: fc.Permanent,
 			At:      time.Duration(fc.AtSeconds * float64(time.Second)),
 			ClearAt: time.Duration(fc.ClearAtSeconds * float64(time.Second)),
 		}
-		if err := rig.Injector.Schedule(f); err != nil {
-			return nil, err
-		}
 	}
-	engine.AddPreHook(rig.Injector.Hook())
+	var err error
+	if rig.Collector, rig.Injector, err = rig.instrument(engine, w, nil, nil, faults); err != nil {
+		return nil, err
+	}
 	return rig, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"coopmrm/internal/agent"
@@ -10,7 +11,6 @@ import (
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
 	"coopmrm/internal/odd"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
@@ -54,25 +54,11 @@ type HarbourRig struct {
 	Collector  *metrics.Collector
 	Injector   *fault.Injector
 
-	// allBuf caches the crane+forklifts concatenation for the per-tick
-	// neighbor closures (see all).
-	allBuf []*core.Constituent
+	fleet // crane then forklifts
 }
 
 // All returns crane plus forklifts.
-func (r *HarbourRig) All() []*core.Constituent {
-	return append([]*core.Constituent{r.Crane}, r.Forklifts...)
-}
-
-// all is the cached, shared counterpart of All for per-tick internal
-// callers (the neighbor closures): it rebuilds only when the fleet
-// size changed and must not be mutated or exposed.
-func (r *HarbourRig) all() []*core.Constituent {
-	if len(r.allBuf) != 1+len(r.Forklifts) {
-		r.allBuf = append(append(r.allBuf[:0], r.Crane), r.Forklifts...)
-	}
-	return r.allBuf
-}
+func (r *HarbourRig) All() []*core.Constituent { return slices.Clone(r.cs) }
 
 // Run executes the scenario for the horizon.
 func (r *HarbourRig) Run(horizon time.Duration) Result {
@@ -186,7 +172,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(20, -100), geom.V(60, -60))})
 
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
+	e := newEngine(cfg.Seed)
 	rig := &HarbourRig{Engine: e, World: w}
 
 	// A schedule passed to several rigs must replay from t=0 in each.
@@ -213,6 +199,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		Obstacles: snap.obstaclesFor("crane"),
 	})
 	e.MustRegister(rig.Crane)
+	rig.cs = append(rig.cs, rig.Crane)
 
 	craneWorks := func() bool { return rig.Crane.Operational() }
 	for i := 0; i < cfg.Forklifts; i++ {
@@ -229,35 +216,24 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		})
 		e.MustRegister(f)
 		rig.Forklifts = append(rig.Forklifts, f)
+		rig.cs = append(rig.cs, f)
 		h := agent.New(agent.Config{
-			C:               f,
-			Graph:           g,
-			Loop:            []string{"storage", "quay"},
-			DepositNodes:    map[string]bool{"storage": true},
-			UnitsPerDeposit: 1,
-			Speed:           5,
-			ServiceNodes:    map[string]bool{"quay": true},
-			ServiceTime:     4 * time.Second,
-			ServiceGate:     craneWorks,
-			World:           w,
-			Neighbors: func() func() []sensor.Target {
-				var buf []sensor.Target // per-closure scratch, reused every tick
-				return func() []sensor.Target {
-					buf = buf[:0]
-					for _, o := range rig.all() {
-						if o != f {
-							buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-						}
-					}
-					return buf
-				}
-			}(),
+			C:            f,
+			Graph:        g,
+			Loop:         []string{"storage", "quay"},
+			DepositNodes: map[string]bool{"storage": true},
+			Speed:        5,
+			ServiceNodes: map[string]bool{"quay": true},
+			ServiceTime:  4 * time.Second,
+			ServiceGate:  craneWorks,
+			World:        w,
+			Neighbors:    rig.neighbours(f),
 		})
 		e.MustRegister(h)
 		rig.Hauls = append(rig.Hauls, h)
 	}
 
-	snap.track(rig.all())
+	snap.track(rig.cs)
 	e.AddPreHook(snap.hook())
 
 	rig.Supervisor = &HarbourSupervisor{
@@ -280,27 +256,9 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		})
 	}
 
-	probes := make([]metrics.Probe, 0, len(rig.All()))
-	for _, c := range rig.All() {
-		probes = append(probes, probeFor(c, w))
-	}
-	rig.Collector = metrics.NewCollector(probes...)
-	rig.Collector.SetInterventionCounter(func() int {
-		n := 0
-		for _, c := range rig.All() {
-			n += c.Interventions()
-		}
-		return n
-	})
-	e.AddPostHook(rig.Collector.Hook())
-
-	rig.Injector = fault.NewInjector(nil)
-	for _, c := range rig.All() {
-		rig.Injector.RegisterHandler(c.ID(), c)
-	}
-	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
+	var err error
+	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
-	e.AddPreHook(rig.Injector.Hook())
 	return rig, nil
 }

@@ -12,7 +12,6 @@ import (
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
 	"coopmrm/internal/odd"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
@@ -22,36 +21,29 @@ import (
 // individual-AV experiments (Fig. 1) and the cooperative road
 // examples (intent-sharing, agreement-seeking shoulder stops).
 type HighwayConfig struct {
-	Length float64 // road length in metres
 	NCars  int
-	// EgoIndex selects which car is the failure subject (-1 = middle).
-	EgoIndex int
-	Policy   PolicyKind // Baseline, StatusSharing, IntentSharing, AgreementSeeking
-	Seed     int64
-	Faults   []fault.Fault
-	Speed    float64 // cruise speed
+	Policy PolicyKind // Baseline, StatusSharing, IntentSharing, AgreementSeeking
+	Seed   int64
+	Faults []fault.Fault
 	// Loss is the V2X message loss probability (the A4 ablation knob).
 	Loss float64
 }
 
+// Fixed freeway parameters.
+const (
+	highwayLength = 12000.0 // road length, metres
+	highwaySpeed  = 25.0    // cruise speed, m/s
+)
+
 func (c HighwayConfig) withDefaults() HighwayConfig {
-	if c.Length <= 0 {
-		c.Length = 12000
-	}
 	if c.NCars <= 0 {
 		c.NCars = 5
-	}
-	if c.EgoIndex < 0 || c.EgoIndex >= c.NCars {
-		c.EgoIndex = c.NCars / 2
 	}
 	if c.Policy == 0 {
 		c.Policy = PolicyBaseline
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Speed <= 0 {
-		c.Speed = 25
 	}
 	return c
 }
@@ -63,9 +55,11 @@ type HighwayRig struct {
 	Net       *comm.Network
 	Cars      []*core.Constituent
 	Hauls     []*agent.HaulAgent
-	Ego       *core.Constituent
+	Ego       *core.Constituent // the failure subject: car1, the lead car
 	Collector *metrics.Collector
 	Injector  *fault.Injector
+
+	fleet // the cars
 }
 
 // Run executes the scenario for the horizon.
@@ -103,15 +97,15 @@ func (r *HighwayRig) PerceptionFault(at time.Duration, aboutRange float64, perma
 
 // NewHighway builds the freeway rig: one lane with a continuous
 // shoulder and rest stops every ~3 km, cars cruising in a loose
-// string with the ego in the middle.
+// string led by the ego.
 func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 	cfg = cfg.withDefaults()
 	w := world.New()
 	w.MustAddZone(world.Zone{ID: "lane", Kind: world.ZoneLane,
-		Area: geom.NewRect(geom.V(-200, 0), geom.V(cfg.Length, 4))})
+		Area: geom.NewRect(geom.V(-200, 0), geom.V(highwayLength, 4))})
 	w.MustAddZone(world.Zone{ID: "shoulder", Kind: world.ZoneShoulder,
-		Area: geom.NewRect(geom.V(-200, 4), geom.V(cfg.Length, 7))})
-	for k := 1; float64(k)*3000 < cfg.Length; k++ {
+		Area: geom.NewRect(geom.V(-200, 4), geom.V(highwayLength, 7))})
+	for k := 1; float64(k)*3000 < highwayLength; k++ {
 		x := float64(k) * 3000
 		w.MustAddZone(world.Zone{
 			ID:   fmt.Sprintf("rest%d", k),
@@ -121,10 +115,10 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 	}
 	g := w.Graph()
 	g.AddNode("entry", geom.V(0, 2))
-	g.AddNode("exit", geom.V(cfg.Length, 2))
+	g.AddNode("exit", geom.V(highwayLength, 2))
 	g.MustConnect("entry", "exit")
 
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
+	e := newEngine(cfg.Seed)
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond, LossProb: cfg.Loss},
 		sim.NewRNG(cfg.Seed))
 
@@ -150,66 +144,38 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		})
 		e.MustRegister(c)
 		rig.Cars = append(rig.Cars, c)
+		rig.cs = append(rig.cs, c)
 	}
-	rig.Ego = rig.Cars[cfg.EgoIndex]
-	snap.track(rig.Cars)
+	rig.Ego = rig.Cars[0]
+	snap.track(rig.cs)
 	e.AddPreHook(snap.hook())
 
 	for _, c := range rig.Cars {
-		c := c
 		h := agent.New(agent.Config{
-			C:               c,
-			Graph:           g,
-			Loop:            []string{"exit"},
-			DepositNodes:    map[string]bool{"exit": true},
-			UnitsPerDeposit: 1,
-			Speed:           cfg.Speed,
-			Neighbors: func() func() []sensor.Target {
-				var buf []sensor.Target // per-closure scratch, reused every tick
-				return func() []sensor.Target {
-					buf = buf[:0]
-					for _, o := range rig.Cars {
-						if o != c {
-							buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-						}
-					}
-					return buf
-				}
-			}(),
+			C:            c,
+			Graph:        g,
+			Loop:         []string{"exit"},
+			DepositNodes: map[string]bool{"exit": true},
+			Speed:        highwaySpeed,
+			Neighbors:    rig.neighbours(c),
 		})
 		e.MustRegister(h)
 		rig.Hauls = append(rig.Hauls, h)
 	}
 
-	period := time.Second
-	newBase := func(i int) *coop.Base {
-		b := coop.NewBase(rig.Hauls[i], net, g, period)
-		b.World = w
-		return b
-	}
 	switch cfg.Policy {
 	case PolicyBaseline:
 	case PolicyStatusSharing:
-		for i := range rig.Cars {
-			e.MustRegister(coop.NewStatusSharing(newBase(i)))
+		for _, h := range rig.Hauls {
+			e.MustRegister(coop.NewStatusSharing(newBase(h, net, w, time.Second)))
 		}
 	case PolicyIntentSharing:
-		for i := range rig.Cars {
-			e.MustRegister(coop.NewIntentSharing(newBase(i)))
+		for _, h := range rig.Hauls {
+			e.MustRegister(coop.NewIntentSharing(newBase(h, net, w, time.Second)))
 		}
 	case PolicyAgreementSeeking:
-		ids := make([]string, 0, len(rig.Cars))
-		for _, c := range rig.Cars {
-			ids = append(ids, c.ID())
-		}
 		for i, c := range rig.Cars {
-			peers := make([]string, 0, len(ids)-1)
-			for _, id := range ids {
-				if id != c.ID() {
-					peers = append(peers, id)
-				}
-			}
-			p := coop.NewAgreementSeeking(newBase(i), peers)
+			p := coop.NewAgreementSeeking(newBase(rig.Hauls[i], net, w, time.Second), peersOf(rig.Cars, c))
 			p.FallbackMRC = "in_lane"
 			p.EvacMRC = "rest_stop"
 			e.MustRegister(p)
@@ -218,27 +184,9 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		return nil, fmt.Errorf("scenario: unsupported highway policy %v", cfg.Policy)
 	}
 
-	probes := make([]metrics.Probe, 0, len(rig.Cars))
-	for _, c := range rig.Cars {
-		probes = append(probes, probeFor(c, w))
-	}
-	rig.Collector = metrics.NewCollector(probes...)
-	rig.Collector.SetInterventionCounter(func() int {
-		n := 0
-		for _, c := range rig.Cars {
-			n += c.Interventions()
-		}
-		return n
-	})
-	e.AddPostHook(rig.Collector.Hook())
-
-	rig.Injector = fault.NewInjector(nil)
-	for _, c := range rig.Cars {
-		rig.Injector.RegisterHandler(c.ID(), c)
-	}
-	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
+	var err error
+	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
-	e.AddPreHook(rig.Injector.Hook())
 	return rig, nil
 }

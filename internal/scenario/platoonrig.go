@@ -19,7 +19,6 @@ import (
 // platoon of trucks transporting goods on a public road.
 type PlatoonConfig struct {
 	Members int
-	Speed   float64
 	Seed    int64
 	Faults  []fault.Fault
 }
@@ -27,9 +26,6 @@ type PlatoonConfig struct {
 func (c PlatoonConfig) withDefaults() PlatoonConfig {
 	if c.Members <= 0 {
 		c.Members = 5
-	}
-	if c.Speed <= 0 {
-		c.Speed = 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -45,6 +41,8 @@ type PlatoonRig struct {
 	Members   []*core.Constituent
 	Collector *metrics.Collector
 	Injector  *fault.Injector
+
+	fleet // the members
 }
 
 // Run executes the scenario for the horizon.
@@ -52,7 +50,8 @@ func (r *PlatoonRig) Run(horizon time.Duration) Result {
 	return runFor(r.Engine, r.Collector, horizon)
 }
 
-// NewPlatoon builds the platoon rig on a long highway.
+// NewPlatoon builds the platoon rig on a long highway, cruising at the
+// platoon's default 20 m/s.
 func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 	cfg = cfg.withDefaults()
 	const length = 200000.0
@@ -64,7 +63,7 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 	w.MustAddZone(world.Zone{ID: "rest", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(5000, 8), geom.V(5100, 30))})
 
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
+	e := newEngine(cfg.Seed)
 	rig := &PlatoonRig{Engine: e, World: w}
 	roadODD := odd.DefaultRoadSpec()
 
@@ -84,35 +83,17 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 		})
 		e.MustRegister(c)
 		rig.Members = append(rig.Members, c)
+		rig.cs = append(rig.cs, c)
 	}
-	snap.track(rig.Members)
+	snap.track(rig.cs)
 	e.AddPreHook(snap.hook())
 	path := geom.MustPath(geom.V(-300, 2), geom.V(length, 2)).SetName("mission")
 	rig.Platoon = platoon.MustNew("platoon", path, rig.Members...)
-	rig.Platoon.Speed = cfg.Speed
 	e.MustRegister(rig.Platoon)
 
-	probes := make([]metrics.Probe, 0, len(rig.Members))
-	for _, c := range rig.Members {
-		probes = append(probes, probeFor(c, w))
-	}
-	rig.Collector = metrics.NewCollector(probes...)
-	rig.Collector.SetInterventionCounter(func() int {
-		n := 0
-		for _, c := range rig.Members {
-			n += c.Interventions()
-		}
-		return n
-	})
-	e.AddPostHook(rig.Collector.Hook())
-
-	rig.Injector = fault.NewInjector(nil)
-	for _, c := range rig.Members {
-		rig.Injector.RegisterHandler(c.ID(), c)
-	}
-	if err := rig.Injector.Schedule(cfg.Faults...); err != nil {
+	var err error
+	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
-	e.AddPreHook(rig.Injector.Hook())
 	return rig, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"coopmrm/internal/agent"
@@ -12,7 +13,6 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/tms"
 	"coopmrm/internal/vehicle"
@@ -92,44 +92,22 @@ type QuarryRig struct {
 	// reach class-specific knobs (evacuations, designed responses).
 	Policies []sim.Entity
 
-	// allBuf caches the diggers+trucks concatenation for the per-tick
-	// neighbor closures (see all).
-	allBuf []*core.Constituent
+	fleet // diggers then trucks
 
 	// Warm-rig lifecycle state: the configuration wire() replays on
 	// Reset, the world baseline taken right after chassis
-	// construction, the parked constituent shells a Reset re-adopts by
-	// ID, and the pool key a Release files the rig under (empty for
-	// unpooled rigs).
-	cfg     QuarryConfig
-	wsnap   world.Snapshot
-	prev    map[string]*core.Constituent
-	poolKey string
-
-	// prevCollector is the parked collector a Reset reuses when the
-	// replayed fleet matches (see the reuse site in wire()); idsBuf is
-	// scratch for that fleet check.
+	// construction, the parked constituent shells and collector a
+	// Reset re-adopts, and the pool key a Release files the rig under
+	// (empty for unpooled rigs).
+	cfg           QuarryConfig
+	wsnap         world.Snapshot
+	prev          map[string]*core.Constituent
 	prevCollector *metrics.Collector
-	idsBuf        []string
+	poolKey       string
 }
 
 // All returns every constituent (diggers then trucks).
-func (r *QuarryRig) All() []*core.Constituent {
-	out := make([]*core.Constituent, 0, len(r.Diggers)+len(r.Trucks))
-	out = append(out, r.Diggers...)
-	out = append(out, r.Trucks...)
-	return out
-}
-
-// all is the cached, shared counterpart of All for per-tick internal
-// callers (the neighbor closures): it rebuilds only when the fleet
-// size changed and must not be mutated or exposed.
-func (r *QuarryRig) all() []*core.Constituent {
-	if len(r.allBuf) != len(r.Diggers)+len(r.Trucks) {
-		r.allBuf = append(append(r.allBuf[:0], r.Diggers...), r.Trucks...)
-	}
-	return r.allBuf
-}
+func (r *QuarryRig) All() []*core.Constituent { return slices.Clone(r.cs) }
 
 // Run executes the scenario for the horizon.
 func (r *QuarryRig) Run(horizon time.Duration) Result {
@@ -177,7 +155,7 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(-90, -90), geom.V(-30, -30))})
 
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
+	e := newEngine(cfg.Seed)
 	netCfg := comm.NetConfig{Latency: 50 * time.Millisecond}
 	if cfg.Net != nil {
 		if err := cfg.Net.Validate(); err != nil {
@@ -231,7 +209,8 @@ func (r *QuarryRig) Reset(seed int64) error {
 	r.Hauls = r.Hauls[:0]
 	clear(r.Policies)
 	r.Policies = r.Policies[:0]
-	r.allBuf = r.allBuf[:0]
+	clear(r.cs)
+	r.cs = r.cs[:0]
 	r.prevCollector = r.Collector
 	r.Model = nil
 	r.Collector = nil
@@ -303,6 +282,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		})
 		e.MustRegister(d)
 		r.Diggers = append(r.Diggers, d)
+		r.cs = append(r.cs, d)
 		r.Model.MustAddConstituent(id, "digger", "truck")
 		r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 	}
@@ -323,6 +303,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 			})
 			e.MustRegister(c)
 			r.Trucks = append(r.Trucks, c)
+			r.cs = append(r.cs, c)
 			r.Model.MustAddConstituent(id, "truck", "digger")
 			r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 		}
@@ -332,20 +313,18 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	// orchestrated drives via TMS tasks instead).
 	if cfg.Policy != PolicyOrchestrated {
 		for _, c := range r.Trucks {
-			c := c
 			h := agent.New(agent.Config{
-				C:               c,
-				Graph:           g,
-				Loop:            []string{"dep", "load"},
-				DepositNodes:    map[string]bool{"dep": true},
-				UnitsPerDeposit: 1,
-				Speed:           8,
-				ServiceNodes:    map[string]bool{"load": true},
-				ServiceTime:     3 * time.Second,
-				ServiceGate:     operationalDigger,
-				Neighbors:       r.neighborsOf(c),
-				World:           w,
-				Patience:        cfg.Patience,
+				C:            c,
+				Graph:        g,
+				Loop:         []string{"dep", "load"},
+				DepositNodes: map[string]bool{"dep": true},
+				Speed:        8,
+				ServiceNodes: map[string]bool{"load": true},
+				ServiceTime:  3 * time.Second,
+				ServiceGate:  operationalDigger,
+				Neighbors:    r.neighbours(c),
+				World:        w,
+				Patience:     cfg.Patience,
 			})
 			e.MustRegister(h)
 			r.Hauls = append(r.Hauls, h)
@@ -354,88 +333,35 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 
 	// Planner obstacle snapshot: filled each tick before the entity
 	// steps.
-	snap.track(r.All())
+	snap.track(r.cs)
 	e.AddPreHook(snap.hook())
 
 	if err := r.wirePolicy(cfg); err != nil {
 		return err
 	}
 
-	// Metrics. The probes close over constituent and body pointers the
-	// warm path re-adopts in place, so a parked collector whose probe
-	// IDs match the fleet (in order) reinitialises without rebuilding
-	// its probes or latch storage; any mismatch falls back to fresh
-	// construction.
-	if pc := r.prevCollector; pc != nil {
-		r.idsBuf = pc.ProbeIDs(r.idsBuf[:0])
-		match := len(r.idsBuf) == len(r.all())
-		if match {
-			for i, c := range r.all() {
-				if r.idsBuf[i] != c.ID() {
-					match = false
-					break
-				}
-			}
-		}
-		if match {
-			r.Collector, r.prevCollector = pc, nil
-			r.Collector.Reinit()
-		}
-	}
-	if r.Collector == nil {
-		probes := make([]metrics.Probe, 0, len(r.all()))
-		for _, c := range r.all() {
-			probes = append(probes, probeFor(c, w))
-		}
-		r.Collector = metrics.NewCollector(probes...)
-	}
-	r.Collector.SetInterventionCounter(func() int {
-		n := 0
-		for _, c := range r.All() {
-			n += c.Interventions()
-		}
-		return n
-	})
-	e.AddPostHook(r.Collector.Hook())
-
-	// Fault injection.
-	logFault := func(event string, f fault.Fault) {
-		kind := sim.EventFaultInjected
-		if event == "clear" {
-			kind = sim.EventFaultCleared
-		}
-		e.Env().Log.Append(sim.Event{
-			Time: e.Env().Clock.Now(), Tick: e.Env().Clock.Tick(),
-			Kind: kind, Subject: f.Target, Detail: f.Kind.String() + "/" + f.ID,
-		})
-	}
-	r.Injector = fault.NewInjector(logFault)
-	for _, c := range r.all() {
-		r.Injector.RegisterHandler(c.ID(), c)
-	}
-	if err := r.Injector.Schedule(cfg.Faults...); err != nil {
+	// Metrics and faults; only the quarry logs fault injections and
+	// clears.
+	col, inj, err := r.instrument(e, w, r.prevCollector, r.logFault, cfg.Faults)
+	r.prevCollector = nil
+	if err != nil {
 		return err
 	}
-	e.AddPreHook(r.Injector.Hook())
+	r.Collector, r.Injector = col, inj
 	return nil
 }
 
-// neighborsOf returns the detection targets for one constituent: the
-// positions of every other constituent. The closure owns a scratch
-// slice (and iterates the cached constituent list) so the per-tick
-// detection pass allocates nothing in steady state; callers must not
-// retain the returned slice across calls.
-func (r *QuarryRig) neighborsOf(self *core.Constituent) func() []sensor.Target {
-	var buf []sensor.Target
-	return func() []sensor.Target {
-		buf = buf[:0]
-		for _, o := range r.all() {
-			if o != self {
-				buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-			}
-		}
-		return buf
+// logFault records an injection or clear in the event log.
+func (r *QuarryRig) logFault(event string, f fault.Fault) {
+	kind := sim.EventFaultInjected
+	if event == "clear" {
+		kind = sim.EventFaultCleared
 	}
+	env := r.Engine.Env()
+	env.Log.Append(sim.Event{
+		Time: env.Clock.Now(), Tick: env.Clock.Tick(),
+		Kind: kind, Subject: f.Target, Detail: f.Kind.String() + "/" + f.ID,
+	})
 }
 
 func (r *QuarryRig) addPolicy(p sim.Entity) {
@@ -445,68 +371,42 @@ func (r *QuarryRig) addPolicy(p sim.Entity) {
 
 func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 	g := r.World.Graph()
-	period := cfg.BeaconPeriod
-	newBase := func(h *agent.HaulAgent) *coop.Base {
-		b := coop.NewBase(h, r.Net, g, period)
-		b.World = r.World
-		return b
-	}
+	base := func(h *agent.HaulAgent) *coop.Base { return newBase(h, r.Net, r.World, cfg.BeaconPeriod) }
 	switch cfg.Policy {
 	case PolicyBaseline:
 		// No interaction at all.
 	case PolicyStatusSharing:
-		for i, c := range r.Trucks {
-			_ = c
-			r.addPolicy(coop.NewStatusSharing(newBase(r.Hauls[i])))
+		for _, h := range r.Hauls {
+			r.addPolicy(coop.NewStatusSharing(base(h)))
 		}
 	case PolicyIntentSharing:
-		for i := range r.Trucks {
-			r.addPolicy(coop.NewIntentSharing(newBase(r.Hauls[i])))
+		for _, h := range r.Hauls {
+			r.addPolicy(coop.NewIntentSharing(base(h)))
 		}
 	case PolicyAgreementSeeking:
-		ids := make([]string, 0, len(r.Trucks))
-		for _, c := range r.Trucks {
-			ids = append(ids, c.ID())
-		}
 		for i, c := range r.Trucks {
-			peers := make([]string, 0, len(ids)-1)
-			for _, id := range ids {
-				if id != c.ID() {
-					peers = append(peers, id)
-				}
-			}
-			r.addPolicy(coop.NewAgreementSeeking(newBase(r.Hauls[i]), peers))
+			r.addPolicy(coop.NewAgreementSeeking(base(r.Hauls[i]), peersOf(r.Trucks, c)))
 		}
 	case PolicyPrescriptive:
 		r.Net.MustRegister("authority")
 		r.Authority = coop.NewAuthority("authority", r.Net)
 		r.Engine.MustRegister(r.Authority)
-		for i := range r.Trucks {
-			r.addPolicy(coop.NewPrescriptive(newBase(r.Hauls[i])))
+		for _, h := range r.Hauls {
+			r.addPolicy(coop.NewPrescriptive(base(h)))
 		}
 	case PolicyCoordinated:
 		for _, d := range r.Diggers {
 			dh := agent.New(agent.Config{C: d, Graph: g})
 			r.Engine.MustRegister(dh)
-			r.addPolicy(collab.NewCoordinated(newBase(dh), r.Model))
+			r.addPolicy(collab.NewCoordinated(base(dh), r.Model))
 		}
-		for i := range r.Trucks {
-			r.addPolicy(collab.NewCoordinated(newBase(r.Hauls[i]), r.Model))
+		for _, h := range r.Hauls {
+			r.addPolicy(collab.NewCoordinated(base(h), r.Model))
 		}
 	case PolicyChoreographed:
 		board := collab.NewCheckInBoard()
-		ids := make([]string, 0, len(r.Trucks))
-		for _, c := range r.Trucks {
-			ids = append(ids, c.ID())
-		}
 		for i, c := range r.Trucks {
-			watch := make([]string, 0, len(ids)-1)
-			for _, id := range ids {
-				if id != c.ID() {
-					watch = append(watch, id)
-				}
-			}
-			p := collab.NewChoreographed(r.Hauls[i], board, watch)
+			p := collab.NewChoreographed(r.Hauls[i], board, peersOf(r.Trucks, c))
 			p.Deadline = 3 * time.Minute
 			p.Response = collab.ResponseAlternateRoute
 			p.AlternateAvoid = "mid"
@@ -533,9 +433,9 @@ func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 		r.Director.Groups = r.Groups
 		r.Director.Concerted = cfg.Concerted
 		r.Engine.MustRegister(r.Director)
-		for _, c := range r.All() {
+		for _, c := range r.cs {
 			o := collab.NewOrchestrated(c, r.Net, g, "tms", 10)
-			o.Monitor = agent.NewObstacleMonitor(c, r.neighborsOf(c), r.World)
+			o.Monitor = agent.NewObstacleMonitor(c, r.neighbours(c), r.World)
 			o.World = r.World
 			r.addPolicy(o)
 		}

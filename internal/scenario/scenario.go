@@ -10,10 +10,16 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
+	"coopmrm/internal/agent"
+	"coopmrm/internal/comm"
+	"coopmrm/internal/coop"
 	"coopmrm/internal/core"
+	"coopmrm/internal/fault"
 	"coopmrm/internal/metrics"
+	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/traj"
 	"coopmrm/internal/world"
@@ -75,6 +81,91 @@ type Result struct {
 	Log    *sim.EventLog
 }
 
+// Rig assembly. Each constructor keeps what makes its site: the world
+// geometry, the order in which it registers constituents, agents,
+// policies and hooks (that order is part of the output bytes), and
+// its policy wiring. It adds every constituent to its fleet as it
+// registers it, and the fleet serves what all rigs share: the
+// obstacle monitors' neighbour feed and, as each constructor's last
+// step, instrument's metrics and fault layers.
+
+// newEngine returns the engine every rig runs on: 100 ms ticks and a
+// one-day ceiling.
+func newEngine(seed int64) *sim.Engine {
+	return sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: seed})
+}
+
+// fleet is a rig's constituents in registration order.
+type fleet struct {
+	cs []*core.Constituent
+	// ids is scratch for instrument's parked-collector check.
+	ids []string
+}
+
+// neighbours returns the obstacle feed of self: the live positions of
+// every other fleet member, in fleet order. The fleet is read at call
+// time, so a feed made before the fleet is complete sees all of it.
+// The closure reuses one scratch slice, so a steady-state tick
+// allocates nothing; callers must not retain the result across calls.
+func (f *fleet) neighbours(self *core.Constituent) func() []sensor.Target {
+	var buf []sensor.Target
+	return func() []sensor.Target {
+		buf = buf[:0]
+		for _, o := range f.cs {
+			if o != self {
+				buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
+			}
+		}
+		return buf
+	}
+}
+
+// instrument attaches the metrics and fault layers to a complete
+// fleet: the collector's post-hook, then the injector's pre-hook, so
+// faults due at a tick land after every other pre-hook. A parked
+// collector (the warm quarry's; nil elsewhere) is reinitialised in
+// place when its probe IDs match the fleet in order, else a fresh one
+// is built. log observes injections and clears (nil for none). Every
+// fault must target a fleet member.
+func (f *fleet) instrument(e *sim.Engine, w *world.World, parked *metrics.Collector,
+	log func(string, fault.Fault), faults []fault.Fault) (*metrics.Collector, *fault.Injector, error) {
+	for i, ft := range faults {
+		if !slices.ContainsFunc(f.cs, func(c *core.Constituent) bool { return c.ID() == ft.Target }) {
+			return nil, nil, fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, ft.Target)
+		}
+	}
+	col := f.collector(w, parked)
+	e.AddPostHook(col.Hook())
+	inj := fault.NewInjector(log)
+	for _, c := range f.cs {
+		inj.RegisterHandler(c.ID(), c)
+	}
+	if err := inj.Schedule(faults...); err != nil {
+		return nil, nil, err
+	}
+	e.AddPreHook(inj.Hook())
+	return col, inj, nil
+}
+
+// collector returns parked, reinitialised, when its probes describe
+// the fleet in order, else a fresh collector with one probe per
+// member. Reuse is sound because the probes close over constituent
+// and body pointers the warm path re-adopts in place.
+func (f *fleet) collector(w *world.World, parked *metrics.Collector) *metrics.Collector {
+	if parked != nil {
+		f.ids = parked.ProbeIDs(f.ids[:0])
+		if slices.EqualFunc(f.ids, f.cs, func(id string, c *core.Constituent) bool { return id == c.ID() }) {
+			parked.Reinit()
+			return parked
+		}
+	}
+	probes := make([]metrics.Probe, len(f.cs))
+	for i, c := range f.cs {
+		probes[i] = probeFor(c, w)
+	}
+	return metrics.NewCollector(probes...)
+}
+
 // probeFor builds the standard metrics probe of a constituent.
 func probeFor(c *core.Constituent, w *world.World) metrics.Probe {
 	return metrics.Probe{
@@ -84,12 +175,32 @@ func probeFor(c *core.Constituent, w *world.World) metrics.Probe {
 		Stopped:        c.Body().Stopped,
 		StopRisk:       func() float64 { return w.StopRiskAt(c.Body().Position()) },
 		TransitionRisk: c.TransitionRisk,
+		Interventions:  c.Interventions,
 		InActiveLane: func() bool {
 			pos := c.Body().Position()
 			return w.HasZoneKindAt(world.ZoneLane, pos) ||
 				w.HasZoneKindAt(world.ZoneTunnel, pos)
 		},
 	}
+}
+
+// newBase returns the cooperation substrate over one haul agent, with
+// the site's world attached for zone-aware MRC choices.
+func newBase(h *agent.HaulAgent, net *comm.Network, w *world.World, period time.Duration) *coop.Base {
+	b := coop.NewBase(h, net, w.Graph(), period)
+	b.World = w
+	return b
+}
+
+// peersOf lists the IDs of every constituent in cs but self, in order.
+func peersOf(cs []*core.Constituent, self *core.Constituent) []string {
+	out := make([]string, 0, len(cs))
+	for _, c := range cs {
+		if c != self {
+			out = append(out, c.ID())
+		}
+	}
+	return out
 }
 
 // obstacleSnapshot feeds the constituents' trajectory planners: a

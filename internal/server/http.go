@@ -192,6 +192,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			doc.Jobs.Interrupted++
 		}
 	}
+	// Read under s.mu: finish publishes a job's done state, size and
+	// run count together under it.
+	doc.Throughput.RunsCompleted = s.runsDone.Load()
 	s.mu.Unlock()
 	doc.Cache.MaxBytes = s.cfg.CacheMaxBytes
 	doc.Cache.Hits = s.hits.Load()
@@ -202,7 +205,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc.Cache.HitRatio = float64(doc.Cache.Hits) / float64(lookups)
 	}
 	doc.Throughput.Executions = s.executions.Load()
-	doc.Throughput.RunsCompleted = s.runsDone.Load()
 	if doc.UptimeSeconds > 0 {
 		doc.Throughput.RunsPerSec = float64(doc.Throughput.RunsCompleted) / doc.UptimeSeconds
 	}

@@ -429,7 +429,9 @@ func (s *Server) run(j *job) {
 // finish writes the completed job's artifacts and publishes it to the
 // cache. WriteBundle is atomic and job.json's "done" transition is the
 // commit point, so a crash anywhere in here re-runs the job rather
-// than serving a torn result.
+// than serving a torn result. The done flip, the run count and the
+// cache size change together under s.mu, which /v1/metrics holds
+// while it reads all three.
 func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	opt := j.spec.options()
 	bench := artifact.NewBench(s.cfg.Parallel, opt.Seed, jobTotal(j.spec), opt.Quick)
@@ -437,6 +439,8 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	if err := coopmrm.WriteRunArtifacts(outDir, []coopmrm.ExperimentArtifacts{res}, bench); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
 	j.status = stateDone
 	j.done = j.total
@@ -446,11 +450,9 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 		return err
 	}
 	s.runsDone.Add(int64(jobTotal(j.spec)))
-	s.mu.Lock()
 	j.size = dirSize(s.jobDir(j.key))
 	s.touchLocked(j)
 	s.evictLocked()
-	s.mu.Unlock()
 	return nil
 }
 
