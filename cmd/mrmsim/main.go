@@ -6,12 +6,17 @@
 //
 //	mrmsim -scenario quarry -policy coordinated -horizon 5m \
 //	       -fault truck1_1:sensor:60s [-events events.csv] [-seed 7]
+//
+// A flag the chosen scenario does not read is an error: -policy with
+// the harbour or the platoon, and -policy, -fault, -seed or -trace with
+// -config.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,13 +39,16 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mrmsim", flag.ContinueOnError)
 	scen := fs.String("scenario", "quarry", "scenario: quarry | harbour | highway | platoon (ignored with -config)")
 	configPath := fs.String("config", "", "build the scenario from a JSON file instead (see examples/custom/site.json)")
-	policy := fs.String("policy", "coordinated", "interaction class: baseline | status_sharing | intent_sharing | agreement_seeking | prescriptive | coordinated | choreographed | orchestrated")
+	policy := fs.String("policy", "", "interaction class: baseline | status_sharing | intent_sharing | agreement_seeking | prescriptive | coordinated | choreographed | orchestrated (default: the scenario's own, coordinated for the quarry and baseline for the highway; quarry and highway only)")
 	horizon := fs.Duration("horizon", 5*time.Minute, "simulated duration")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	faults := fs.String("fault", "", "comma-separated faults target:kind:onset, e.g. truck1_1:sensor:60s")
 	eventsOut := fs.String("events", "", "write the event log as CSV to this file")
 	traceOut := fs.String("trace", "", "write 1 Hz position traces as CSV to this file")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := rejectUnread(fs, *scen, *configPath); err != nil {
 		return err
 	}
 
@@ -188,7 +196,35 @@ func runConfig(path string, horizon time.Duration, eventsOut string) error {
 	return nil
 }
 
+// rejectUnread fails when a flag was set that the chosen scenario does
+// not read, instead of running without it: only the quarry and the
+// highway take a policy, and a site file fixes its own policy, faults
+// and seed and records no position trace.
+func rejectUnread(fs *flag.FlagSet, scen, configPath string) error {
+	var unread []string
+	what := "the " + scen + " scenario"
+	switch {
+	case configPath != "":
+		unread = []string{"policy", "fault", "seed", "trace"}
+		what = "-config"
+	case scen == "harbour" || scen == "platoon":
+		unread = []string{"policy"}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(unread, f.Name) {
+			err = fmt.Errorf("-%s is not read by %s", f.Name, what)
+		}
+	})
+	return err
+}
+
+// parsePolicy resolves a policy name; "" is the zero kind, which every
+// rig reads as its own default.
 func parsePolicy(name string) (scenario.PolicyKind, error) {
+	if name == "" {
+		return 0, nil
+	}
 	for _, p := range scenario.AllPolicies() {
 		if p.String() == name {
 			return p, nil

@@ -68,6 +68,31 @@ func TestRunScenarios(t *testing.T) {
 	}
 }
 
+// TestRunFlagsTheScenarioReads: with no -policy each rig runs its own
+// default, and a flag the chosen scenario does not read fails the run
+// instead of being ignored.
+func TestRunFlagsTheScenarioReads(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-scenario", "highway"}, ""},
+		{[]string{"-scenario", "harbour", "-policy", "orchestrated"}, "-policy is not read by the harbour scenario"},
+		{[]string{"-scenario", "platoon", "-policy", "baseline", "-horizon", "10s"}, "-policy is not read by the platoon scenario"},
+		{[]string{"-config", "../../examples/custom/site.json", "-seed", "99", "-fault", "nobody:sensor:1s"}, "-fault is not read by -config"},
+		{[]string{"-config", "../../examples/custom/site.json", "-seed", "99"}, "-seed is not read by -config"},
+		{[]string{"-config", "../../examples/custom/site.json", "-trace", "t.csv"}, "-trace is not read by -config"},
+	} {
+		err := run(tc.args)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("run(%v): %v", tc.args, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("run(%v) = %v, want error %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
 func TestRunRejectsFaultOutsideFleet(t *testing.T) {
 	err := run([]string{"-scenario", "highway", "-policy", "baseline", "-fault", "car9:sensor:10s"})
 	if err == nil || !strings.Contains(err.Error(), "not in the fleet") {

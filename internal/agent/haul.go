@@ -28,9 +28,9 @@ type Config struct {
 	DepositNodes map[string]bool
 	// Speed is the cruise speed for task legs.
 	Speed float64
-	// Neighbors returns the detectable positions of the other
-	// constituents, used for the operational obstacle hold. Nil
-	// disables holding.
+	// Neighbors returns candidate obstacles for the operational
+	// obstacle hold (see ObstacleMonitor.Neighbors). Nil disables
+	// holding.
 	Neighbors func() []sensor.Target
 	// ServiceNodes marks loop nodes where the vehicle must be
 	// serviced (e.g. loaded by a digger) before departing.
@@ -107,6 +107,10 @@ func (a *HaulAgent) Stuck() bool { return a.stuck }
 
 // Target returns the current target node ("" before the first leg).
 func (a *HaulAgent) Target() string { return a.target }
+
+// Monitor returns the agent's obstacle monitor, nil when the agent was
+// built without a neighbour feed.
+func (a *HaulAgent) Monitor() *ObstacleMonitor { return a.monitor }
 
 // Avoid adds a node to the agent's private avoid set and replans the
 // current leg if it is affected.

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math"
 	"time"
 
 	"coopmrm/internal/core"
@@ -29,7 +30,10 @@ const (
 // manoeuvre is abstracted away by the 1-D road model); obstacles
 // inside tunnel zones block indefinitely.
 type ObstacleMonitor struct {
-	C         *core.Constituent
+	C *core.Constituent
+	// Neighbors returns candidate obstacles: at least every other
+	// constituent within the sensor suite's effective range, in any
+	// order. Farther targets may be included; Apply filters by range.
 	Neighbors func() []sensor.Target
 	// World enables the tunnel distinction; nil makes every hold hard.
 	World *world.World
@@ -40,9 +44,6 @@ type ObstacleMonitor struct {
 	holding   bool
 	holdStart time.Duration
 	passUntil time.Duration
-	// detBuf is per-tick scratch for the detection pass, reused so a
-	// steady-state Apply allocates nothing.
-	detBuf []sensor.Detection
 }
 
 // NewObstacleMonitor returns a monitor with the default 8 s patience.
@@ -62,29 +63,7 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 		c.HoldForObstacle(false)
 		return
 	}
-	pos := c.Body().Position()
-	forward := c.Body().Pose().Forward()
-	holdDist := c.Body().StoppingDistance() + holdMargin
-	blocked := false
-	inTunnel := false
-	m.detBuf = c.Suite().DetectInto(m.detBuf[:0], pos, m.Neighbors())
-	for _, d := range m.detBuf {
-		delta := d.Pos.Sub(pos)
-		fd := delta.Dot(forward)
-		lat := delta.Cross(forward)
-		if lat < 0 {
-			lat = -lat
-		}
-		if fd > 0.5 && fd < holdDist && lat < corridorHalfWidth {
-			blocked = true
-			if m.World != nil {
-				inTunnel = m.World.HasZoneKindAt(world.ZoneTunnel, d.Pos)
-			} else {
-				inTunnel = true // without a world, all holds are hard
-			}
-			break
-		}
-	}
+	blocked, inTunnel := m.blocker()
 	if !blocked {
 		m.holding = false
 		c.HoldForObstacle(false)
@@ -101,4 +80,40 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 		return
 	}
 	c.HoldForObstacle(true)
+}
+
+// blocker reports whether a target blocks the forward corridor and,
+// if so, whether the blocker stands in a tunnel zone. Among the
+// corridor targets within the suite's effective range the blocker is
+// the one with the least (distance, ID): the first corridor hit of
+// the detections sorted nearest first with ties by ID, found without
+// the sort.
+func (m *ObstacleMonitor) blocker() (blocked, inTunnel bool) {
+	b := m.C.Body()
+	pos := b.Position()
+	forward := b.Pose().Forward()
+	holdDist := b.StoppingDistance() + holdMargin
+	r := m.C.Suite().EffectiveRange()
+	var best sensor.Target
+	bestDist := 0.0
+	for _, t := range m.Neighbors() {
+		delta := t.Pos.Sub(pos)
+		fd := delta.Dot(forward)
+		lat := math.Abs(delta.Cross(forward))
+		if !(fd > 0.5 && fd < holdDist && lat < corridorHalfWidth) {
+			continue
+		}
+		d := pos.Dist(t.Pos)
+		if d > r || (blocked && (d > bestDist || (d == bestDist && t.ID >= best.ID))) {
+			continue
+		}
+		blocked, best, bestDist = true, t, d
+	}
+	if !blocked {
+		return false, false
+	}
+	if m.World == nil {
+		return true, true // without a world, all holds are hard
+	}
+	return true, m.World.HasZoneKindAt(world.ZoneTunnel, best.Pos)
 }

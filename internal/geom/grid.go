@@ -7,12 +7,12 @@ import (
 
 // Grid is a uniform-cell broad-phase index over indexed point sites.
 // Callers insert sites (an integer handle plus a position), then ask
-// for candidate pairs: every unordered pair whose sites lie closer
-// than the cell size is guaranteed to be enumerated, at the price of
-// some farther pairs (up to one full cell diagonal beyond) also
-// appearing. The typical cycle is Reset, Insert xN, CandidatePairs —
-// a Grid reuses its internal allocations across cycles, so a per-tick
-// caller amortises to near-zero garbage.
+// either for candidate pairs or for the neighbourhood of a point:
+// every site closer than the cell size is guaranteed to be reported,
+// at the price of some farther sites (up to one full cell diagonal
+// beyond) also appearing. The typical cycle is Reset, Insert xN, then
+// CandidatePairs or Near — a Grid reuses its internal allocations
+// across cycles, so a per-tick caller amortises to near-zero garbage.
 //
 // The zero value is not usable; construct with NewGrid.
 type Grid struct {
@@ -50,8 +50,27 @@ func (g *Grid) CellSize() float64 { return g.cell }
 // Insert adds a site with the given handle at p. Handles are opaque
 // to the grid; inserting the same handle twice indexes it twice.
 func (g *Grid) Insert(handle int, p Vec2) {
-	k := gridKey{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+	k := g.key(p)
 	g.cells[k] = append(g.cells[k], handle)
+}
+
+func (g *Grid) key(p Vec2) gridKey {
+	return gridKey{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+}
+
+// Near appends to buf the handles of every site in p's cell and its
+// eight neighbours, and returns the extended slice. That is a
+// superset of the sites within CellSize of p, and exactly the set of
+// sites CandidatePairs would pair with a site inserted at p. The order
+// is unspecified.
+func (g *Grid) Near(buf []int, p Vec2) []int {
+	k := g.key(p)
+	for dx := -1; dx <= 1; dx++ {
+		for dy := -1; dy <= 1; dy++ {
+			buf = append(buf, g.cells[gridKey{k.x + dx, k.y + dy}]...)
+		}
+	}
+	return buf
 }
 
 // CandidatePairs appends to buf every candidate pair (a, b) with

@@ -105,3 +105,75 @@ func TestGridNegativeCoordinates(t *testing.T) {
 		t.Errorf("adjacent cells across the origin missed: %v", got)
 	}
 }
+
+// TestGridNearProperty checks Near against a brute-force scan: every
+// site within CellSize of the query point is returned, and the
+// returned set is exactly the set of sites CandidatePairs pairs with a
+// site inserted at the query point. Layouts straddle the origin, so
+// negative coordinates are covered, and every trial also places sites
+// exactly one cell away along each axis and diagonal.
+func TestGridNearProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		cell := 0.5 + 12*rng.Float64()
+		g := NewGrid(cell)
+		q := V(rng.Float64()*60-30, rng.Float64()*60-30)
+		var pts []Vec2
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			pts = append(pts, V(rng.Float64()*80-40, rng.Float64()*80-40))
+		}
+		for _, d := range []Vec2{V(cell, 0), V(-cell, 0), V(0, cell), V(0, -cell), V(cell, cell), V(-cell, -cell)} {
+			pts = append(pts, q.Add(d))
+		}
+		for i, p := range pts {
+			g.Insert(i, p)
+		}
+		got := map[int]int{}
+		for _, h := range g.Near(nil, q) {
+			got[h]++
+		}
+		for i, p := range pts {
+			if got[i] > 1 {
+				t.Fatalf("trial %d: site %d returned %d times", trial, i, got[i])
+			}
+			if q.Dist(p) <= cell && got[i] == 0 {
+				t.Fatalf("trial %d: site %d at %.4f <= cell %.4f missed", trial, i, q.Dist(p), cell)
+			}
+		}
+		// The query point as one more site: its candidate partners are
+		// exactly Near's answer.
+		self := len(pts)
+		g.Insert(self, q)
+		partners := map[int]int{}
+		for _, pr := range g.CandidatePairs(nil) {
+			switch self {
+			case pr[0]:
+				partners[pr[1]]++
+			case pr[1]:
+				partners[pr[0]]++
+			}
+		}
+		if len(partners) != len(got) {
+			t.Fatalf("trial %d: Near returned %d sites, CandidatePairs pairs %d", trial, len(got), len(partners))
+		}
+		for h := range got {
+			if partners[h] != 1 {
+				t.Fatalf("trial %d: site %d from Near is not a candidate partner", trial, h)
+			}
+		}
+	}
+}
+
+func TestGridNearAppendsAndSkipsEmpty(t *testing.T) {
+	g := NewGrid(1)
+	if got := g.Near(nil, V(0, 0)); len(got) != 0 {
+		t.Errorf("empty grid returned %v", got)
+	}
+	g.Insert(7, V(-0.5, -0.5))
+	g.Insert(8, V(5, 5))
+	buf := []int{42}
+	buf = g.Near(buf, V(0.5, 0.5))
+	if len(buf) != 2 || buf[0] != 42 || buf[1] != 7 {
+		t.Errorf("Near(buf) = %v, want [42 7]", buf)
+	}
+}

@@ -99,22 +99,22 @@ type Collector struct {
 	pairSeen     bool
 	modeTime     map[string]map[string]time.Duration // id -> mode -> time
 	stoppedLane  map[string]time.Duration
-	inContact    map[[2]string]bool
-	inNear       map[[2]string]bool
-	duration     time.Duration
+	// Latches, keyed by the probe-index pair (i, j) with i < j.
+	inContact map[[2]int]bool
+	inNear    map[[2]int]bool
+	duration  time.Duration
 
 	// Per-tick scratch state, reused across samples: the footprint
 	// cache (each probe's Footprint() runs exactly once per tick), the
 	// cached risk relevance, the broad-phase grid and its pair buffer,
 	// and the set of pairs scored this tick (for latch maintenance of
 	// pairs the broad-phase skipped).
-	index    map[string]int // probe ID -> slice position
 	boxes    []geom.OrientedBox
 	halfDiag []float64
 	relevant []bool
 	grid     *geom.Grid
 	pairBuf  [][2]int
-	scored   map[[2]string]bool
+	scored   map[[2]int]bool
 }
 
 // NewCollector returns a collector over the given probes.
@@ -124,17 +124,15 @@ func NewCollector(probes ...Probe) *Collector {
 		NearMissDist: 1.0,
 		modeTime:     make(map[string]map[string]time.Duration),
 		stoppedLane:  make(map[string]time.Duration),
-		inContact:    make(map[[2]string]bool),
-		inNear:       make(map[[2]string]bool),
-		index:        make(map[string]int, len(probes)),
+		inContact:    make(map[[2]int]bool),
+		inNear:       make(map[[2]int]bool),
 		boxes:        make([]geom.OrientedBox, len(probes)),
 		halfDiag:     make([]float64, len(probes)),
 		relevant:     make([]bool, len(probes)),
-		scored:       make(map[[2]string]bool),
+		scored:       make(map[[2]int]bool),
 	}
-	for i, p := range probes {
+	for _, p := range probes {
 		c.modeTime[p.ID] = make(map[string]time.Duration)
-		c.index[p.ID] = i
 	}
 	return c
 }
@@ -271,7 +269,7 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 	clear(c.scored)
 	for _, pr := range c.pairBuf {
 		c.scorePair(env, pr[0], pr[1])
-		c.scored[[2]string{c.probes[pr[0]].ID, c.probes[pr[1]].ID}] = true
+		c.scored[pr] = true
 	}
 	// Latch maintenance for pairs the broad-phase skipped: they are
 	// guaranteed farther apart than NearMissDist, so the brute pass
@@ -281,13 +279,12 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 	c.releaseSkippedLatches(c.inNear)
 }
 
-func (c *Collector) releaseSkippedLatches(latch map[[2]string]bool) {
+func (c *Collector) releaseSkippedLatches(latch map[[2]int]bool) {
 	for key, on := range latch {
 		if !on || c.scored[key] {
 			continue
 		}
-		i, j := c.index[key[0]], c.index[key[1]]
-		if c.relevant[i] || c.relevant[j] {
+		if c.relevant[key[0]] || c.relevant[key[1]] {
 			delete(latch, key)
 		}
 	}
@@ -309,7 +306,7 @@ func (c *Collector) scorePair(env *sim.Env, i, j int) {
 		c.minSep = d
 		c.sepSeen = true
 	}
-	key := [2]string{a.ID, b.ID}
+	key := [2]int{i, j}
 	if d <= ContactEpsilon {
 		if !c.inContact[key] {
 			c.inContact[key] = true

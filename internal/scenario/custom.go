@@ -205,7 +205,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			return nil, err
 		}
 		rig.Constituents = append(rig.Constituents, c)
-		rig.cs = append(rig.cs, c)
+		rig.add(c)
 		role := vc.Role
 		if role == "" {
 			role = vc.Kind

@@ -199,7 +199,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		Obstacles: snap.obstaclesFor("crane"),
 	})
 	e.MustRegister(rig.Crane)
-	rig.cs = append(rig.cs, rig.Crane)
+	rig.add(rig.Crane)
 
 	craneWorks := func() bool { return rig.Crane.Operational() }
 	for i := 0; i < cfg.Forklifts; i++ {
@@ -216,7 +216,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		})
 		e.MustRegister(f)
 		rig.Forklifts = append(rig.Forklifts, f)
-		rig.cs = append(rig.cs, f)
+		rig.add(f)
 		h := agent.New(agent.Config{
 			C:            f,
 			Graph:        g,

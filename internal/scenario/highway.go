@@ -144,7 +144,7 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		})
 		e.MustRegister(c)
 		rig.Cars = append(rig.Cars, c)
-		rig.cs = append(rig.cs, c)
+		rig.add(c)
 	}
 	rig.Ego = rig.Cars[0]
 	snap.track(rig.cs)

@@ -83,7 +83,7 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 		})
 		e.MustRegister(c)
 		rig.Members = append(rig.Members, c)
-		rig.cs = append(rig.cs, c)
+		rig.add(c)
 	}
 	snap.track(rig.cs)
 	e.AddPreHook(snap.hook())

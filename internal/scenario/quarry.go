@@ -282,7 +282,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		})
 		e.MustRegister(d)
 		r.Diggers = append(r.Diggers, d)
-		r.cs = append(r.cs, d)
+		r.add(d)
 		r.Model.MustAddConstituent(id, "digger", "truck")
 		r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 	}
@@ -303,7 +303,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 			})
 			e.MustRegister(c)
 			r.Trucks = append(r.Trucks, c)
-			r.cs = append(r.cs, c)
+			r.add(c)
 			r.Model.MustAddConstituent(id, "truck", "digger")
 			r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 		}

@@ -18,6 +18,7 @@ import (
 	"coopmrm/internal/coop"
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
+	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
 	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
@@ -100,24 +101,92 @@ type fleet struct {
 	cs []*core.Constituent
 	// ids is scratch for instrument's parked-collector check.
 	ids []string
+
+	// The sensing index: the members' positions and a grid over them,
+	// answering the neighbour feeds. moves counts the members' position
+	// changes (every member's body bumps it, and add does); the index is
+	// rebuilt on the first query after it changed, so it always holds
+	// the positions a full scan would read. cell is the grid's cell
+	// size, zero until the first build after a member joined.
+	grid  *geom.Grid
+	pos   []geom.Vec2
+	moves uint64
+	built uint64
+	cell  float64
+	near  []int
+}
+
+// senseMargin is added to the fleet's largest sensor range to size the
+// index cells, so a target at exactly the effective range falls in an
+// adjacent cell whatever the float rounding of its cell key.
+const senseMargin = 1.0
+
+// add registers c as the fleet's next member and makes its body report
+// position changes to the fleet's index.
+func (f *fleet) add(c *core.Constituent) {
+	f.cs = append(f.cs, c)
+	c.Body().CountMoves(&f.moves)
+	f.moves++
+	f.cell = 0
 }
 
 // neighbours returns the obstacle feed of self: the live positions of
-// every other fleet member, in fleet order. The fleet is read at call
-// time, so a feed made before the fleet is complete sees all of it.
-// The closure reuses one scratch slice, so a steady-state tick
-// allocates nothing; callers must not retain the result across calls.
+// the other fleet members around self, in no particular order. It
+// serves the members in the index cells around self's position, a
+// superset of those within the largest sensor range in the fleet
+// (sensor.Suite.MaxRange, which no effective range exceeds), so the
+// obstacle monitor's range filter sees exactly the targets a scan of
+// the whole fleet gives it. The fleet is read at call time, so a feed
+// made before the fleet is complete sees all of it. The closure reuses
+// one scratch slice, so a steady-state tick allocates nothing; callers
+// must not retain the result across calls.
 func (f *fleet) neighbours(self *core.Constituent) func() []sensor.Target {
 	var buf []sensor.Target
 	return func() []sensor.Target {
 		buf = buf[:0]
-		for _, o := range f.cs {
-			if o != self {
-				buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
+		if len(f.cs) < 2 {
+			return buf // alone: nothing to sense, no index to build
+		}
+		f.index()
+		f.near = f.grid.Near(f.near[:0], self.Body().Position())
+		for _, i := range f.near {
+			if o := f.cs[i]; o != self {
+				buf = append(buf, sensor.Target{ID: o.ID(), Pos: f.pos[i]})
 			}
 		}
 		return buf
 	}
+}
+
+// index rebuilds the sensing index when a member moved or joined since
+// the last build. Rigs that step every constituent before any agent
+// rebuild once per tick; the harbour, which interleaves each forklift
+// with its haul agent, rebuilds whenever a forklift moved in between.
+// Neither a build per tick nor a travel allowance per tick would do:
+// the first serves the harbour's later agents stale positions, and a
+// body that takes a new path (vehicle.Body.SetPath) snaps onto it.
+func (f *fleet) index() {
+	if f.grid != nil && f.built == f.moves {
+		return
+	}
+	if f.cell == 0 {
+		for _, c := range f.cs {
+			f.cell = max(f.cell, c.Suite().MaxRange())
+		}
+		f.cell += senseMargin
+	}
+	if f.grid == nil {
+		f.grid = geom.NewGrid(f.cell)
+	} else {
+		f.grid.Reset(f.cell)
+	}
+	f.pos = f.pos[:0]
+	for i, c := range f.cs {
+		p := c.Body().Position()
+		f.pos = append(f.pos, p)
+		f.grid.Insert(i, p)
+	}
+	f.built = f.moves
 }
 
 // instrument attaches the metrics and fault layers to a complete

@@ -8,8 +8,6 @@ package sensor
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
 	"coopmrm/internal/geom"
 )
@@ -161,6 +159,19 @@ func (st *Suite) EffectiveRange() float64 {
 	return best
 }
 
+// MaxRange returns the best nominal range across all sensors: the
+// bound EffectiveRange never exceeds, whatever the sensors' health and
+// the weather.
+func (st *Suite) MaxRange() float64 {
+	best := 0.0
+	for _, name := range st.order {
+		if r := st.sensors[name].NominalRange; r > best {
+			best = r
+		}
+	}
+	return best
+}
+
 // FrontRange returns the best current range over front-facing sensors
 // only — the quantity that gates platoon-lead capability.
 func (st *Suite) FrontRange() float64 {
@@ -185,42 +196,4 @@ func (st *Suite) Blind() bool { return st.EffectiveRange() <= 0 }
 type Target struct {
 	ID  string
 	Pos geom.Vec2
-}
-
-// Detection is one perceived target with its measured distance.
-type Detection struct {
-	ID       string
-	Pos      geom.Vec2
-	Distance float64
-}
-
-// Detect returns the targets within the suite's effective range of
-// the observer position, nearest first (ties by ID).
-func (st *Suite) Detect(observer geom.Vec2, targets []Target) []Detection {
-	return st.DetectInto(nil, observer, targets)
-}
-
-// DetectInto is Detect appending into buf, so per-tick callers can
-// reuse scratch storage instead of allocating a detection slice every
-// tick. The sort is slices.SortFunc rather than sort.Slice to avoid
-// the reflect-based swapper allocation on the hot path.
-func (st *Suite) DetectInto(buf []Detection, observer geom.Vec2, targets []Target) []Detection {
-	r := st.EffectiveRange()
-	start := len(buf)
-	for _, t := range targets {
-		d := observer.Dist(t.Pos)
-		if d <= r {
-			buf = append(buf, Detection{ID: t.ID, Pos: t.Pos, Distance: d})
-		}
-	}
-	slices.SortFunc(buf[start:], func(a, b Detection) int {
-		if a.Distance != b.Distance {
-			if a.Distance < b.Distance {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
-	return buf
 }

@@ -3,8 +3,6 @@ package sensor
 import (
 	"math"
 	"testing"
-
-	"coopmrm/internal/geom"
 )
 
 func TestSuiteEffectiveRange(t *testing.T) {
@@ -94,38 +92,23 @@ func TestBlind(t *testing.T) {
 	}
 }
 
-func TestDetect(t *testing.T) {
+func TestMaxRange(t *testing.T) {
 	st := StandardSuite(100)
-	targets := []Target{
-		{ID: "far", Pos: geom.V(150, 0)},
-		{ID: "near", Pos: geom.V(10, 0)},
-		{ID: "mid", Pos: geom.V(50, 0)},
+	if r := st.MaxRange(); r != 100 {
+		t.Fatalf("MaxRange = %v, want 100", r)
 	}
-	got := st.Detect(geom.V(0, 0), targets)
-	if len(got) != 2 || got[0].ID != "near" || got[1].ID != "mid" {
-		t.Errorf("Detect = %+v", got)
-	}
-	if got[0].Distance != 10 {
-		t.Errorf("distance = %v", got[0].Distance)
-	}
-	// Degraded: only near remains.
+	// Faults and weather shrink the effective range, never the bound.
 	_ = st.Fail("long_range_radar")
-	_ = st.Fail("camera")
-	got = st.Detect(geom.V(0, 0), targets)
-	if len(got) != 1 || got[0].ID != "near" {
-		t.Errorf("degraded Detect = %+v", got)
+	_ = st.Degrade("camera", 0.5)
+	st.SetWeatherFactor(0.3)
+	if r := st.MaxRange(); r != 100 {
+		t.Errorf("MaxRange after faults = %v, want 100", r)
 	}
-}
-
-func TestDetectTieBreak(t *testing.T) {
-	st := StandardSuite(100)
-	targets := []Target{
-		{ID: "b", Pos: geom.V(10, 0)},
-		{ID: "a", Pos: geom.V(-10, 0)},
+	if st.EffectiveRange() > st.MaxRange() {
+		t.Errorf("EffectiveRange %v above MaxRange %v", st.EffectiveRange(), st.MaxRange())
 	}
-	got := st.Detect(geom.V(0, 0), targets)
-	if len(got) != 2 || got[0].ID != "a" {
-		t.Errorf("tie break = %+v", got)
+	if r := NewSuite(Sensor{Name: "a", NominalRange: 30}, Sensor{Name: "b", NominalRange: 70}).MaxRange(); r != 70 {
+		t.Errorf("custom suite MaxRange = %v, want 70", r)
 	}
 }
 

@@ -179,9 +179,10 @@ type Planner struct {
 	rng  *sim.RNG
 	grid *geom.Grid
 
-	// scratch buffers reused across planning events
-	pairBuf [][2]int
+	// scratch buffers reused across planning events: the predicted
+	// obstacle sample positions and one Near answer
 	sitePos []geom.Vec2
+	near    []int
 }
 
 // New returns a planner with the given stream seed and knobs.
@@ -204,9 +205,8 @@ func (p *Planner) Reinit(seed int64, cfg Config) {
 	p.cfg = cfg.withDefaults()
 	p.rng.Reseed(seed)
 	p.grid.Reset(p.cfg.SafeDist)
-	clear(p.pairBuf)
-	p.pairBuf = p.pairBuf[:0]
 	p.sitePos = p.sitePos[:0]
+	p.near = p.near[:0]
 }
 
 // Config returns the planner's effective configuration.
@@ -449,18 +449,16 @@ func offsetPath(route *geom.Path, offset float64, zone world.Zone) *geom.Path {
 }
 
 // score fills the risk fields of every candidate in one pass. The
-// proximity term broad-phases all candidate and predicted-obstacle
-// samples through one geom.Grid (cell = SafeDist): a pair of sites
-// within SafeDist is guaranteed to be enumerated, and only pairs of
-// (candidate sample, obstacle sample) within one time bin of each
-// other contribute — the two trains co-exist in time, alternative
-// candidates do not.
+// proximity term indexes the predicted obstacle samples in one
+// geom.Grid (cell = SafeDist), and each candidate sample takes the
+// obstacle samples of its Near block: every one within SafeDist is
+// among them, and they are exactly the obstacle samples a grid holding
+// the candidate samples too would pair with it. Only obstacle samples
+// within one time bin of the candidate sample contribute — the two
+// trains co-exist in time, alternative candidates do not.
 func (p *Planner) score(cands []Candidate, req Request) {
 	nBins := int(p.cfg.Horizon/p.cfg.SampleDT) + 1
-	nObs := len(req.Obstacles)
-	obsEnd := nObs * nBins
-	if nObs > 0 {
-		// Broad-phase sites: obstacles first, then candidate samples.
+	if len(req.Obstacles) > 0 {
 		p.grid.Reset(p.cfg.SafeDist)
 		p.sitePos = p.sitePos[:0]
 		for oi, ob := range req.Obstacles {
@@ -471,29 +469,19 @@ func (p *Planner) score(cands []Candidate, req Request) {
 			}
 		}
 		for ci := range cands {
-			for t, pos := range cands[ci].Samples {
-				p.grid.Insert(obsEnd+ci*nBins+t, pos)
-			}
-		}
-		p.pairBuf = p.grid.CandidatePairs(p.pairBuf[:0])
-		for _, pr := range p.pairBuf {
-			a, b := pr[0], pr[1]
-			if (a < obsEnd) == (b < obsEnd) {
-				continue // obstacle-obstacle or candidate-candidate
-			}
-			// a < b and obstacles precede candidates, so a is the
-			// obstacle site and b the candidate site.
-			binA := a % nBins
-			ci := (b - obsEnd) / nBins
-			binB := (b - obsEnd) % nBins
-			if binA-binB > 1 || binB-binA > 1 {
-				continue
-			}
-			gap := p.sitePos[a].Dist(cands[ci].Samples[binB]) -
-				req.Obstacles[a/nBins].Radius - cands[ci].Radius
-			closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
-			if closeness > cands[ci].Proximity {
-				cands[ci].Proximity = closeness
+			c := &cands[ci]
+			for t, pos := range c.Samples {
+				p.near = p.grid.Near(p.near[:0], pos)
+				for _, a := range p.near {
+					if bin := a % nBins; bin-t > 1 || t-bin > 1 {
+						continue
+					}
+					gap := p.sitePos[a].Dist(pos) - req.Obstacles[a/nBins].Radius - c.Radius
+					closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
+					if closeness > c.Proximity {
+						c.Proximity = closeness
+					}
+				}
 			}
 		}
 	}

@@ -29,6 +29,9 @@ type Body struct {
 	brakeFactor float64 // multiplies available decel; 1 = nominal
 	propulsion  bool
 	steering    bool
+
+	// moves, when set, counts position changes (see CountMoves).
+	moves *uint64
 }
 
 // NewBody returns a body at the given pose with nominal actuators and
@@ -43,7 +46,7 @@ func NewBody(spec Spec, pose geom.Pose) *Body {
 // the warm-rig path reuses body allocations across runs. Fresh
 // construction routes through the same assignment (NewBody is Reinit
 // on a zero struct), so a reinitialised body is identical to a fresh
-// one by construction.
+// one by construction: that includes having no move counter.
 func (b *Body) Reinit(spec Spec, pose geom.Pose) {
 	*b = Body{
 		spec:        spec,
@@ -196,11 +199,24 @@ func (b *Body) UnlockSteering() { b.steering = true }
 // SteeringOK reports whether lateral control works.
 func (b *Body) SteeringOK() bool { return b.steering }
 
+// CountMoves makes the body increment *n whenever its position may
+// have changed — every Teleport, and every Step that moves it — so an
+// index over many bodies can tell cheaply that it has gone stale.
+// Several bodies may share one counter; nil detaches it.
+func (b *Body) CountMoves(n *uint64) { b.moves = n }
+
+func (b *Body) moved() {
+	if b.moves != nil {
+		*b.moves++
+	}
+}
+
 // Teleport moves the body instantaneously (scenario setup only).
 func (b *Body) Teleport(pose geom.Pose) {
 	b.pose = pose
 	b.speed = 0
 	b.ClearPath()
+	b.moved()
 }
 
 // Step advances the body by dt seconds: adjust speed toward the
@@ -239,6 +255,9 @@ func (b *Body) Step(dt float64) {
 		}
 		b.pathPos += advance
 		pos, heading := b.path.PoseAt(b.pathPos)
+		if pos != b.pose.Pos {
+			b.moved()
+		}
 		b.pose = geom.Pose{Pos: pos, Heading: heading}
 		if b.path.Len() == 0 {
 			// Single-point path: we are there.

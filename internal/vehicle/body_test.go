@@ -294,3 +294,40 @@ func TestParseKind(t *testing.T) {
 		t.Error("unknown kind should error")
 	}
 }
+
+// TestCountMoves: the counter moves with the position — on Teleport and
+// on a Step that advances the body — and not while the body stands
+// still; Reinit detaches it.
+func TestCountMoves(t *testing.T) {
+	b := testBody()
+	var n uint64
+	b.CountMoves(&n)
+	stepFor(b, 1)
+	if n != 0 {
+		t.Fatalf("idle body counted %d moves", n)
+	}
+	b.Teleport(geom.Pose{Pos: geom.V(5, 0)})
+	if n != 1 {
+		t.Fatalf("teleport counted %d moves, want 1", n)
+	}
+	if err := b.SetPath(geom.MustPath(geom.V(5, 0), geom.V(100, 0)), 10); err != nil {
+		t.Fatal(err)
+	}
+	before, pos := n, b.Position()
+	stepFor(b, 3)
+	if b.Position() == pos || n == before {
+		t.Fatalf("moving body counted %d moves (position %v)", n-before, b.Position())
+	}
+	b.EmergencyStop()
+	stepFor(b, 10)
+	stopped := n
+	stepFor(b, 1)
+	if n != stopped {
+		t.Errorf("stopped body counted %d moves", n-stopped)
+	}
+	b.Reinit(DefaultSpec(KindTruck), geom.Pose{Pos: geom.V(1, 1)})
+	b.Teleport(geom.Pose{Pos: geom.V(2, 2)})
+	if n != stopped {
+		t.Errorf("reinitialised body still counts moves")
+	}
+}
