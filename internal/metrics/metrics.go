@@ -97,8 +97,10 @@ type Collector struct {
 	minSep       float64
 	sepSeen      bool
 	pairSeen     bool
-	modeTime     map[string]map[string]time.Duration // id -> mode -> time
-	stoppedLane  map[string]time.Duration
+	// Per probe, by probe index: time per mode, in first-seen order,
+	// and time stopped in active space.
+	modeTime    [][]modeSpan
+	stoppedLane []time.Duration
 	// Latches, keyed by the probe-index pair (i, j) with i < j.
 	inContact map[[2]int]bool
 	inNear    map[[2]int]bool
@@ -106,15 +108,20 @@ type Collector struct {
 
 	// Per-tick scratch state, reused across samples: the footprint
 	// cache (each probe's Footprint() runs exactly once per tick), the
-	// cached risk relevance, the broad-phase grid and its pair buffer,
-	// and the set of pairs scored this tick (for latch maintenance of
-	// pairs the broad-phase skipped).
+	// cached risk relevance, and the broad-phase grid and its pair
+	// buffer, which also tells latch maintenance which pairs the
+	// broad phase scored this tick.
 	boxes    []geom.OrientedBox
 	halfDiag []float64
 	relevant []bool
 	grid     *geom.Grid
 	pairBuf  [][2]int
-	scored   map[[2]int]bool
+}
+
+// modeSpan is the time one probe spent in one mode.
+type modeSpan struct {
+	mode string
+	d    time.Duration
 }
 
 // NewCollector returns a collector over the given probes.
@@ -122,17 +129,13 @@ func NewCollector(probes ...Probe) *Collector {
 	c := &Collector{
 		probes:       probes,
 		NearMissDist: 1.0,
-		modeTime:     make(map[string]map[string]time.Duration),
-		stoppedLane:  make(map[string]time.Duration),
+		modeTime:     make([][]modeSpan, len(probes)),
+		stoppedLane:  make([]time.Duration, len(probes)),
 		inContact:    make(map[[2]int]bool),
 		inNear:       make(map[[2]int]bool),
 		boxes:        make([]geom.OrientedBox, len(probes)),
 		halfDiag:     make([]float64, len(probes)),
 		relevant:     make([]bool, len(probes)),
-		scored:       make(map[[2]int]bool),
-	}
-	for _, p := range probes {
-		c.modeTime[p.ID] = make(map[string]time.Duration)
 	}
 	return c
 }
@@ -157,13 +160,12 @@ func (c *Collector) Reinit() {
 	c.minSep = 0
 	c.sepSeen = false
 	c.pairSeen = false
-	for _, m := range c.modeTime {
-		clear(m)
+	for i := range c.modeTime {
+		c.modeTime[i] = c.modeTime[i][:0]
 	}
 	clear(c.stoppedLane)
 	clear(c.inContact)
 	clear(c.inNear)
-	clear(c.scored)
 	c.duration = 0
 }
 
@@ -196,9 +198,9 @@ func (c *Collector) Sample(env *sim.Env) {
 	anyRelevant := false
 	for i, p := range c.probes {
 		mode := p.Mode()
-		c.modeTime[p.ID][mode] += dt
+		c.addModeTime(i, mode, dt)
 		if (mode == "mrc" || mode == "mrm") && p.InActiveLane != nil && p.InActiveLane() {
-			c.stoppedLane[p.ID] += dt
+			c.stoppedLane[i] += dt
 		}
 		if mode == "mrc" && p.StopRisk != nil {
 			c.riskExposure += p.StopRisk() * dt.Seconds()
@@ -263,13 +265,11 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 		c.grid.Reset(cell)
 	}
 	for i := range c.boxes {
-		c.grid.Insert(i, c.boxes[i].Center)
+		c.grid.Insert(c.boxes[i].Center)
 	}
 	c.pairBuf = c.grid.CandidatePairs(c.pairBuf[:0])
-	clear(c.scored)
 	for _, pr := range c.pairBuf {
 		c.scorePair(env, pr[0], pr[1])
-		c.scored[pr] = true
 	}
 	// Latch maintenance for pairs the broad-phase skipped: they are
 	// guaranteed farther apart than NearMissDist, so the brute pass
@@ -281,13 +281,40 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 
 func (c *Collector) releaseSkippedLatches(latch map[[2]int]bool) {
 	for key, on := range latch {
-		if !on || c.scored[key] {
+		if !on || c.scoredThisTick(key) {
 			continue
 		}
 		if c.relevant[key[0]] || c.relevant[key[1]] {
 			delete(latch, key)
 		}
 	}
+}
+
+// scoredThisTick reports whether the broad phase paired key this tick.
+// CandidatePairs emits pairBuf sorted, so a binary search finds it.
+func (c *Collector) scoredThisTick(key [2]int) bool {
+	lo, hi := 0, len(c.pairBuf)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p := c.pairBuf[m]; p[0] < key[0] || p[0] == key[0] && p[1] < key[1] {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(c.pairBuf) && c.pairBuf[lo] == key
+}
+
+// addModeTime credits dt to probe i's time in mode. A probe visits a
+// handful of modes, so a scan finds the entry without hashing.
+func (c *Collector) addModeTime(i int, mode string, dt time.Duration) {
+	for k := range c.modeTime[i] {
+		if c.modeTime[i][k].mode == mode {
+			c.modeTime[i][k].d += dt
+			return
+		}
+	}
+	c.modeTime[i] = append(c.modeTime[i], modeSpan{mode, dt})
 }
 
 // scorePair runs the narrow phase for one pair against the per-tick
@@ -390,16 +417,16 @@ func (c *Collector) Report() Report {
 		r.Productivity = c.taskUnits / c.duration.Minutes()
 	}
 	var opSum, riskSum float64
-	for _, p := range c.probes {
+	for i, p := range c.probes {
 		share := make(map[string]float64)
-		for mode, d := range c.modeTime[p.ID] {
+		for _, ms := range c.modeTime[i] {
 			if c.duration > 0 {
-				share[mode] = d.Seconds() / c.duration.Seconds()
+				share[ms.mode] = ms.d.Seconds() / c.duration.Seconds()
 			}
 		}
 		r.ModeShare[p.ID] = share
 		opSum += share["nominal"] + share["degraded"]
-		r.StoppedInLane += c.stoppedLane[p.ID]
+		r.StoppedInLane += c.stoppedLane[i]
 		if p.Interventions != nil {
 			r.Interventions += p.Interventions()
 		}

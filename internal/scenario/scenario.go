@@ -102,8 +102,8 @@ type fleet struct {
 	// ids is scratch for instrument's parked-collector check.
 	ids []string
 
-	// The sensing index: the members' positions and a grid over them,
-	// answering the neighbour feeds. moves counts the members' position
+	// The sensing index: the members' positions and a grid over them
+	// (site i is member i), answering the neighbour feeds. moves counts the members' position
 	// changes (every member's body bumps it, and add does); the index is
 	// rebuilt on the first query after it changed, so it always holds
 	// the positions a full scan would read. cell is the grid's cell
@@ -181,10 +181,10 @@ func (f *fleet) index() {
 		f.grid.Reset(f.cell)
 	}
 	f.pos = f.pos[:0]
-	for i, c := range f.cs {
+	for _, c := range f.cs {
 		p := c.Body().Position()
 		f.pos = append(f.pos, p)
-		f.grid.Insert(i, p)
+		f.grid.Insert(p)
 	}
 	f.built = f.moves
 }

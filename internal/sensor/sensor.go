@@ -27,8 +27,9 @@ func (s *Sensor) Health() float64 { return s.health }
 
 // Suite is a set of sensors belonging to one constituent.
 type Suite struct {
-	sensors map[string]*Sensor
-	order   []string
+	// sensors in definition order. Suites hold a handful, so a lookup
+	// by name scans them.
+	sensors []Sensor
 	// weatherFactor is the current environmental attenuation in (0,1].
 	weatherFactor float64
 }
@@ -56,17 +57,15 @@ func Validate(sensors ...Sensor) error {
 // mistake instead of hiding it.
 func NewSuite(sensors ...Sensor) *Suite {
 	st := &Suite{
-		sensors:       make(map[string]*Sensor, len(sensors)),
+		sensors:       make([]Sensor, 0, len(sensors)),
 		weatherFactor: 1,
 	}
 	for _, s := range sensors {
-		s := s
-		s.health = 1
-		if _, dup := st.sensors[s.Name]; dup {
+		if st.find(s.Name) != nil {
 			continue
 		}
-		st.sensors[s.Name] = &s
-		st.order = append(st.order, s.Name)
+		s.health = 1
+		st.sensors = append(st.sensors, s)
 	}
 	return st
 }
@@ -104,20 +103,33 @@ func StandardSuite(nominalRange float64) *Suite {
 // ReinitStandard resets the suite in place to exactly
 // StandardSuite(nominalRange), overwriting its three sensor entries.
 // The suite must have been built by StandardSuite: no method adds or
-// renames sensors, so its entries are exactly the standard ones.
+// renames sensors, so its entries are exactly the standard ones, in
+// the same order.
 func (st *Suite) ReinitStandard(nominalRange float64) {
 	st.weatherFactor = 1
-	for _, s := range standardSensors(nominalRange) {
+	for i, s := range standardSensors(nominalRange) {
 		s.health = 1
-		*st.sensors[s.Name] = s
+		st.sensors[i] = s
 	}
 }
 
 // Names returns the sensor names in definition order.
 func (st *Suite) Names() []string {
-	out := make([]string, len(st.order))
-	copy(out, st.order)
+	out := make([]string, len(st.sensors))
+	for i := range st.sensors {
+		out[i] = st.sensors[i].Name
+	}
 	return out
+}
+
+// find returns the sensor with the given name, or nil.
+func (st *Suite) find(name string) *Sensor {
+	for i := range st.sensors {
+		if st.sensors[i].Name == name {
+			return &st.sensors[i]
+		}
+	}
+	return nil
 }
 
 // SetWeatherFactor sets the environmental attenuation in (0, 1].
@@ -137,8 +149,8 @@ func (st *Suite) Degrade(name string, health float64) error {
 func (st *Suite) Restore(name string) error { return st.setHealth(name, 1) }
 
 func (st *Suite) setHealth(name string, h float64) error {
-	s, ok := st.sensors[name]
-	if !ok {
+	s := st.find(name)
+	if s == nil {
 		return fmt.Errorf("sensor: unknown sensor %q", name)
 	}
 	s.health = h
@@ -149,8 +161,8 @@ func (st *Suite) setHealth(name string, h float64) error {
 // sensors, after health and weather attenuation.
 func (st *Suite) EffectiveRange() float64 {
 	best := 0.0
-	for _, name := range st.order {
-		s := st.sensors[name]
+	for i := range st.sensors {
+		s := &st.sensors[i]
 		r := s.NominalRange * s.health * st.weatherFactor
 		if r > best {
 			best = r
@@ -164,8 +176,8 @@ func (st *Suite) EffectiveRange() float64 {
 // the weather.
 func (st *Suite) MaxRange() float64 {
 	best := 0.0
-	for _, name := range st.order {
-		if r := st.sensors[name].NominalRange; r > best {
+	for i := range st.sensors {
+		if r := st.sensors[i].NominalRange; r > best {
 			best = r
 		}
 	}
@@ -176,8 +188,8 @@ func (st *Suite) MaxRange() float64 {
 // only — the quantity that gates platoon-lead capability.
 func (st *Suite) FrontRange() float64 {
 	best := 0.0
-	for _, name := range st.order {
-		s := st.sensors[name]
+	for i := range st.sensors {
+		s := &st.sensors[i]
 		if !s.FrontFacing {
 			continue
 		}

@@ -22,16 +22,20 @@ func parentScore(p *Planner, cands []Candidate, req Request) {
 	if nObs > 0 {
 		grid := geom.NewGrid(p.cfg.SafeDist)
 		var sitePos []geom.Vec2
-		for oi, ob := range req.Obstacles {
+		for _, ob := range req.Obstacles {
 			for t := 0; t < nBins; t++ {
 				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * p.cfg.SampleDT))
-				grid.Insert(oi*nBins+t, pos)
+				grid.Insert(pos)
 				sitePos = append(sitePos, pos)
 			}
 		}
+		// candSite[h-obsEnd] is the (candidate, bin) of site h: a
+		// candidate's samples stop early once it comes to rest.
+		var candSite [][2]int
 		for ci := range cands {
 			for t, pos := range cands[ci].Samples {
-				grid.Insert(obsEnd+ci*nBins+t, pos)
+				grid.Insert(pos)
+				candSite = append(candSite, [2]int{ci, t})
 			}
 		}
 		for _, pr := range grid.CandidatePairs(nil) {
@@ -40,8 +44,7 @@ func parentScore(p *Planner, cands []Candidate, req Request) {
 				continue
 			}
 			binA := a % nBins
-			ci := (b - obsEnd) / nBins
-			binB := (b - obsEnd) % nBins
+			ci, binB := candSite[b-obsEnd][0], candSite[b-obsEnd][1]
 			if binA-binB > 1 || binB-binA > 1 {
 				continue
 			}

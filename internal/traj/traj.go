@@ -461,10 +461,11 @@ func (p *Planner) score(cands []Candidate, req Request) {
 	if len(req.Obstacles) > 0 {
 		p.grid.Reset(p.cfg.SafeDist)
 		p.sitePos = p.sitePos[:0]
-		for oi, ob := range req.Obstacles {
+		// Obstacle oi's sample t is site oi*nBins+t.
+		for _, ob := range req.Obstacles {
 			for t := 0; t < nBins; t++ {
 				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * p.cfg.SampleDT))
-				p.grid.Insert(oi*nBins+t, pos)
+				p.grid.Insert(pos)
 				p.sitePos = append(p.sitePos, pos)
 			}
 		}

@@ -95,6 +95,12 @@ func TestStopRiskAt(t *testing.T) {
 	if r := w.StopRiskAt(geom.V(500, 500)); r != 0.85 {
 		t.Errorf("outside risk = %v", r)
 	}
+	// Probes, constituents and the planner call it every tick and for
+	// every candidate, so it must not allocate, even where zones
+	// overlap.
+	if allocs := testing.AllocsPerRun(100, func() { w.StopRiskAt(geom.V(55, 2)) }); allocs != 0 {
+		t.Errorf("StopRiskAt allocates %.1f times per call, want 0", allocs)
+	}
 	w.Weather = Weather{Condition: Snow, TemperatureC: -5}
 	if r := w.StopRiskAt(geom.V(55, 2)); r <= ZoneParking.StopRisk() {
 		t.Error("weather should raise risk")

@@ -7,6 +7,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"coopmrm/internal/geom"
@@ -112,8 +113,10 @@ func (z Zone) Contains(p geom.Vec2) bool { return z.Area.Contains(p) }
 
 // World is the static environment plus the weather process state.
 type World struct {
-	zones    map[string]Zone
-	order    []string // zone IDs in insertion order for determinism
+	// zones in insertion order, which every scan follows, and their
+	// indices by ID for lookups.
+	zones    []Zone
+	zoneIdx  map[string]int
 	graph    *RouteGraph
 	occupied map[string]int // stopped constituents per zone
 	Weather  Weather
@@ -122,7 +125,7 @@ type World struct {
 // New returns an empty world with clear weather and an empty graph.
 func New() *World {
 	return &World{
-		zones:    make(map[string]Zone),
+		zoneIdx:  make(map[string]int),
 		graph:    NewRouteGraph(),
 		occupied: make(map[string]int),
 		Weather:  Weather{Condition: Clear, TemperatureC: 15},
@@ -136,14 +139,14 @@ func (w *World) AddZone(z Zone) error {
 	if z.ID == "" {
 		return fmt.Errorf("world: zone with empty ID")
 	}
-	if _, dup := w.zones[z.ID]; dup {
+	if _, dup := w.zoneIdx[z.ID]; dup {
 		return fmt.Errorf("world: duplicate zone ID %q", z.ID)
 	}
 	if z.Risk == 0 {
 		z.Risk = -1 // sentinel: kind default
 	}
-	w.zones[z.ID] = z
-	w.order = append(w.order, z.ID)
+	w.zoneIdx[z.ID] = len(w.zones)
+	w.zones = append(w.zones, z)
 	return nil
 }
 
@@ -157,25 +160,22 @@ func (w *World) MustAddZone(z Zone) {
 
 // Zone returns the zone with the given ID.
 func (w *World) Zone(id string) (Zone, bool) {
-	z, ok := w.zones[id]
-	return z, ok
+	i, ok := w.zoneIdx[id]
+	if !ok {
+		return Zone{}, false
+	}
+	return w.zones[i], true
 }
 
 // Zones returns all zones in insertion order.
-func (w *World) Zones() []Zone {
-	out := make([]Zone, 0, len(w.order))
-	for _, id := range w.order {
-		out = append(out, w.zones[id])
-	}
-	return out
-}
+func (w *World) Zones() []Zone { return slices.Clone(w.zones) }
 
 // ZonesOfKind returns all zones of the given kind, in insertion order.
 func (w *World) ZonesOfKind(kind ZoneKind) []Zone {
 	var out []Zone
-	for _, id := range w.order {
-		if z := w.zones[id]; z.Kind == kind {
-			out = append(out, z)
+	for i := range w.zones {
+		if w.zones[i].Kind == kind {
+			out = append(out, w.zones[i])
 		}
 	}
 	return out
@@ -184,9 +184,9 @@ func (w *World) ZonesOfKind(kind ZoneKind) []Zone {
 // ZoneAt returns the zones containing p, in insertion order.
 func (w *World) ZoneAt(p geom.Vec2) []Zone {
 	var out []Zone
-	for _, id := range w.order {
-		if z := w.zones[id]; z.Contains(p) {
-			out = append(out, z)
+	for i := range w.zones {
+		if w.zones[i].Contains(p) {
+			out = append(out, w.zones[i])
 		}
 	}
 	return out
@@ -198,8 +198,8 @@ func (w *World) ZoneAt(p geom.Vec2) []Zone {
 // and building the zone slice for that was a measurable share of the
 // tick loop's garbage.
 func (w *World) HasZoneKindAt(kind ZoneKind, p geom.Vec2) bool {
-	for _, id := range w.order {
-		if z := w.zones[id]; z.Kind == kind && z.Contains(p) {
+	for i := range w.zones {
+		if z := &w.zones[i]; z.Kind == kind && z.Contains(p) {
 			return true
 		}
 	}
@@ -251,7 +251,7 @@ func (w *World) NearestAvailableZoneOfKind(p geom.Vec2, kind ZoneKind) (Zone, bo
 // HasCapacity reports whether the zone can accept another stopped
 // constituent (zones with Capacity 0 are unlimited).
 func (w *World) HasCapacity(zoneID string) bool {
-	z, ok := w.zones[zoneID]
+	z, ok := w.Zone(zoneID)
 	if !ok {
 		return false
 	}
@@ -261,7 +261,7 @@ func (w *World) HasCapacity(zoneID string) bool {
 // RegisterStop records a constituent stopping in the zone (MRC
 // reached there).
 func (w *World) RegisterStop(zoneID string) {
-	if _, ok := w.zones[zoneID]; ok {
+	if _, ok := w.zoneIdx[zoneID]; ok {
 		w.occupied[zoneID]++
 	}
 }
@@ -282,12 +282,15 @@ func (w *World) Graph() *RouteGraph { return w.graph }
 
 // StopRiskAt returns the residual stop risk at point p: the minimum
 // risk over zones containing p, or a high default (0.85) outside all
-// zones. Weather adds its risk modifier.
+// zones. Weather adds its risk modifier. It allocates nothing: probes
+// and planners call it every tick and for every candidate.
 func (w *World) StopRiskAt(p geom.Vec2) float64 {
 	risk := 0.85
-	for _, z := range w.ZoneAt(p) {
-		if r := z.StopRisk(); r < risk {
-			risk = r
+	for i := range w.zones {
+		if z := &w.zones[i]; z.Contains(p) {
+			if r := z.StopRisk(); r < risk {
+				risk = r
+			}
 		}
 	}
 	risk += w.Weather.RiskModifier()
