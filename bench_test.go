@@ -105,13 +105,13 @@ func BenchmarkE18MegaFleet(b *testing.B) { benchExperiment(b, "E18") }
 // (class × fault, seed-swept, planner-backed MRMs).
 func BenchmarkE19TransitionRisk(b *testing.B) { benchExperiment(b, "E19") }
 
-// BenchmarkMegaFleetTickSeq measures one full engine tick on a
-// 200-pair quarry (400 constituents plus agents) mid-incident.
-func BenchmarkMegaFleetTickSeq(b *testing.B) {
+// incidentRig builds the tick benchmarks' quarry mid-incident: a blind
+// truck stranded mid-tunnel at (150, 0), with the fleet queueing
+// behind it for warm of simulated time.
+func incidentRig(b *testing.B, pairs int, policy scenario.PolicyKind, warm time.Duration) *scenario.QuarryRig {
+	b.Helper()
 	rig, err := scenario.NewQuarry(scenario.QuarryConfig{
-		Pairs: 200, TrucksPerPair: 1,
-		Policy: scenario.PolicyBaseline,
-		Seed:   1,
+		Pairs: pairs, TrucksPerPair: 1, Policy: policy, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -120,12 +120,35 @@ func BenchmarkMegaFleetTickSeq(b *testing.B) {
 	victim.Body().Teleport(geom.Pose{Pos: geom.V(150, 0)})
 	victim.ApplyFault(fault.Fault{ID: "blind", Target: victim.ID(),
 		Kind: fault.KindSensor, Severity: 1, Permanent: true})
-	rig.Run(30 * time.Second)
+	rig.Run(warm)
+	return rig
+}
+
+// tickWindow is the number of ticks one op of a tick benchmark times.
+const tickWindow = 100
+
+// benchTickWindow times the same window of ticks in every op: each op
+// builds and warms a fresh incident rig with the timer stopped, then
+// runs tickWindow ticks. The per-op time therefore does not depend on
+// b.N; ns/tick is the cost of one tick in the window.
+func benchTickWindow(b *testing.B, pairs int, policy scenario.PolicyKind, warm time.Duration) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rig.Engine.RunTick()
+		b.StopTimer()
+		rig := incidentRig(b, pairs, policy, warm)
+		b.StartTimer()
+		for t := 0; t < tickWindow; t++ {
+			rig.Engine.RunTick()
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N*tickWindow), "ns/tick")
+}
+
+// BenchmarkMegaFleetTickSeq measures full engine ticks on a 200-pair
+// quarry (400 constituents plus agents), simulated seconds 30 to 40 of
+// the incident.
+func BenchmarkMegaFleetTickSeq(b *testing.B) {
+	benchTickWindow(b, 200, scenario.PolicyBaseline, 30*time.Second)
 }
 
 // benchProximity measures one metrics.Collector.Sample pass over a
@@ -140,20 +163,7 @@ func BenchmarkMegaFleetTickSeq(b *testing.B) {
 // README.md.
 func benchProximity(b *testing.B, brute bool) {
 	b.Helper()
-	rig, err := scenario.NewQuarry(scenario.QuarryConfig{
-		Pairs: 10, TrucksPerPair: 1,
-		Policy: scenario.PolicyBaseline,
-		Seed:   1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	victim := rig.Trucks[0]
-	victim.Body().Teleport(geom.Pose{Pos: geom.V(150, 0)})
-	victim.ApplyFault(fault.Fault{ID: "blind", Target: victim.ID(),
-		Kind: fault.KindSensor, Severity: 1, Permanent: true})
-	// Let the queue form behind the blockage.
-	rig.Run(90 * time.Second)
+	rig := incidentRig(b, 10, scenario.PolicyBaseline, 90*time.Second)
 	rig.Collector.UseBruteForce = brute
 	env := rig.Engine.Env()
 	b.ReportAllocs()
@@ -171,32 +181,15 @@ func BenchmarkProximityBrute10PairQuarry(b *testing.B) { benchProximity(b, true)
 // candidate pairs.
 func BenchmarkProximityIndexed10PairQuarry(b *testing.B) { benchProximity(b, false) }
 
-// BenchmarkE16QuarryTick measures one full engine tick — comm
-// delivery, entity steps, fault injection, metrics sampling — on the
-// 10-pair E16 quarry rig mid-incident with the status-sharing policy
-// beaconing V2X traffic. This is the whole-tick companion to the
-// per-subsystem benchmarks (BenchmarkProximity*, BenchmarkNetworkTick*,
-// BenchmarkEventLogQuery*): run with -benchmem, its allocs/op is the
-// allocation audit of the tick loop.
+// BenchmarkE16QuarryTick measures full engine ticks — comm delivery,
+// entity steps, fault injection, metrics sampling — on the 10-pair
+// E16 quarry rig with the status-sharing policy beaconing V2X traffic,
+// simulated seconds 90 to 100 of the incident. This is the whole-tick
+// companion to the per-subsystem benchmarks (BenchmarkProximity*,
+// BenchmarkNetworkTick*, BenchmarkEventLogQuery*): run with -benchmem,
+// its allocs/op is the allocation audit of the tick window.
 func BenchmarkE16QuarryTick(b *testing.B) {
-	rig, err := scenario.NewQuarry(scenario.QuarryConfig{
-		Pairs: 10, TrucksPerPair: 1,
-		Policy: scenario.PolicyStatusSharing,
-		Seed:   1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	victim := rig.Trucks[0]
-	victim.Body().Teleport(geom.Pose{Pos: geom.V(150, 0)})
-	victim.ApplyFault(fault.Fault{ID: "blind", Target: victim.ID(),
-		Kind: fault.KindSensor, Severity: 1, Permanent: true})
-	rig.Run(90 * time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rig.Engine.RunTick()
-	}
+	benchTickWindow(b, 10, scenario.PolicyStatusSharing, 90*time.Second)
 }
 
 func benchRunSet(b *testing.B, workers int) {

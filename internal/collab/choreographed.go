@@ -54,17 +54,8 @@ type Choreographed struct {
 	// AlternateAvoid is the predetermined node dropped from routes in
 	// alternate mode.
 	AlternateAvoid string
-	// Reentry, when true, enables the designed-in recovery rule for
-	// the alternate-route response: if the overdue member checks in
-	// again after the response fired (it was delayed, not dead), the
-	// member reverts to the main route and re-arms the watchdog. The
-	// halt response never re-enters — a designed global MRC needs user
-	// intervention, per the paper's definitions.
-	Reentry bool
 
 	triggered     bool
-	overdue       string
-	triggeredAt   time.Duration
 	lastDelivered float64
 }
 
@@ -88,22 +79,15 @@ func (p *Choreographed) ID() string { return p.haul.Constituent().ID() + ":chore
 // Triggered reports whether the designed response has fired.
 func (p *Choreographed) Triggered() bool { return p.triggered }
 
-// RecordCheckIn is called by the scenario's delivery hook when this
-// member checks in at the deposit.
-func (p *Choreographed) RecordCheckIn(now time.Duration) {
-	p.board.Record(p.haul.Constituent().ID(), now)
-}
-
 // Step implements sim.Entity.
 func (p *Choreographed) Step(env *sim.Env) {
 	now := env.Clock.Now()
 	// Own deliveries are physical check-ins at the deposit gate.
 	if d := p.haul.Delivered(); d > p.lastDelivered {
 		p.lastDelivered = d
-		p.RecordCheckIn(now)
+		p.board.Record(p.haul.Constituent().ID(), now)
 	}
 	if p.triggered {
-		p.maybeReenter(env, now)
 		return
 	}
 	for _, id := range p.Watch {
@@ -112,38 +96,14 @@ func (p *Choreographed) Step(env *sim.Env) {
 			last = 0 // design grants one full deadline from start
 		}
 		if now-last > p.Deadline {
-			p.trigger(env, now, id)
+			p.trigger(env, id)
 			return
 		}
 	}
 }
 
-// maybeReenter applies the designed re-entry rule: an alternate-route
-// response is undone (and the watchdog re-armed) when the overdue
-// member has checked in again since the response fired.
-func (p *Choreographed) maybeReenter(env *sim.Env, now time.Duration) {
-	if !p.Reentry || p.Response == ResponseHalt {
-		return
-	}
-	last, ok := p.board.Last(p.overdue)
-	if !ok || last <= p.triggeredAt {
-		return
-	}
-	if p.AlternateAvoid != "" {
-		p.haul.Unavoid(p.AlternateAvoid)
-	}
-	c := p.haul.Constituent()
-	env.EmitFields(sim.EventInfo, c.ID(),
-		"designed re-entry: "+p.overdue+" checked in again, main route restored",
-		map[string]string{"overdue": p.overdue})
-	p.triggered = false
-	p.overdue = ""
-}
-
-func (p *Choreographed) trigger(env *sim.Env, now time.Duration, overdue string) {
+func (p *Choreographed) trigger(env *sim.Env, overdue string) {
 	p.triggered = true
-	p.overdue = overdue
-	p.triggeredAt = now
 	c := p.haul.Constituent()
 	switch p.Response {
 	case ResponseHalt:

@@ -261,13 +261,12 @@ func orchestratedRig(t *testing.T, nTasks int, concerted bool) (*quarry, *Direct
 		})
 	}
 	q.net.MustRegister("tms")
-	d := NewDirector("tms", q.net, board, q.model,
-		map[string]string{"digger": "digger", "truck1": "truck", "truck2": "truck"})
+	d := NewDirector("tms", q.net, board, q.model)
 	d.Concerted = concerted
 	q.e.MustRegister(d)
-	q.e.MustRegister(NewOrchestrated(q.digger, q.net, q.w.Graph(), "tms", 10))
+	q.e.MustRegister(NewOrchestrated(q.digger, q.net, q.w.Graph(), "tms"))
 	for _, c := range q.trucks {
-		q.e.MustRegister(NewOrchestrated(c, q.net, q.w.Graph(), "tms", 10))
+		q.e.MustRegister(NewOrchestrated(c, q.net, q.w.Graph(), "tms"))
 	}
 	return q, d
 }
@@ -393,48 +392,6 @@ func TestOrchestratedDirectorLossStopsEveryone(t *testing.T) {
 	}
 }
 
-// The designed re-entry rule: when the overdue member was delayed, not
-// dead — it checks in again after the alternate-route response fired —
-// survivors revert to the main route and re-arm the watchdog.
-func TestChoreographedReentryAfterLateCheckIn(t *testing.T) {
-	q := newQuarry(t, 2)
-	board := NewCheckInBoard()
-	pols := make([]*Choreographed, 2)
-	for i := range q.trucks {
-		watch := []string{"truck1", "truck2"}
-		watch = append(watch[:i], watch[i+1:]...)
-		p := NewChoreographed(q.hauls[i], board, watch)
-		p.Deadline = 90 * time.Second
-		p.Response = ResponseAlternateRoute
-		p.AlternateAvoid = "mid"
-		p.Reentry = true
-		q.e.MustRegister(p)
-		pols[i] = p
-	}
-	q.trucks[0].ApplyFault(blind("truck1"))
-	q.e.RunFor(2 * time.Minute)
-	if !pols[1].Triggered() || !q.hauls[1].Avoided("mid") {
-		t.Fatal("setup: the designed response should have fired")
-	}
-	// truck1 was merely delayed: it checks in at the deposit again.
-	board.Record("truck1", q.e.Env().Clock.Now())
-	q.e.RunFor(5 * time.Second)
-	if pols[1].Triggered() {
-		t.Fatal("late check-in should re-enter the main-route design")
-	}
-	if q.hauls[1].Avoided("mid") {
-		t.Error("re-entry must restore the main route")
-	}
-	if _, ok := q.e.Env().Log.First(sim.EventInfo); !ok {
-		t.Error("re-entry should be logged")
-	}
-	// The watchdog is re-armed: going silent again re-triggers.
-	q.e.RunFor(2 * time.Minute)
-	if !pols[1].Triggered() {
-		t.Error("re-armed watchdog should fire on the next missed deadline")
-	}
-}
-
 // The halt response never re-enters: a designed global MRC needs user
 // intervention, so a late check-in must not restart a halted fleet.
 func TestChoreographedHaltNeverReenters(t *testing.T) {
@@ -447,7 +404,6 @@ func TestChoreographedHaltNeverReenters(t *testing.T) {
 		p := NewChoreographed(q.hauls[i], board, watch)
 		p.Deadline = 90 * time.Second
 		p.Response = ResponseHalt
-		p.Reentry = true // explicitly requested, still refused for halt
 		q.e.MustRegister(p)
 		if i == 1 {
 			pol2 = p

@@ -18,41 +18,39 @@
 package collab
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
-	"coopmrm/internal/comm"
 	"coopmrm/internal/coop"
 	"coopmrm/internal/core"
 	"coopmrm/internal/sim"
 )
 
 // Coordinated is the peer-to-peer collaborative policy. Every member
-// shares the same dependency model; when beacons show members in MRC,
-// each survivor independently derives the same scope decision
+// shares the same dependency model; when beacons show members in MRM
+// or MRC, each survivor independently derives the same scope decision
 // (deterministic agreement over shared state, standing in for the
 // explicit consent round): continue with reroutes on a local MRC, or
 // drive to parking and stop on a global one.
+//
+// The decision is a pure function of the stopped-peer set the base
+// keeps, and a member acts on it only while operational, so the
+// member resolves the scope only when that set has changed or the
+// member has just become operational again.
 type Coordinated struct {
 	base  *coop.Base
 	Model *core.DependencyModel
-	// ParkMRC is the hierarchy entry used for the negotiated global
-	// park-and-stop.
-	ParkMRC string
 
-	failed map[string]bool
+	resolved int      // the base's StopChanges at the last resolution; -1 forces one
+	stopped  []string // scratch for the stopped-peer set
 }
 
 var _ sim.Entity = (*Coordinated)(nil)
 
 // NewCoordinated wires the policy.
 func NewCoordinated(base *coop.Base, model *core.DependencyModel) *Coordinated {
-	return &Coordinated{
-		base:    base,
-		Model:   model,
-		ParkMRC: "parking",
-		failed:  make(map[string]bool),
-	}
+	return &Coordinated{base: base, Model: model, resolved: -1}
 }
 
 // ID implements sim.Entity.
@@ -61,67 +59,41 @@ func (p *Coordinated) ID() string { return p.base.C().ID() + ":coordinated" }
 // Base exposes the shared plumbing.
 func (p *Coordinated) Base() *coop.Base { return p.base }
 
-// FailedSet returns the sorted IDs this member believes are in MRC.
-func (p *Coordinated) FailedSet() []string {
-	out := make([]string, 0, len(p.failed))
-	for id, down := range p.failed {
-		if down {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Step implements sim.Entity.
 func (p *Coordinated) Step(env *sim.Env) {
 	c := p.base.C()
 	for _, m := range p.base.Net.Receive(c.ID()) {
-		if m.Topic != comm.TopicStatus {
-			continue
-		}
 		p.base.HandleStatus(m)
-		p.failed[m.From] = m.Get(comm.KeyMode) == "mrc" || m.Get(comm.KeyMode) == "mrm"
 	}
-	// Own state counts too (a member knows its own MRC without comms).
-	p.failed[c.ID()] = !c.Operational()
-
-	if c.Operational() {
-		dec := p.Model.ResolveScope(p.FailedSet()...)
-		switch {
-		case dec.Level == core.ScopeGlobal:
-			env.EmitFields(sim.EventMRCGlobal, c.ID(), "coordinated global MRC: parking",
-				map[string]string{"affected": joinIDs(dec.Affected)})
-			env.Emit(sim.EventMRMConcerted, c.ID(),
-				"concerted global MRM: agreed drive to "+p.ParkMRC)
-			c.TriggerMRMTo(env, p.ParkMRC, "coordinated global MRC")
-		case inSet(dec.Affected, c.ID()):
-			env.EmitFields(sim.EventMRCLocal, c.ID(), "coordinated local MRC: "+dec.Reasons[c.ID()],
-				map[string]string{"affected": joinIDs(dec.Affected)})
-			c.TriggerMRMTo(env, p.ParkMRC, dec.Reasons[c.ID()])
-		}
+	switch {
+	case !c.Operational():
+		p.resolved = -1 // a recovered member resolves again
+	case p.base.StopChanges() != p.resolved:
+		p.resolved = p.base.StopChanges()
+		p.resolve(env)
 	}
 	p.base.BeaconIfDue(env)
 }
 
-func inSet(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+// resolve derives the scope from the stopped peers and acts on it. A
+// member never hears its own beacon, and it resolves only while
+// operational, so it is never in the failed set itself.
+func (p *Coordinated) resolve(env *sim.Env) {
+	c := p.base.C()
+	p.stopped = p.base.StoppedPeers(p.stopped[:0])
+	dec := p.Model.ResolveScope(p.stopped...)
+	switch {
+	case dec.Level == core.ScopeGlobal:
+		env.EmitFields(sim.EventMRCGlobal, c.ID(), "coordinated global MRC: parking",
+			map[string]string{"affected": strings.Join(dec.Affected, ",")})
+		env.Emit(sim.EventMRMConcerted, c.ID(),
+			"concerted global MRM: agreed drive to "+parkMRC)
+		c.TriggerMRMTo(env, parkMRC, "coordinated global MRC")
+	case slices.Contains(dec.Affected, c.ID()):
+		env.EmitFields(sim.EventMRCLocal, c.ID(), "coordinated local MRC: "+dec.Reasons[c.ID()],
+			map[string]string{"affected": strings.Join(dec.Affected, ",")})
+		c.TriggerMRMTo(env, parkMRC, dec.Reasons[c.ID()])
 	}
-	return false
-}
-
-func joinIDs(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ","
-		}
-		out += x
-	}
-	return out
 }
 
 // CheckInBoard is the designed-in observation point used by the

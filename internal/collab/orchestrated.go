@@ -1,19 +1,48 @@
 package collab
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
-
-	"coopmrm/internal/geom"
 
 	"coopmrm/internal/agent"
 	"coopmrm/internal/comm"
+	"coopmrm/internal/coop"
 	"coopmrm/internal/core"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/tms"
 	"coopmrm/internal/world"
 )
+
+// The class's designed-in constants. parkMRC is the hierarchy entry
+// of a concerted global MRC and of every local MRC the TMS or a
+// coordinated member orders; haltMRC is the immediate global stop.
+// The director's heartbeat and the members' status beacons go out
+// every beaconTicks ticks. The director presumes a member lost after
+// memberTimeout of beacon silence, and a member goes to MRC on its own
+// after directorTimeout of heartbeat silence.
+const (
+	parkMRC         = "parking"
+	haltMRC         = "in_place"
+	beaconTicks     = 10
+	memberTimeout   = 15 * time.Second
+	directorTimeout = 20 * time.Second
+)
+
+// periodic fires on its first poll and then every beaconTicks ticks.
+type periodic struct {
+	last  int64
+	fired bool
+}
+
+func (p *periodic) due(tick int64) bool {
+	if p.fired && tick-p.last < beaconTicks {
+		return false
+	}
+	p.fired, p.last = true, tick
+	return true
+}
 
 // Director is the directing entity of the orchestrated class — a TMS
 // controlling the whole collaborative system: it assigns tasks from
@@ -25,63 +54,51 @@ type Director struct {
 	net   *comm.Network
 	board *tms.Board
 	model *core.DependencyModel
-	// Roles maps constituent -> the role it provides (for task
-	// matching).
-	Roles map[string]string
 	// Granularity widens scope decisions per Fig. 2; Groups feeds the
 	// per-group level.
 	Granularity core.Granularity
 	Groups      map[string]string
 	// Concerted selects the global-MRC style: true commands a
-	// drive-to-ParkMRC, false an immediate HaltMRC.
+	// drive to parking, false an immediate halt in place.
 	Concerted bool
-	ParkMRC   string
-	HaltMRC   string
 
-	// HeartbeatEvery is the director's heartbeat period in ticks
-	// (default 10); MemberTimeout is the beacon silence after which a
-	// member is presumed lost (default 15s).
-	HeartbeatEvery int64
-	MemberTimeout  time.Duration
-
-	modes        map[string]string
-	nodes        map[string]string
-	lastPos      map[string][2]string // raw x/y payload per member
-	lastSeen     map[string]time.Duration
-	seenOnce     map[string]bool
-	failed       map[string]bool
-	commanded    map[string]bool
-	lastBeatTick int64
-	beatSent     bool
+	roster       []member // the model's constituents, sorted by ID
+	heartbeat    periodic
 	globalIssued bool
+}
+
+// member is the director's record of one constituent: the role it
+// provides and what its last status beacon said.
+type member struct {
+	id, role   string
+	mode, node string
+	x, y       string // raw position payload
+	lastSeen   time.Duration
+	seen       bool
+	failed     bool
+	commanded  bool
 }
 
 var _ sim.Entity = (*Director)(nil)
 
 // NewDirector returns a TMS for the given board and dependency model.
-func NewDirector(id string, net *comm.Network, board *tms.Board, model *core.DependencyModel, roles map[string]string) *Director {
-	r := make(map[string]string, len(roles))
-	for k, v := range roles {
-		r[k] = v
+// Its members are the model's constituents, walked in ID order, and a
+// member's task role is the role the model says it provides.
+func NewDirector(id string, net *comm.Network, board *tms.Board, model *core.DependencyModel) *Director {
+	ids := model.Constituents()
+	slices.Sort(ids)
+	roster := make([]member, len(ids))
+	for i, m := range ids {
+		role, _ := model.Role(m)
+		roster[i] = member{id: m, role: role}
 	}
 	return &Director{
-		id:             id,
-		net:            net,
-		board:          board,
-		model:          model,
-		Roles:          r,
-		Granularity:    core.GranularityConstituent,
-		ParkMRC:        "parking",
-		HaltMRC:        "in_place",
-		HeartbeatEvery: 10,
-		MemberTimeout:  15 * time.Second,
-		modes:          make(map[string]string),
-		nodes:          make(map[string]string),
-		lastPos:        make(map[string][2]string),
-		lastSeen:       make(map[string]time.Duration),
-		seenOnce:       make(map[string]bool),
-		failed:         make(map[string]bool),
-		commanded:      make(map[string]bool),
+		id:          id,
+		net:         net,
+		board:       board,
+		model:       model,
+		Granularity: core.GranularityConstituent,
+		roster:      roster,
 	}
 }
 
@@ -95,132 +112,124 @@ func (d *Director) Board() *tms.Board { return d.board }
 // MRC.
 func (d *Director) GlobalIssued() bool { return d.globalIssued }
 
+// find returns the record of a constituent, nil for a sender outside
+// the model.
+func (d *Director) find(id string) *member {
+	i, ok := slices.BinarySearchFunc(d.roster, id, func(m member, id string) int {
+		return strings.Compare(m.id, id)
+	})
+	if !ok {
+		return nil
+	}
+	return &d.roster[i]
+}
+
 // Mode returns the last reported mode of a member.
-func (d *Director) Mode(id string) string { return d.modes[id] }
+func (d *Director) Mode(id string) string {
+	if m := d.find(id); m != nil {
+		return m.mode
+	}
+	return ""
+}
 
 // Step implements sim.Entity.
 func (d *Director) Step(env *sim.Env) {
-	for _, m := range d.net.Receive(d.id) {
-		switch m.Topic {
+	for _, msg := range d.net.Receive(d.id) {
+		switch msg.Topic {
 		case comm.TopicStatus:
-			d.modes[m.From] = m.Get(comm.KeyMode)
-			d.nodes[m.From] = m.Get(comm.KeyNode)
-			d.lastPos[m.From] = [2]string{m.Get(comm.KeyX), m.Get(comm.KeyY)}
-			d.lastSeen[m.From] = env.Clock.Now()
-			d.seenOnce[m.From] = true
-			if d.modes[m.From] == "mrc" && !d.failed[m.From] {
-				d.handleLoss(env, m.From)
+			m := d.find(msg.From)
+			if m == nil {
+				continue
+			}
+			m.mode, m.node = msg.Get(comm.KeyMode), msg.Get(comm.KeyNode)
+			m.x, m.y = msg.Get(comm.KeyX), msg.Get(comm.KeyY)
+			m.lastSeen, m.seen = env.Clock.Now(), true
+			if m.mode == "mrc" && !m.failed {
+				d.handleLoss(env, m)
 			}
 		case comm.TopicTaskDone:
-			if _, err := d.board.Complete(m.Get(comm.KeyTask)); err == nil {
+			if _, err := d.board.Complete(msg.Get(comm.KeyTask)); err == nil {
 				env.EmitFields(sim.EventTaskDone, d.id,
-					m.From+" completed "+m.Get(comm.KeyTask),
-					map[string]string{"task": m.Get(comm.KeyTask), "by": m.From})
+					msg.From+" completed "+msg.Get(comm.KeyTask),
+					map[string]string{"task": msg.Get(comm.KeyTask), "by": msg.From})
 			}
 		}
 	}
-	d.heartbeatIfDue(env)
+	// The director's liveness beacon; members that stop hearing it go
+	// to MRC unilaterally (Table I, orchestrated).
+	if d.heartbeat.due(env.Clock.Tick()) {
+		d.net.Send(comm.NewMessage(d.id, comm.Broadcast, comm.TypeHeartbeat, "tms.heartbeat", nil))
+	}
 	d.checkLiveness(env)
 	if !d.globalIssued {
 		d.assignTasks(env)
 	}
 }
 
-// heartbeatIfDue broadcasts the director's liveness beacon; members
-// that stop hearing it go to MRC unilaterally (Table I, orchestrated).
-func (d *Director) heartbeatIfDue(env *sim.Env) {
-	tick := env.Clock.Tick()
-	if d.beatSent && tick-d.lastBeatTick < d.HeartbeatEvery {
-		return
-	}
-	d.beatSent = true
-	d.lastBeatTick = tick
-	d.net.Send(comm.NewMessage(d.id, comm.Broadcast, comm.TypeHeartbeat, "tms.heartbeat", nil))
-}
-
-// checkLiveness presumes members lost after MemberTimeout of beacon
+// checkLiveness presumes members lost after memberTimeout of beacon
 // silence — whether their radio died or they stopped entirely, their
 // work must be reassigned and the scope re-resolved.
 func (d *Director) checkLiveness(env *sim.Env) {
-	if d.MemberTimeout <= 0 {
-		return
-	}
 	now := env.Clock.Now()
-	ids := make([]string, 0, len(d.Roles))
-	for id := range d.Roles {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if d.failed[id] || !d.seenOnce[id] {
+	for i := range d.roster {
+		m := &d.roster[i]
+		if m.failed || !m.seen || now-m.lastSeen <= memberTimeout {
 			continue
 		}
-		if now-d.lastSeen[id] > d.MemberTimeout {
-			env.EmitFields(sim.EventInfo, d.id,
-				"member "+id+" silent beyond timeout: presumed lost",
-				map[string]string{"member": id})
-			d.handleLoss(env, id)
-		}
+		env.EmitFields(sim.EventInfo, d.id,
+			"member "+m.id+" silent beyond timeout: presumed lost",
+			map[string]string{"member": m.id})
+		d.handleLoss(env, m)
 	}
 }
 
 func (d *Director) assignTasks(env *sim.Env) {
-	ids := make([]string, 0, len(d.Roles))
-	for id := range d.Roles {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if d.failed[id] || d.commanded[id] {
+	for i := range d.roster {
+		m := &d.roster[i]
+		if m.failed || m.commanded || (m.mode != "nominal" && m.mode != "degraded") {
+			continue // lost, ordered to MRC, or not known operational
+		}
+		if len(d.board.AssignedTo(m.id)) > 0 {
 			continue
 		}
-		mode := d.modes[id]
-		if mode != "nominal" && mode != "degraded" {
-			continue // unknown or not operational yet
-		}
-		if len(d.board.AssignedTo(id)) > 0 {
-			continue
-		}
-		t, ok := d.board.NextFor(d.Roles[id])
+		t, ok := d.board.NextFor(m.role)
 		if !ok {
 			continue
 		}
-		if err := d.board.Assign(t.ID, id); err != nil {
+		if err := d.board.Assign(t.ID, m.id); err != nil {
 			continue
 		}
-		d.net.Send(comm.NewMessage(d.id, id, comm.TypeTask, comm.TopicTaskAssign,
+		d.net.Send(comm.NewMessage(d.id, m.id, comm.TypeTask, comm.TopicTaskAssign,
 			map[string]string{
 				comm.KeyTask: t.ID,
 				"from":       t.From,
 				"to":         t.To,
 				"units":      strconv.FormatFloat(t.Units, 'f', 2, 64),
 			}))
-		env.EmitFields(sim.EventTaskAssigned, d.id, "assigned "+t.ID+" to "+id,
-			map[string]string{"task": t.ID, "to": id})
+		env.EmitFields(sim.EventTaskAssigned, d.id, "assigned "+t.ID+" to "+m.id,
+			map[string]string{"task": t.ID, "to": m.id})
 	}
 }
 
-func (d *Director) handleLoss(env *sim.Env, lost string) {
-	d.failed[lost] = true
+func (d *Director) handleLoss(env *sim.Env, lost *member) {
+	lost.failed = true
 	// Free the lost member's work and route survivors around it.
-	d.board.ReassignFrom(lost)
-	if node := d.nodes[lost]; node != "" {
-		pos := d.lastPos[lost]
+	d.board.ReassignFrom(lost.id)
+	if lost.node != "" {
 		d.net.Send(comm.NewMessage(d.id, comm.Broadcast, comm.TypeCommand,
 			comm.TopicCommandRoute, map[string]string{
-				comm.KeyAvoid: node,
-				comm.KeyX:     pos[0],
-				comm.KeyY:     pos[1],
+				comm.KeyAvoid: lost.node,
+				comm.KeyX:     lost.x,
+				comm.KeyY:     lost.y,
 			}))
-		env.Emit(sim.EventInfo, d.id, "broadcast reroute around "+lost+" near "+node+" at "+pos[0]+","+pos[1])
+		env.Emit(sim.EventInfo, d.id, "broadcast reroute around "+lost.id+" near "+lost.node+" at "+lost.x+","+lost.y)
 	}
 	var failedIDs []string
-	for id, down := range d.failed {
-		if down {
-			failedIDs = append(failedIDs, id)
+	for _, m := range d.roster {
+		if m.failed {
+			failedIDs = append(failedIDs, m.id)
 		}
 	}
-	sort.Strings(failedIDs)
 	dec := core.ApplyGranularity(
 		d.model.ResolveScope(failedIDs...),
 		d.Granularity, d.Groups, d.model.Constituents())
@@ -228,21 +237,22 @@ func (d *Director) handleLoss(env *sim.Env, lost string) {
 	if dec.Level == core.ScopeGlobal {
 		d.globalIssued = true
 		aborted := d.board.AbortAll()
-		style := d.HaltMRC
+		style := haltMRC
 		if d.Concerted {
-			style = d.ParkMRC
+			style = parkMRC
 		}
 		env.EmitFields(sim.EventMRCGlobal, d.id,
 			"TMS global MRC ("+style+"), "+strconv.Itoa(aborted)+" tasks aborted",
-			map[string]string{"mrc": style, "trigger": lost})
+			map[string]string{"mrc": style, "trigger": lost.id})
 		if d.Concerted {
 			env.Emit(sim.EventMRMConcerted, d.id,
-				"concerted global MRM: joint drive to "+d.ParkMRC)
+				"concerted global MRM: joint drive to "+parkMRC)
 		}
-		for id := range d.Roles {
-			if !d.failed[id] && !d.commanded[id] {
-				d.commanded[id] = true
-				d.net.Send(comm.NewMessage(d.id, id, comm.TypeCommand, comm.TopicCommandMRC,
+		for i := range d.roster {
+			m := &d.roster[i]
+			if !m.failed && !m.commanded {
+				m.commanded = true
+				d.net.Send(comm.NewMessage(d.id, m.id, comm.TypeCommand, comm.TopicCommandMRC,
 					map[string]string{comm.KeyMRC: style, comm.KeyReason: "TMS global MRC"}))
 			}
 		}
@@ -250,15 +260,16 @@ func (d *Director) handleLoss(env *sim.Env, lost string) {
 	}
 	// Local: stop exactly the additionally affected members.
 	for _, id := range dec.Affected {
-		if d.failed[id] || d.commanded[id] {
+		m := d.find(id)
+		if m.failed || m.commanded {
 			continue
 		}
-		d.commanded[id] = true
+		m.commanded = true
 		d.board.ReassignFrom(id)
 		env.EmitFields(sim.EventMRCLocal, d.id, "TMS local MRC for "+id+": "+dec.Reasons[id],
-			map[string]string{"target": id, "trigger": lost})
+			map[string]string{"target": id, "trigger": lost.id})
 		d.net.Send(comm.NewMessage(d.id, id, comm.TypeCommand, comm.TopicCommandMRC,
-			map[string]string{comm.KeyMRC: d.ParkMRC, comm.KeyReason: dec.Reasons[id]}))
+			map[string]string{comm.KeyMRC: parkMRC, comm.KeyReason: dec.Reasons[id]}))
 	}
 }
 
@@ -267,22 +278,18 @@ func (d *Director) handleLoss(env *sim.Env, lost string) {
 // MRC unilaterally on their own failures (their internal assessment
 // keeps running), which the director observes via beacons.
 type Orchestrated struct {
-	c        *core.Constituent
-	net      *comm.Network
-	graph    *world.RouteGraph
-	director string
-	beacon   *coopBeacon
-	// DirectorTimeout is the silence after which the member treats
-	// the directing entity as lost and goes to MRC unilaterally
-	// (Table I; default 20s, 0 disables).
-	DirectorTimeout time.Duration
-	lastDirector    time.Duration
-	heardDirector   bool
+	c             *core.Constituent
+	net           *comm.Network
+	graph         *world.RouteGraph
+	director      string
+	beacon        periodic
+	lastDirector  time.Duration
+	heardDirector bool
 	// Monitor, when set, applies the operational obstacle hold each
 	// tick (wired by the scenario layer with the neighbour targets).
 	Monitor *agent.ObstacleMonitor
 	// World, when set, limits reroute commands to blockages inside
-	// tunnel zones (see coop.Base).
+	// tunnel zones (see coop.BlockageAt).
 	World *world.World
 
 	avoid      map[string]bool
@@ -294,29 +301,16 @@ type Orchestrated struct {
 
 var _ sim.Entity = (*Orchestrated)(nil)
 
-// coopBeacon is a minimal status beacon (the coop.Base beacon needs a
-// haul agent, which orchestrated members do not use).
-type coopBeacon struct {
-	period   int64 // ticks between beacons
-	lastTick int64
-	sent     bool
-}
-
 // NewOrchestrated wires the member-side policy reporting to the given
-// director. beaconEvery is in ticks (default 10 when <= 0).
-func NewOrchestrated(c *core.Constituent, net *comm.Network, graph *world.RouteGraph, director string, beaconEvery int64) *Orchestrated {
-	if beaconEvery <= 0 {
-		beaconEvery = 10
-	}
+// director.
+func NewOrchestrated(c *core.Constituent, net *comm.Network, graph *world.RouteGraph, director string) *Orchestrated {
 	return &Orchestrated{
-		c:               c,
-		net:             net,
-		graph:           graph,
-		director:        director,
-		beacon:          &coopBeacon{period: beaconEvery},
-		DirectorTimeout: 20 * time.Second,
-		avoid:           make(map[string]bool),
-		avoidEdges:      make(map[[2]string]bool),
+		c:          c,
+		net:        net,
+		graph:      graph,
+		director:   director,
+		avoid:      make(map[string]bool),
+		avoidEdges: make(map[[2]string]bool),
 	}
 }
 
@@ -355,8 +349,8 @@ func (p *Orchestrated) Step(env *sim.Env) {
 			p.handleReroute(m)
 		}
 	}
-	if p.heardDirector && p.DirectorTimeout > 0 && p.c.Operational() &&
-		env.Clock.Now()-p.lastDirector > p.DirectorTimeout {
+	if p.heardDirector && p.c.Operational() &&
+		env.Clock.Now()-p.lastDirector > directorTimeout {
 		// Table I: lost communication with the directing entity is a
 		// unilateral MRC trigger for an orchestrated constituent.
 		p.c.TriggerMRM(env, "lost communication with directing entity")
@@ -367,41 +361,30 @@ func (p *Orchestrated) Step(env *sim.Env) {
 		}
 		p.drive(env)
 	}
-	p.beaconIfDue(env)
+	if p.beacon.due(env.Clock.Tick()) {
+		p.net.Send(coop.StatusBeacon(p.c, p.graph))
+	}
 }
 
-// handleReroute avoids the blocked spot: the nearest edge (and node,
-// when the stopped vehicle sits on a junction) of the reported
-// position, falling back to the named node.
+// handleReroute avoids what the stopped vehicle at the reported
+// position blocks (coop.BlockageAt), falling back to the named node
+// when the order carries no position, and replans.
 func (p *Orchestrated) handleReroute(m comm.Message) {
-	defer func() { p.enRoute = false }() // replan with the new knowledge
-	xs, ys := m.Get(comm.KeyX), m.Get(comm.KeyY)
-	if xs != "" && ys != "" {
-		x, errX := strconv.ParseFloat(xs, 64)
-		y, errY := strconv.ParseFloat(ys, 64)
-		if errX == nil && errY == nil {
-			pos := geom.V(x, y)
-			if p.World != nil {
-				tunnel := p.World.HasZoneKindAt(world.ZoneTunnel, pos)
-				if !tunnel {
-					return // passable: the obstacle monitor handles it
-				}
-			}
-			if ea, eb, d, ok := p.graph.NearestEdge(pos); ok && d < 8 {
-				p.avoidEdges[[2]string{ea, eb}] = true
-				p.avoidEdges[[2]string{eb, ea}] = true
-			} else {
-			}
-			if n, ok := p.graph.NearestNode(pos); ok {
-				if np, ok2 := p.graph.NodePos(n); ok2 && np.Dist(pos) < 12 {
-					p.avoid[n] = true
-				}
-			}
-			return
+	p.enRoute = false
+	pos, ok := coop.StatusPos(m)
+	if !ok {
+		if node := m.Get(comm.KeyAvoid); node != "" {
+			p.avoid[node] = true
 		}
+		return
 	}
-	if node := m.Get(comm.KeyAvoid); node != "" {
-		p.avoid[node] = true
+	blk := coop.BlockageAt(p.graph, p.World, pos)
+	if e := blk.Edge; e[0] != "" {
+		p.avoidEdges[e] = true
+		p.avoidEdges[[2]string{e[1], e[0]}] = true
+	}
+	if blk.Node != "" {
+		p.avoid[blk.Node] = true
 	}
 }
 
@@ -431,25 +414,4 @@ func (p *Orchestrated) drive(env *sim.Env) {
 		return
 	}
 	p.enRoute = true
-}
-
-func (p *Orchestrated) beaconIfDue(env *sim.Env) {
-	tick := env.Clock.Tick()
-	if p.beacon.sent && tick-p.beacon.lastTick < p.beacon.period {
-		return
-	}
-	p.beacon.sent = true
-	p.beacon.lastTick = tick
-	pos := p.c.Body().Position()
-	node := ""
-	if n, ok := p.graph.NearestNode(pos); ok {
-		node = n
-	}
-	p.net.Send(comm.NewMessage(p.c.ID(), comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
-		map[string]string{
-			comm.KeyX:    strconv.FormatFloat(pos.X, 'f', 2, 64),
-			comm.KeyY:    strconv.FormatFloat(pos.Y, 'f', 2, 64),
-			comm.KeyMode: p.c.Mode().String(),
-			comm.KeyNode: node,
-		}))
 }

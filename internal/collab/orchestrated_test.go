@@ -38,7 +38,7 @@ func rerouteRig(t *testing.T, gateWorld bool) (*Orchestrated, *core.Constituent,
 		ID: "member", Spec: vehicle.DefaultSpec(vehicle.KindTruck),
 		Start: geom.Pose{Pos: geom.V(0, 0)}, World: w, Net: net,
 	})
-	o := NewOrchestrated(c, net, g, "tms", 10)
+	o := NewOrchestrated(c, net, g, "tms")
 	if gateWorld {
 		o.World = w
 	}
@@ -124,7 +124,7 @@ func TestDirectorReassignsAndTracksModes(t *testing.T) {
 	board.MustAdd(tms.Task{ID: "j1", RequiredRole: "truck", Units: 1, From: "a", To: "b"})
 	model := core.NewDependencyModel()
 	model.MustAddConstituent("t1", "truck")
-	d := NewDirector("tms", net, board, model, map[string]string{"t1": "truck"})
+	d := NewDirector("tms", net, board, model)
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.AddPreHook(net.Hook())
 	e.MustRegister(d)

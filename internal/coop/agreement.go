@@ -25,22 +25,6 @@ type AgreementSeeking struct {
 	base *Base
 	// Peers are the cooperating vehicles' IDs (excluding self).
 	Peers []string
-	// AckTimeout bounds the wait for gap responses on the first
-	// attempt; later attempts back off by RetryBackoff.
-	AckTimeout time.Duration
-	// RetryBackoff multiplies the ack wait after every timed-out
-	// attempt (default 2).
-	RetryBackoff float64
-	// MaxAttempts bounds the gap-request sends before the policy gives
-	// up and falls back (default 3). The give-up instant is
-	// deterministic: the sum of every attempt's timeout after the
-	// first request.
-	MaxAttempts int
-	// HelpSpeed is the bound a consenting helper adopts.
-	HelpSpeed float64
-	// HelpFor bounds how long a helper assists without seeing the
-	// requester reach MRC.
-	HelpFor time.Duration
 	// FallbackMRC is the conservative MRC used without agreement.
 	FallbackMRC string
 	// EvacMRC is the hierarchy entry used for negotiated evacuations.
@@ -58,25 +42,30 @@ type AgreementSeeking struct {
 	// evacuation state
 	evacuating bool
 	evacOrder  []string
-	peerInMRC  map[string]bool
 }
 
 var _ sim.Entity = (*AgreementSeeking)(nil)
+
+// gapRetry is the gap request's ack schedule: 3 s, then 6 s and 12 s
+// after the resends, so the give-up instant is 21 s after the first
+// request.
+var gapRetry = RetryPolicy{Timeout: 3 * time.Second, Backoff: 2, MaxAttempts: 3}
+
+// A consenting helper holds its speed to helpSpeed (m/s) until the
+// requester reports MRC, or for at most helpFor.
+const (
+	helpSpeed = 2
+	helpFor   = 90 * time.Second
+)
 
 // NewAgreementSeeking wires the policy, installing the MRM gate that
 // defers internally assessed MRMs until agreement (or timeout).
 func NewAgreementSeeking(base *Base, peers []string) *AgreementSeeking {
 	s := &AgreementSeeking{
-		base:         base,
-		Peers:        append([]string(nil), peers...),
-		AckTimeout:   3 * time.Second,
-		RetryBackoff: 2,
-		MaxAttempts:  3,
-		HelpSpeed:    2,
-		HelpFor:      90 * time.Second,
-		FallbackMRC:  "in_place",
-		EvacMRC:      "parking",
-		peerInMRC:    make(map[string]bool),
+		base:        base,
+		Peers:       append([]string(nil), peers...),
+		FallbackMRC: "in_place",
+		EvacMRC:     "parking",
 	}
 	base.C().MRMGate = func(c *core.Constituent, reason string) bool {
 		if s.granted {
@@ -96,20 +85,8 @@ func (s *AgreementSeeking) ID() string { return s.base.C().ID() + ":agreement" }
 // Base exposes the shared plumbing.
 func (s *AgreementSeeking) Base() *Base { return s.base }
 
-// Helping reports whether this vehicle is currently assisting a
-// requester.
-func (s *AgreementSeeking) Helping() bool { return s.helpingFor != "" }
-
 // Evacuating reports whether a negotiated evacuation is under way.
 func (s *AgreementSeeking) Evacuating() bool { return s.evacuating }
-
-// EvacOrder returns the agreed evacuation order (empty before one is
-// negotiated).
-func (s *AgreementSeeking) EvacOrder() []string {
-	out := make([]string, len(s.evacOrder))
-	copy(out, s.evacOrder)
-	return out
-}
 
 // DeclareEvacuation starts a negotiated global MRC (e.g. mine fire):
 // the declaring vehicle broadcasts the evacuation; every participant
@@ -142,8 +119,7 @@ func (s *AgreementSeeking) Step(env *sim.Env) {
 		switch m.Topic {
 		case comm.TopicStatus:
 			s.base.HandleStatus(m)
-			s.peerInMRC[m.From] = m.Get(comm.KeyMode) == "mrc"
-			if s.helpingFor == m.From && s.peerInMRC[m.From] {
+			if s.helpingFor == m.From && s.base.PeerMode(m.From) == "mrc" {
 				s.stopHelping()
 			}
 		case comm.TopicGapRequest:
@@ -173,8 +149,8 @@ func (s *AgreementSeeking) handleGapRequest(env *sim.Env, m comm.Message) {
 	if c.Operational() {
 		ack = "true"
 		s.helpingFor = m.From
-		s.helpUntil = env.Clock.Now() + s.HelpFor
-		c.AssistSlowdown(s.HelpSpeed)
+		s.helpUntil = env.Clock.Now() + helpFor
+		c.AssistSlowdown(helpSpeed)
 		env.Emit(sim.EventInfo, c.ID(), "consented to gap for "+m.From)
 	}
 	s.base.Net.Send(comm.NewMessage(c.ID(), m.From, comm.TypeResponse,
@@ -206,9 +182,7 @@ func (s *AgreementSeeking) stepInitiator(env *sim.Env) {
 		return
 	}
 	if s.exchange == nil {
-		s.exchange = NewExchange(RetryPolicy{
-			Timeout: s.AckTimeout, Backoff: s.RetryBackoff, MaxAttempts: s.MaxAttempts,
-		})
+		s.exchange = NewExchange(gapRetry)
 		s.exchange.Begin(now, s.Peers)
 		s.sendGapRequest(c.ID())
 		env.Emit(sim.EventInfo, c.ID(), "requested gap: "+s.pendingReason)
@@ -250,7 +224,7 @@ func (s *AgreementSeeking) stepEvacuation(env *sim.Env) {
 			c.TriggerMRMTo(env, s.EvacMRC, "negotiated evacuation")
 			return
 		}
-		if !s.peerInMRC[id] {
+		if s.base.PeerMode(id) != "mrc" {
 			return // a predecessor has not reached MRC yet
 		}
 	}

@@ -22,6 +22,7 @@
 package coop
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -36,30 +37,51 @@ import (
 
 // Base carries the plumbing every cooperative class shares: the haul
 // agent it steers, the network endpoint, periodic status beacons, and
-// the avoid-on-peer-MRC reaction.
+// the avoid-on-peer-MRC reaction. Its peer table, the last mode each
+// peer reported, is the only one a member keeps: every class reads
+// its peers' state from here.
 type Base struct {
 	Haul   *agent.HaulAgent
 	Net    *comm.Network
 	Graph  *world.RouteGraph
 	Period time.Duration
 	// World, when set, limits route avoidance to peers stopped inside
-	// tunnel zones: outside tunnels the operational pass-around layer
-	// handles stopped vehicles, and graph-level blocking would be too
-	// coarse. A nil World blocks unconditionally.
+	// tunnel zones (see BlockageAt). A nil World blocks
+	// unconditionally.
 	World *world.World
 
-	nextSend   time.Duration
-	avoidedFor map[string]blockRecord // peer -> avoided elements
-	peerMode   map[string]string
+	nextSend    time.Duration
+	avoidedFor  map[string]Blockage // peer -> avoided elements
+	peerMode    map[string]string
+	stopChanges int
 }
 
-// blockRecord remembers what was avoided on behalf of one stopped
-// peer, so it can be undone on recovery.
-type blockRecord struct {
-	node    string
-	edge    [2]string
-	hasNode bool
-	hasEdge bool
+// Blockage is what a stopped vehicle blocks in the route graph: an
+// edge and a node, each empty when not blocked.
+type Blockage struct {
+	Node string
+	Edge [2]string
+}
+
+// BlockageAt is the one rule for what a vehicle stopped at pos
+// blocks. Outside a tunnel zone it blocks nothing: the operational
+// pass-around layer handles it, and graph-level blocking would be too
+// coarse (a nil World skips this test). Otherwise it blocks the
+// nearest edge within 8 m and the nearest node within 12 m.
+func BlockageAt(g *world.RouteGraph, w *world.World, pos geom.Vec2) Blockage {
+	var blk Blockage
+	if w != nil && !w.HasZoneKindAt(world.ZoneTunnel, pos) {
+		return blk
+	}
+	if ea, eb, d, ok := g.NearestEdge(pos); ok && d < 8 {
+		blk.Edge = [2]string{ea, eb}
+	}
+	if n, ok := g.NearestNode(pos); ok {
+		if np, ok := g.NodePos(n); ok && np.Dist(pos) < 12 {
+			blk.Node = n
+		}
+	}
+	return blk
 }
 
 // NewBase initialises the shared plumbing (default beacon period 1s).
@@ -72,7 +94,7 @@ func NewBase(haul *agent.HaulAgent, net *comm.Network, graph *world.RouteGraph, 
 		Net:        net,
 		Graph:      graph,
 		Period:     period,
-		avoidedFor: make(map[string]blockRecord),
+		avoidedFor: make(map[string]Blockage),
 		peerMode:   make(map[string]string),
 	}
 }
@@ -83,70 +105,76 @@ func (b *Base) C() *core.Constituent { return b.Haul.Constituent() }
 // PeerMode returns the last known mode of a peer ("" if unknown).
 func (b *Base) PeerMode(id string) string { return b.peerMode[id] }
 
+// StopChanges counts the changes of the stopped-peer set: the peers
+// whose last beacon reported MRM or MRC. A caller whose decision
+// depends only on that set recomputes it when the count moves.
+func (b *Base) StopChanges() int { return b.stopChanges }
+
+// StoppedPeers appends the stopped peers' IDs to dst, sorted.
+func (b *Base) StoppedPeers(dst []string) []string {
+	n := len(dst)
+	for id, mode := range b.peerMode {
+		if stopped(mode) {
+			dst = append(dst, id)
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
+
+func stopped(mode string) bool { return mode == "mrc" || mode == "mrm" }
+
 // HandleStatus processes one status beacon: track the peer's mode,
-// and while the peer is stopped (MRM/MRC) avoid the graph elements it
-// physically blocks — the road segment (edge) it is on, plus the
-// junction (node) when it sits close to one. Everything is undone
-// when a later beacon shows the peer operational again.
+// and while the peer is stopped (MRM/MRC) avoid what it blocks (see
+// BlockageAt), or the node it names when the beacon carries no
+// position. Everything is undone when a later beacon shows the peer
+// operational again.
 func (b *Base) HandleStatus(m comm.Message) {
 	if m.Topic != comm.TopicStatus {
 		return
 	}
 	mode := m.Get(comm.KeyMode)
+	if stopped(mode) != stopped(b.peerMode[m.From]) {
+		b.stopChanges++
+	}
 	b.peerMode[m.From] = mode
-	switch mode {
-	case "mrc", "mrm":
-		rec := blockRecord{}
-		if x, y, ok := parseXY(m); ok && b.Graph != nil {
-			pos := geom.V(x, y)
-			if b.World != nil && !inTunnel(b.World, pos) {
-				b.unblockFor(m.From)
-				return // passable: the operational layer handles it
-			}
-			if ea, eb, d, ok := b.Graph.NearestEdge(pos); ok && d < 8 {
-				rec.edge = [2]string{ea, eb}
-				rec.hasEdge = true
-			}
-			if n, ok := b.Graph.NearestNode(pos); ok {
-				if np, ok2 := b.Graph.NodePos(n); ok2 && np.Dist(pos) < 12 {
-					rec.node = n
-					rec.hasNode = true
-				}
-			}
-		} else if node := m.Get(comm.KeyNode); node != "" {
-			rec.node = node
-			rec.hasNode = true
-		}
-		// Unchanged blockage: nothing to do (avoids a replan storm
-		// when beacons repeat the same stopped position).
-		if b.avoidedFor[m.From] == rec {
-			return
-		}
+	if !stopped(mode) {
 		b.unblockFor(m.From)
-		if rec.hasEdge {
-			b.Haul.AvoidEdge(rec.edge[0], rec.edge[1])
-		}
-		if rec.hasNode {
-			b.Haul.Avoid(rec.node)
-		}
-		if rec.hasNode || rec.hasEdge {
-			b.avoidedFor[m.From] = rec
-		}
-	default:
-		b.unblockFor(m.From)
+		return
+	}
+	var blk Blockage
+	if pos, ok := StatusPos(m); ok && b.Graph != nil {
+		blk = BlockageAt(b.Graph, b.World, pos)
+	} else {
+		blk.Node = m.Get(comm.KeyNode)
+	}
+	// Unchanged blockage: nothing to do (avoids a replan storm when
+	// beacons repeat the same stopped position).
+	if b.avoidedFor[m.From] == blk {
+		return
+	}
+	b.unblockFor(m.From)
+	if blk.Edge[0] != "" {
+		b.Haul.AvoidEdge(blk.Edge[0], blk.Edge[1])
+	}
+	if blk.Node != "" {
+		b.Haul.Avoid(blk.Node)
+	}
+	if blk != (Blockage{}) {
+		b.avoidedFor[m.From] = blk
 	}
 }
 
 func (b *Base) unblockFor(peer string) {
-	rec, ok := b.avoidedFor[peer]
+	blk, ok := b.avoidedFor[peer]
 	if !ok {
 		return
 	}
-	if rec.hasNode {
-		b.Haul.Unavoid(rec.node)
+	if blk.Node != "" {
+		b.Haul.Unavoid(blk.Node)
 	}
-	if rec.hasEdge {
-		b.Haul.UnavoidEdge(rec.edge[0], rec.edge[1])
+	if blk.Edge[0] != "" {
+		b.Haul.UnavoidEdge(blk.Edge[0], blk.Edge[1])
 	}
 	delete(b.avoidedFor, peer)
 }
@@ -158,32 +186,31 @@ func (b *Base) BeaconIfDue(env *sim.Env) {
 		return
 	}
 	b.nextSend = now + b.Period
-	c := b.C()
+	b.Net.Send(StatusBeacon(b.C(), b.Graph))
+}
+
+// StatusBeacon builds the status broadcast of every V2X class: the
+// sender's position, ADS mode and nearest route node ("" without a
+// graph).
+func StatusBeacon(c *core.Constituent, g *world.RouteGraph) comm.Message {
 	pos := c.Body().Position()
 	node := ""
-	if b.Graph != nil {
-		if n, ok := b.Graph.NearestNode(pos); ok {
-			node = n
-		}
+	if g != nil {
+		node, _ = g.NearestNode(pos)
 	}
-	b.Net.Send(comm.NewMessage(c.ID(), comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
+	return comm.NewMessage(c.ID(), comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
 		map[string]string{
 			comm.KeyX:    strconv.FormatFloat(pos.X, 'f', 2, 64),
 			comm.KeyY:    strconv.FormatFloat(pos.Y, 'f', 2, 64),
 			comm.KeyMode: c.Mode().String(),
 			comm.KeyNode: node,
-		}))
+		})
 }
 
-// inTunnel reports whether the position lies in a tunnel zone.
-func inTunnel(w *world.World, pos geom.Vec2) bool {
-	return w.HasZoneKindAt(world.ZoneTunnel, pos)
-}
-
-// parseXY extracts a position payload; ok is false when absent.
-func parseXY(m comm.Message) (x, y float64, ok bool) {
-	var err1, err2 error
-	x, err1 = strconv.ParseFloat(m.Get(comm.KeyX), 64)
-	y, err2 = strconv.ParseFloat(m.Get(comm.KeyY), 64)
-	return x, y, err1 == nil && err2 == nil
+// StatusPos extracts a message's position payload; ok is false when
+// it is absent or malformed.
+func StatusPos(m comm.Message) (pos geom.Vec2, ok bool) {
+	x, err1 := strconv.ParseFloat(m.Get(comm.KeyX), 64)
+	y, err2 := strconv.ParseFloat(m.Get(comm.KeyY), 64)
+	return geom.V(x, y), err1 == nil && err2 == nil
 }

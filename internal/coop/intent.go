@@ -18,14 +18,6 @@ import (
 // 500 m ahead on the shoulder".
 type IntentSharing struct {
 	base *Base
-	// ReactDistance is how close (m) an announced stop must be for
-	// this vehicle to slow down preemptively.
-	ReactDistance float64
-	// ReactSpeed is the temporary speed bound while reacting.
-	ReactSpeed float64
-	// ReactFor is how long the reaction lasts absent an MRC
-	// confirmation.
-	ReactFor time.Duration
 
 	reactingTo    string
 	releaseAt     time.Duration
@@ -40,15 +32,20 @@ type intentAnnouncement struct {
 
 var _ sim.Entity = (*IntentSharing)(nil)
 
+// The reaction to an announced MRM: a vehicle within reactDistance
+// (m) of the announced stop, and still heading towards it, holds its
+// speed to reactSpeed (m/s) for reactFor or until the announcer
+// reports MRC.
+const (
+	reactDistance = 400
+	reactSpeed    = 3
+	reactFor      = 30 * time.Second
+)
+
 // NewIntentSharing wires the policy, hooking the constituent's MRM
 // start to the intent broadcast.
 func NewIntentSharing(base *Base) *IntentSharing {
-	s := &IntentSharing{
-		base:          base,
-		ReactDistance: 400,
-		ReactSpeed:    3,
-		ReactFor:      30 * time.Second,
-	}
+	s := &IntentSharing{base: base}
 	c := base.C()
 	c.OnMRMStarted = func(cc *core.Constituent, m core.MRC, reason string) {
 		// Queue the announcement; it is sent on the next policy step
@@ -138,12 +135,11 @@ func (s *IntentSharing) handleIntent(env *sim.Env, m comm.Message) {
 	if node := m.Get(comm.KeyNode); node != "" {
 		s.base.Haul.Avoid(node)
 	}
-	x, y, ok := parseXY(m)
+	stop, ok := StatusPos(m)
 	if !ok {
 		return
 	}
-	stop := geom.V(x, y)
-	if c.Body().Position().Dist(stop) > s.ReactDistance {
+	if c.Body().Position().Dist(stop) > reactDistance {
 		return
 	}
 	// Only vehicles that will still encounter the manoeuvre adapt;
@@ -152,8 +148,8 @@ func (s *IntentSharing) handleIntent(env *sim.Env, m comm.Message) {
 		return
 	}
 	s.reactingTo = m.From
-	s.releaseAt = env.Clock.Now() + s.ReactFor
-	c.AssistSlowdown(s.ReactSpeed)
+	s.releaseAt = env.Clock.Now() + reactFor
+	c.AssistSlowdown(reactSpeed)
 	env.Emit(sim.EventInfo, c.ID(), "slowing for announced MRM of "+m.From)
 }
 

@@ -7,37 +7,29 @@ import (
 
 // Authority is the directing entity of the prescriptive class (J3216
 // class D): a road operator, mine control room, or a larger machine
-// with right of way. It observes status beacons and issues temporary
-// prescriptive orders: reroute, local MRC for one vehicle, or global
-// MRC for everyone (the paper's flooded-road example).
+// with right of way. It issues temporary prescriptive orders: reroute,
+// local MRC for one vehicle, or global MRC for everyone (the paper's
+// flooded-road example).
 type Authority struct {
 	id  string
 	net *comm.Network
-
-	peerMode map[string]string
 }
 
 var _ sim.Entity = (*Authority)(nil)
 
 // NewAuthority returns a directing entity registered on the network.
 func NewAuthority(id string, net *comm.Network) *Authority {
-	return &Authority{id: id, net: net, peerMode: make(map[string]string)}
+	return &Authority{id: id, net: net}
 }
 
 // ID implements sim.Entity.
 func (a *Authority) ID() string { return a.id }
 
-// PeerMode returns the last reported mode of a vehicle.
-func (a *Authority) PeerMode(id string) string { return a.peerMode[id] }
-
-// Step implements sim.Entity: consume status beacons.
-func (a *Authority) Step(env *sim.Env) {
-	for _, m := range a.net.Receive(a.id) {
-		if m.Topic == comm.TopicStatus {
-			a.peerMode[m.From] = m.Get(comm.KeyMode)
-		}
-	}
-}
+// Step implements sim.Entity: drain the inbox. The authority's orders
+// come from the scenario, not from the beacons it hears; it stays a
+// registered endpoint, so broadcasts still count it as a recipient,
+// and draining keeps its inbox from growing.
+func (a *Authority) Step(env *sim.Env) { a.net.Receive(a.id) }
 
 // CommandMRC orders one vehicle into the named MRC ("" lets the
 // vehicle select). A local MRC in Table I terms.

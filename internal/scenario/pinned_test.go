@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/world"
 )
@@ -25,6 +26,10 @@ var rigPins = map[string]string{
 	"highway": "db89d54c3af258a396ada07cfd5526094979c85486000f56e3673c37cac24322",
 	"platoon": "02f66e0d30c7735dc194a5d4ecb72535e5a5ead83f9db0f8288d2dd4571c7faf",
 	"custom":  "370feab0c90abbd508b113f29d9e1c3bf88b20b00c0ae3200b53d731fa790b3b",
+	// The orchestrated global MRC on a lossy channel: unless the
+	// director sends its commands in roster order, this digest varies
+	// from run to run.
+	"quarry-orchestrated-global": "1ad80fbd31be3b8327ed270786b4705fa2fddb603d551ba4ad03655347fce03c",
 }
 
 func TestRigOutputsPinned(t *testing.T) {
@@ -40,6 +45,13 @@ func TestRigOutputsPinned(t *testing.T) {
 			}
 			// The crew's recoveries put interventions into the report.
 			rig.Engine.MustRegister(NewRepairCrew("crew", 20*time.Second, rig.All()...))
+			return quarryDigest(t, rig, 90*time.Second)
+		},
+		"quarry-orchestrated-global": func(t *testing.T) string {
+			rig, err := NewQuarry(chaosQuarry(PolicyOrchestrated, core.GranularityGlobal, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
 			return quarryDigest(t, rig, 90*time.Second)
 		},
 		"harbour": func(t *testing.T) string {

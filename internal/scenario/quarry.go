@@ -420,21 +420,14 @@ func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 				From: "load", To: "dep", Units: 1, RequiredRole: "truck",
 			})
 		}
-		roles := make(map[string]string)
-		for _, d := range r.Diggers {
-			roles[d.ID()] = "digger"
-		}
-		for _, c := range r.Trucks {
-			roles[c.ID()] = "truck"
-		}
 		r.Net.MustRegister("tms")
-		r.Director = collab.NewDirector("tms", r.Net, r.Board, r.Model, roles)
+		r.Director = collab.NewDirector("tms", r.Net, r.Board, r.Model)
 		r.Director.Granularity = cfg.Granularity
 		r.Director.Groups = r.Groups
 		r.Director.Concerted = cfg.Concerted
 		r.Engine.MustRegister(r.Director)
 		for _, c := range r.cs {
-			o := collab.NewOrchestrated(c, r.Net, g, "tms", 10)
+			o := collab.NewOrchestrated(c, r.Net, g, "tms")
 			o.Monitor = agent.NewObstacleMonitor(c, r.neighbours(c), r.World)
 			o.World = r.World
 			r.addPolicy(o)
