@@ -42,7 +42,7 @@ func (p *perTickCoordinated) Step(env *sim.Env) {
 			continue
 		}
 		p.base.HandleStatus(m)
-		p.failed[m.From] = m.Get(comm.KeyMode) == "mrc" || m.Get(comm.KeyMode) == "mrm"
+		p.failed[m.From] = m.Mode() == "mrc" || m.Mode() == "mrm"
 	}
 	p.failed[c.ID()] = !c.Operational()
 

@@ -10,6 +10,7 @@ import (
 	"coopmrm/internal/comm"
 	"coopmrm/internal/coop"
 	"coopmrm/internal/core"
+	"coopmrm/internal/geom"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/tms"
 	"coopmrm/internal/world"
@@ -72,7 +73,8 @@ type Director struct {
 type member struct {
 	id, role   string
 	mode, node string
-	x, y       string // raw position payload
+	pos        geom.Vec2
+	hasPos     bool
 	lastSeen   time.Duration
 	seen       bool
 	failed     bool
@@ -141,8 +143,8 @@ func (d *Director) Step(env *sim.Env) {
 			if m == nil {
 				continue
 			}
-			m.mode, m.node = msg.Get(comm.KeyMode), msg.Get(comm.KeyNode)
-			m.x, m.y = msg.Get(comm.KeyX), msg.Get(comm.KeyY)
+			m.mode, m.node = msg.Mode(), msg.Node()
+			m.pos, m.hasPos = msg.Pos()
 			m.lastSeen, m.seen = env.Clock.Now(), true
 			if m.mode == "mrc" && !m.failed {
 				d.handleLoss(env, m)
@@ -200,12 +202,12 @@ func (d *Director) assignTasks(env *sim.Env) {
 			continue
 		}
 		d.net.Send(comm.NewMessage(d.id, m.id, comm.TypeTask, comm.TopicTaskAssign,
-			map[string]string{
+			&comm.Body{Fields: map[string]string{
 				comm.KeyTask: t.ID,
 				"from":       t.From,
 				"to":         t.To,
 				"units":      strconv.FormatFloat(t.Units, 'f', 2, 64),
-			}))
+			}}))
 		env.EmitFields(sim.EventTaskAssigned, d.id, "assigned "+t.ID+" to "+m.id,
 			map[string]string{"task": t.ID, "to": m.id})
 	}
@@ -217,12 +219,15 @@ func (d *Director) handleLoss(env *sim.Env, lost *member) {
 	d.board.ReassignFrom(lost.id)
 	if lost.node != "" {
 		d.net.Send(comm.NewMessage(d.id, comm.Broadcast, comm.TypeCommand,
-			comm.TopicCommandRoute, map[string]string{
-				comm.KeyAvoid: lost.node,
-				comm.KeyX:     lost.x,
-				comm.KeyY:     lost.y,
-			}))
-		env.Emit(sim.EventInfo, d.id, "broadcast reroute around "+lost.id+" near "+lost.node+" at "+lost.x+","+lost.y)
+			comm.TopicCommandRoute, &comm.Body{Pos: lost.pos, HasPos: lost.hasPos,
+				Fields: map[string]string{comm.KeyAvoid: lost.node}}))
+		at := ","
+		if lost.hasPos {
+			// The position is on the wire grid, so two decimals
+			// render it exactly.
+			at = strconv.FormatFloat(lost.pos.X, 'f', 2, 64) + "," + strconv.FormatFloat(lost.pos.Y, 'f', 2, 64)
+		}
+		env.Emit(sim.EventInfo, d.id, "broadcast reroute around "+lost.id+" near "+lost.node+" at "+at)
 	}
 	var failedIDs []string
 	for _, m := range d.roster {
@@ -253,7 +258,7 @@ func (d *Director) handleLoss(env *sim.Env, lost *member) {
 			if !m.failed && !m.commanded {
 				m.commanded = true
 				d.net.Send(comm.NewMessage(d.id, m.id, comm.TypeCommand, comm.TopicCommandMRC,
-					map[string]string{comm.KeyMRC: style, comm.KeyReason: "TMS global MRC"}))
+					&comm.Body{Fields: map[string]string{comm.KeyMRC: style, comm.KeyReason: "TMS global MRC"}}))
 			}
 		}
 		return
@@ -269,7 +274,7 @@ func (d *Director) handleLoss(env *sim.Env, lost *member) {
 		env.EmitFields(sim.EventMRCLocal, d.id, "TMS local MRC for "+id+": "+dec.Reasons[id],
 			map[string]string{"target": id, "trigger": lost.id})
 		d.net.Send(comm.NewMessage(d.id, id, comm.TypeCommand, comm.TopicCommandMRC,
-			map[string]string{comm.KeyMRC: parkMRC, comm.KeyReason: dec.Reasons[id]}))
+			&comm.Body{Fields: map[string]string{comm.KeyMRC: parkMRC, comm.KeyReason: dec.Reasons[id]}}))
 	}
 }
 
@@ -371,7 +376,7 @@ func (p *Orchestrated) Step(env *sim.Env) {
 // when the order carries no position, and replans.
 func (p *Orchestrated) handleReroute(m comm.Message) {
 	p.enRoute = false
-	pos, ok := coop.StatusPos(m)
+	pos, ok := m.Pos()
 	if !ok {
 		if node := m.Get(comm.KeyAvoid); node != "" {
 			p.avoid[node] = true
@@ -400,7 +405,7 @@ func (p *Orchestrated) drive(env *sim.Env) {
 		p.legs = p.legs[1:]
 		if len(p.legs) == 0 {
 			p.net.Send(comm.NewMessage(p.c.ID(), p.director, comm.TypeResponse, comm.TopicTaskDone,
-				map[string]string{comm.KeyTask: p.task}))
+				&comm.Body{Fields: map[string]string{comm.KeyTask: p.task}}))
 			p.task = ""
 			return
 		}

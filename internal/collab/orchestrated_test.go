@@ -1,7 +1,6 @@
 package collab
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -51,11 +50,8 @@ func rerouteRig(t *testing.T, gateWorld bool) (*Orchestrated, *core.Constituent,
 
 func rerouteMsg(x, y float64) comm.Message {
 	return comm.NewMessage("tms", "member", comm.TypeCommand, comm.TopicCommandRoute,
-		map[string]string{
-			comm.KeyAvoid: "m",
-			comm.KeyX:     strconv.FormatFloat(x, 'f', 2, 64),
-			comm.KeyY:     strconv.FormatFloat(y, 'f', 2, 64),
-		})
+		&comm.Body{Pos: comm.WirePos(geom.V(x, y)), HasPos: true,
+			Fields: map[string]string{comm.KeyAvoid: "m"}})
 }
 
 func TestOrchestratedRerouteBlocksTunnelEdge(t *testing.T) {
@@ -83,7 +79,7 @@ func TestOrchestratedRerouteFallsBackToNode(t *testing.T) {
 	o, _, e, net := rerouteRig(t, true)
 	// No position payload: fall back to the named node.
 	net.Send(comm.NewMessage("tms", "member", comm.TypeCommand, comm.TopicCommandRoute,
-		map[string]string{comm.KeyAvoid: "m"}))
+		&comm.Body{Fields: map[string]string{comm.KeyAvoid: "m"}}))
 	e.RunFor(time.Second)
 	if !o.avoid["m"] {
 		t.Error("node fallback not applied")
@@ -93,7 +89,7 @@ func TestOrchestratedRerouteFallsBackToNode(t *testing.T) {
 func TestOrchestratedTaskExecution(t *testing.T) {
 	o, c, e, net := rerouteRig(t, true)
 	net.Send(comm.NewMessage("tms", "member", comm.TypeTask, comm.TopicTaskAssign,
-		map[string]string{comm.KeyTask: "job-1", "from": "a", "to": "b"}))
+		&comm.Body{Fields: map[string]string{comm.KeyTask: "job-1", "from": "a", "to": "b"}}))
 	e.RunFor(2 * time.Second)
 	if o.Task() != "job-1" {
 		t.Fatalf("task = %q", o.Task())
@@ -131,8 +127,7 @@ func TestDirectorReassignsAndTracksModes(t *testing.T) {
 
 	beacon := func(mode string) {
 		net.Send(comm.NewMessage("t1", comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
-			map[string]string{comm.KeyMode: mode, comm.KeyNode: "a",
-				comm.KeyX: "0", comm.KeyY: "0"}))
+			&comm.Body{HasPos: true, Mode: mode, Node: "a"}))
 	}
 	beacon("nominal")
 	e.RunFor(time.Second)

@@ -231,7 +231,7 @@ func (h *envHeap) popMin() envelope {
 	min := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s[last] = envelope{} // release the Message maps to the GC
+	s[last] = envelope{} // release the payload to the GC
 	*h = s[:last]
 	h.siftDown(0)
 	return min

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"coopmrm/internal/geom"
 	"coopmrm/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func BenchmarkBroadcastDeliver(b *testing.B) {
 		n.MustRegister(ids[i])
 	}
 	msg := NewMessage("v0", Broadcast, TypeStatus, TopicStatus,
-		map[string]string{KeyMode: "nominal", KeyX: "1.0", KeyY: "2.0"})
+		&Body{Pos: geom.V(1, 2), HasPos: true, Mode: "nominal"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,7 +53,7 @@ func benchNetworkTick10Node(b *testing.B, scan bool) {
 		ids[i] = fmt.Sprintf("v%d", i)
 		n.MustRegister(ids[i])
 		msgs[i] = NewMessage(ids[i], Broadcast, TypeStatus, TopicStatus,
-			map[string]string{KeyMode: "nominal", KeyX: "1.0", KeyY: "2.0"})
+			&Body{Pos: geom.V(1, 2), HasPos: true, Mode: "nominal"})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -90,7 +90,7 @@ func driveDifferential(t *testing.T, cfg NetConfig, seed int64, ticks int) {
 			case 1:
 				to = "ghost"
 			}
-			m := NewMessage(from, to, TypeStatus, "diff", map[string]string{"n": fmt.Sprint(tick)})
+			m := NewMessage(from, to, TypeStatus, "diff", &Body{Fields: map[string]string{"n": fmt.Sprint(tick)}})
 			if s1, s2 := fast.Send(m), oracle.Send(m); s1 != s2 {
 				t.Fatalf("tick %d: Seq diverges: %d vs %d", tick, s1, s2)
 			}
@@ -183,13 +183,13 @@ func TestReceiveSliceSurvivesNextDeliver(t *testing.T) {
 	n := newNet(NetConfig{})
 	n.MustRegister("a")
 	n.MustRegister("b")
-	n.Send(NewMessage("a", "b", TypeStatus, "x", map[string]string{"k": "first"}))
+	n.Send(NewMessage("a", "b", TypeStatus, "x", &Body{Fields: map[string]string{"k": "first"}}))
 	n.Deliver(0)
 	first := n.Receive("b")
 	if len(first) != 1 || first[0].Get("k") != "first" {
 		t.Fatalf("first drain = %+v", first)
 	}
-	n.Send(NewMessage("a", "b", TypeStatus, "x", map[string]string{"k": "second"}))
+	n.Send(NewMessage("a", "b", TypeStatus, "x", &Body{Fields: map[string]string{"k": "second"}}))
 	n.Deliver(time.Millisecond)
 	if first[0].Get("k") != "first" {
 		t.Fatalf("slice from previous Receive was clobbered by next Deliver: %+v", first)
@@ -210,7 +210,7 @@ func TestNetworkSteadyStateTickAllocFree(t *testing.T) {
 		ids[i] = fmt.Sprintf("v%d", i)
 		n.MustRegister(ids[i])
 	}
-	msg := NewMessage("v0", Broadcast, TypeStatus, TopicStatus, map[string]string{KeyMode: "nominal"})
+	msg := NewMessage("v0", Broadcast, TypeStatus, TopicStatus, &Body{Mode: "nominal"})
 	tick := 0
 	cycle := func() {
 		tick++

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"coopmrm/internal/geom"
 	"coopmrm/internal/sim"
 )
 
@@ -21,13 +22,21 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestMessagePayload(t *testing.T) {
-	m := NewMessage("a", "b", TypeStatus, "topic", map[string]string{"k": "v"})
+	m := NewMessage("a", "b", TypeStatus, "topic", &Body{Fields: map[string]string{"k": "v"}})
 	if m.Get("k") != "v" || m.Get("missing") != "" {
 		t.Error("Get wrong")
 	}
-	m2 := m.WithPayload("x", "y")
-	if m2.Get("x") != "y" || m.Get("x") != "" {
-		t.Error("WithPayload must not mutate original")
+	if _, ok := m.Pos(); ok || m.Mode() != "" || m.Node() != "" {
+		t.Error("a text body names no position, mode or node")
+	}
+	empty := NewMessage("a", "b", TypeStatus, "topic", nil)
+	if _, ok := empty.Pos(); ok || empty.Get("k") != "" || empty.Mode() != "" || empty.Node() != "" {
+		t.Error("a message without a body must read as empty")
+	}
+	beacon := NewMessage("a", Broadcast, TypeStatus, TopicStatus,
+		&Body{Pos: geom.V(1.25, -3), HasPos: true, Mode: "mrc", Node: "n1"})
+	if pos, ok := beacon.Pos(); !ok || pos != geom.V(1.25, -3) || beacon.Mode() != "mrc" || beacon.Node() != "n1" {
+		t.Errorf("beacon reads pos %v %v, mode %q, node %q", pos, ok, beacon.Mode(), beacon.Node())
 	}
 }
 

@@ -28,12 +28,9 @@ const (
 	TopicTaskDone = "tms.done"
 )
 
-// Payload keys used with the topics above.
+// Text field keys used with the topics above. Positions, modes and
+// nodes are typed Body fields.
 const (
-	KeyX      = "x"
-	KeyY      = "y"
-	KeyMode   = "mode"
-	KeyNode   = "node"
 	KeyMRC    = "mrc"
 	KeyReason = "reason"
 	KeyAck    = "ack"

@@ -99,9 +99,9 @@ func (s *AgreementSeeking) DeclareEvacuation(env *sim.Env) {
 	s.startEvacuation(env)
 	c := s.base.C()
 	s.base.Net.Send(comm.NewMessage(c.ID(), comm.Broadcast, comm.TypeRequest,
-		comm.TopicEvacuate, map[string]string{
+		comm.TopicEvacuate, &comm.Body{Fields: map[string]string{
 			comm.KeyOrder: strings.Join(s.evacOrder, ","),
-		}))
+		}}))
 	env.Emit(sim.EventInfo, c.ID(), "declared evacuation; order "+strings.Join(s.evacOrder, ","))
 }
 
@@ -154,7 +154,7 @@ func (s *AgreementSeeking) handleGapRequest(env *sim.Env, m comm.Message) {
 		env.Emit(sim.EventInfo, c.ID(), "consented to gap for "+m.From)
 	}
 	s.base.Net.Send(comm.NewMessage(c.ID(), m.From, comm.TypeResponse,
-		comm.TopicGapResponse, map[string]string{comm.KeyAck: ack}))
+		comm.TopicGapResponse, &comm.Body{Fields: map[string]string{comm.KeyAck: ack}}))
 }
 
 func (s *AgreementSeeking) stopHelping() {
@@ -210,7 +210,7 @@ func (s *AgreementSeeking) stepInitiator(env *sim.Env) {
 // sendGapRequest broadcasts the gap request for the pending reason.
 func (s *AgreementSeeking) sendGapRequest(from string) {
 	s.base.Net.Send(comm.NewMessage(from, comm.Broadcast, comm.TypeRequest,
-		comm.TopicGapRequest, map[string]string{comm.KeyReason: s.pendingReason}))
+		comm.TopicGapRequest, &comm.Body{Fields: map[string]string{comm.KeyReason: s.pendingReason}}))
 }
 
 func (s *AgreementSeeking) stepEvacuation(env *sim.Env) {

@@ -23,7 +23,6 @@ package coop
 
 import (
 	"slices"
-	"strconv"
 	"time"
 
 	"coopmrm/internal/geom"
@@ -133,7 +132,7 @@ func (b *Base) HandleStatus(m comm.Message) {
 	if m.Topic != comm.TopicStatus {
 		return
 	}
-	mode := m.Get(comm.KeyMode)
+	mode := m.Mode()
 	if stopped(mode) != stopped(b.peerMode[m.From]) {
 		b.stopChanges++
 	}
@@ -143,10 +142,10 @@ func (b *Base) HandleStatus(m comm.Message) {
 		return
 	}
 	var blk Blockage
-	if pos, ok := StatusPos(m); ok && b.Graph != nil {
+	if pos, ok := m.Pos(); ok && b.Graph != nil {
 		blk = BlockageAt(b.Graph, b.World, pos)
 	} else {
-		blk.Node = m.Get(comm.KeyNode)
+		blk.Node = m.Node()
 	}
 	// Unchanged blockage: nothing to do (avoids a replan storm when
 	// beacons repeat the same stopped position).
@@ -190,8 +189,8 @@ func (b *Base) BeaconIfDue(env *sim.Env) {
 }
 
 // StatusBeacon builds the status broadcast of every V2X class: the
-// sender's position, ADS mode and nearest route node ("" without a
-// graph).
+// sender's position on the wire grid, ADS mode and nearest route node
+// ("" without a graph).
 func StatusBeacon(c *core.Constituent, g *world.RouteGraph) comm.Message {
 	pos := c.Body().Position()
 	node := ""
@@ -199,18 +198,5 @@ func StatusBeacon(c *core.Constituent, g *world.RouteGraph) comm.Message {
 		node, _ = g.NearestNode(pos)
 	}
 	return comm.NewMessage(c.ID(), comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
-		map[string]string{
-			comm.KeyX:    strconv.FormatFloat(pos.X, 'f', 2, 64),
-			comm.KeyY:    strconv.FormatFloat(pos.Y, 'f', 2, 64),
-			comm.KeyMode: c.Mode().String(),
-			comm.KeyNode: node,
-		})
-}
-
-// StatusPos extracts a message's position payload; ok is false when
-// it is absent or malformed.
-func StatusPos(m comm.Message) (pos geom.Vec2, ok bool) {
-	x, err1 := strconv.ParseFloat(m.Get(comm.KeyX), 64)
-	y, err2 := strconv.ParseFloat(m.Get(comm.KeyY), 64)
-	return geom.V(x, y), err1 == nil && err2 == nil
+		&comm.Body{Pos: comm.WirePos(pos), HasPos: true, Mode: c.Mode().String(), Node: node})
 }

@@ -1,6 +1,7 @@
 package coop
 
 import (
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -47,12 +48,7 @@ func baseRig(t *testing.T, gateWorld bool) (*Base, *agent.HaulAgent, *world.Worl
 
 func statusMsg(from, mode string, pos geom.Vec2) comm.Message {
 	return comm.NewMessage(from, comm.Broadcast, comm.TypeStatus, comm.TopicStatus,
-		map[string]string{
-			comm.KeyX:    strconv.FormatFloat(pos.X, 'f', 2, 64),
-			comm.KeyY:    strconv.FormatFloat(pos.Y, 'f', 2, 64),
-			comm.KeyMode: mode,
-			comm.KeyNode: "m",
-		})
+		&comm.Body{Pos: comm.WirePos(pos), HasPos: true, Mode: mode, Node: "m"})
 }
 
 func TestHandleStatusBlocksEdgeInTunnel(t *testing.T) {
@@ -163,5 +159,29 @@ func TestBeaconIfDuePeriod(t *testing.T) {
 	net2.Deliver(env.Clock.Now())
 	if got := len(net2.Receive("listener")); got != 3 {
 		t.Errorf("beacons = %d, want 3", got)
+	}
+}
+
+// TestStatusBeaconWireFormat checks what a beacon carries: the
+// sender's position as the two-decimal text format carried it, bit for
+// bit, with its ADS mode and nearest route node.
+func TestStatusBeaconWireFormat(t *testing.T) {
+	b, _, _ := baseRig(t, false)
+	for _, p := range []geom.Vec2{geom.V(12.345678, -0.004), geom.V(0.125, 99.995), geom.V(-3.375, 1e-9)} {
+		b.C().Body().Teleport(geom.Pose{Pos: p})
+		m := StatusBeacon(b.C(), b.Graph)
+		got, ok := m.Pos()
+		if !ok {
+			t.Fatalf("beacon at %v carries no position", p)
+		}
+		for _, a := range [][2]float64{{p.X, got.X}, {p.Y, got.Y}} {
+			want, _ := strconv.ParseFloat(strconv.FormatFloat(a[0], 'f', 2, 64), 64)
+			if math.Float64bits(a[1]) != math.Float64bits(want) {
+				t.Errorf("beacon at %v carries %v, want %v", p, a[1], want)
+			}
+		}
+		if m.Mode() != "nominal" || m.Node() != "a" {
+			t.Errorf("beacon at %v reports mode %q, node %q; want nominal, a", p, m.Mode(), m.Node())
+		}
 	}
 }

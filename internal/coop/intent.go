@@ -1,7 +1,6 @@
 package coop
 
 import (
-	"strconv"
 	"time"
 
 	"coopmrm/internal/comm"
@@ -96,7 +95,7 @@ func (s *IntentSharing) Step(env *sim.Env) {
 			s.base.HandleStatus(m)
 			// An MRC confirmation from the vehicle we react to ends
 			// the reaction early.
-			if s.reactingTo == m.From && m.Get(comm.KeyMode) == "mrc" {
+			if s.reactingTo == m.From && m.Mode() == "mrc" {
 				s.stopReacting()
 			}
 		case comm.TopicMRMIntent:
@@ -117,12 +116,8 @@ func (s *IntentSharing) broadcastIntent(env *sim.Env) {
 	in := s.pendingIntent
 	s.pendingIntent = nil
 	s.base.Net.Send(comm.NewMessage(c.ID(), comm.Broadcast, comm.TypeIntent, comm.TopicMRMIntent,
-		map[string]string{
-			comm.KeyMRC:  in.mrcID,
-			comm.KeyX:    strconv.FormatFloat(in.stop.X, 'f', 2, 64),
-			comm.KeyY:    strconv.FormatFloat(in.stop.Y, 'f', 2, 64),
-			comm.KeyNode: in.node,
-		}))
+		&comm.Body{Pos: comm.WirePos(in.stop), HasPos: true, Node: in.node,
+			Fields: map[string]string{comm.KeyMRC: in.mrcID}}))
 	env.Emit(sim.EventInfo, c.ID(), "announced MRM intent to "+in.mrcID)
 }
 
@@ -132,10 +127,10 @@ func (s *IntentSharing) handleIntent(env *sim.Env, m comm.Message) {
 		return
 	}
 	// Proactively avoid the announced stop node.
-	if node := m.Get(comm.KeyNode); node != "" {
+	if node := m.Node(); node != "" {
 		s.base.Haul.Avoid(node)
 	}
-	stop, ok := StatusPos(m)
+	stop, ok := m.Pos()
 	if !ok {
 		return
 	}

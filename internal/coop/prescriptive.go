@@ -35,7 +35,7 @@ func (a *Authority) Step(env *sim.Env) { a.net.Receive(a.id) }
 // vehicle select). A local MRC in Table I terms.
 func (a *Authority) CommandMRC(env *sim.Env, target, mrcID, reason string) {
 	a.net.Send(comm.NewMessage(a.id, target, comm.TypeCommand, comm.TopicCommandMRC,
-		map[string]string{comm.KeyMRC: mrcID, comm.KeyReason: reason}))
+		&comm.Body{Fields: map[string]string{comm.KeyMRC: mrcID, comm.KeyReason: reason}}))
 	env.EmitFields(sim.EventMRCLocal, a.id, "commanded "+target+" to MRC "+mrcID,
 		map[string]string{"target": target, "mrc": mrcID, "reason": reason})
 }
@@ -46,7 +46,7 @@ func (a *Authority) CommandMRC(env *sim.Env, target, mrcID, reason string) {
 // paper's terms.
 func (a *Authority) CommandAllMRC(env *sim.Env, mrcID, reason string) {
 	a.net.Send(comm.NewMessage(a.id, comm.Broadcast, comm.TypeCommand, comm.TopicCommandMRC,
-		map[string]string{comm.KeyMRC: mrcID, comm.KeyReason: reason}))
+		&comm.Body{Fields: map[string]string{comm.KeyMRC: mrcID, comm.KeyReason: reason}}))
 	env.EmitFields(sim.EventMRCGlobal, a.id, "commanded ALL to MRC "+mrcID,
 		map[string]string{"mrc": mrcID, "reason": reason})
 	if mrcID != "" && mrcID != "in_place" && mrcID != "emergency" && mrcID != "in_lane" {
@@ -57,7 +57,7 @@ func (a *Authority) CommandAllMRC(env *sim.Env, mrcID, reason string) {
 // CommandAvoid orders one vehicle to reroute around a node.
 func (a *Authority) CommandAvoid(env *sim.Env, target, node, reason string) {
 	a.net.Send(comm.NewMessage(a.id, target, comm.TypeCommand, comm.TopicCommandRoute,
-		map[string]string{comm.KeyAvoid: node, comm.KeyReason: reason}))
+		&comm.Body{Fields: map[string]string{comm.KeyAvoid: node, comm.KeyReason: reason}}))
 	env.Emit(sim.EventInfo, a.id, "ordered "+target+" to avoid "+node)
 }
 

@@ -559,8 +559,8 @@ func (c *Constituent) ReleaseAssist() { c.assistCap = -1 }
 // Assisting reports whether an external assist bound is active.
 func (c *Constituent) Assisting() bool { return c.assistCap >= 0 }
 
-// Step implements sim.Entity: perception update, ODD evaluation, the
-// ADS mode machine, then kinematics.
+// Step implements sim.Entity: perception update, the ADS mode machine
+// with the ODD evaluated where a mode reads it, then kinematics.
 func (c *Constituent) Step(env *sim.Env) {
 	if c.world != nil {
 		c.suite.SetWeatherFactor(c.world.Weather.PerceptionFactor())
@@ -571,20 +571,10 @@ func (c *Constituent) Step(env *sim.Env) {
 		// The leader's field of view extends the follower's.
 		assessCaps.PerceptionRange = c.body.Spec().SensorRange
 	}
-	var oddStatus odd.Status
-	if c.world != nil {
-		oddStatus = c.monitor.Evaluate(odd.Input{
-			Weather:  c.world.Weather,
-			Position: c.body.Position(),
-			Caps:     assessCaps,
-		})
-	} else {
-		oddStatus = odd.Status{Inside: true}
-	}
 
 	switch c.mode {
 	case ModeNominal, ModeDegraded:
-		c.stepOperational(env, assessCaps, oddStatus)
+		c.stepOperational(env, assessCaps, c.evaluateODD(assessCaps))
 	case ModeMRM:
 		c.stepMRM(env, caps)
 	case ModeMRC:
@@ -592,7 +582,7 @@ func (c *Constituent) Step(env *sim.Env) {
 		// intervention. The future-work extension may recover from
 		// transient causes autonomously.
 		if c.AutoRecovery == AutoRecoveryTransient {
-			c.stepAutoRecovery(env, assessCaps, oddStatus)
+			c.stepAutoRecovery(env, assessCaps, c.evaluateODD(assessCaps))
 		}
 	}
 
@@ -612,6 +602,22 @@ func (c *Constituent) Step(env *sim.Env) {
 		c.body.SetTargetSpeed(bound)
 	}
 	c.body.Step(env.Clock.StepSeconds())
+}
+
+// evaluateODD checks the current weather, position and caps against
+// the ODD; without a world the constituent is always inside it. The
+// evaluation is pure, so Step calls it only in the modes that read it:
+// an MRM runs on capabilities alone, and an MRC without transient
+// auto-recovery waits for user intervention whatever the ODD says.
+func (c *Constituent) evaluateODD(caps vehicle.Capabilities) odd.Status {
+	if c.world == nil {
+		return odd.Status{Inside: true}
+	}
+	return c.monitor.Evaluate(odd.Input{
+		Weather:  c.world.Weather,
+		Position: c.body.Position(),
+		Caps:     caps,
+	})
 }
 
 func (c *Constituent) stepOperational(env *sim.Env, caps vehicle.Capabilities, oddStatus odd.Status) {
@@ -1114,10 +1120,6 @@ func (c *Constituent) stepAutoRecovery(env *sim.Env, caps vehicle.Capabilities, 
 	env.Emit(sim.EventRecovered, c.id, "autonomous recovery: transient cause cleared (no intervention)")
 }
 
-// Recover models user intervention: active permanent faults are
-// repaired, the constituent returns to nominal mode and its original
-// strategic goal. Per Definitions 1 and 2 recovery from MRC always
-// needs intervention, so this also counts an intervention.
 // releaseZone frees the occupied refuge slot, if any.
 func (c *Constituent) releaseZone() {
 	if c.world != nil && c.occupiedZone != "" {
@@ -1126,6 +1128,10 @@ func (c *Constituent) releaseZone() {
 	c.occupiedZone = ""
 }
 
+// Recover models user intervention: active permanent faults are
+// repaired, the constituent returns to nominal mode and its original
+// strategic goal. Per Definitions 1 and 2 recovery from MRC always
+// needs intervention, so this also counts an intervention.
 func (c *Constituent) Recover(env *sim.Env) {
 	c.interventions++
 	c.releaseZone()

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -156,5 +157,88 @@ func TestReportZeroProbes(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Error("report must render")
+	}
+}
+
+// TestFootprintRadiusFollowsShape checks the cached footprint radii.
+// A footprint that grows after the first sample must widen the broad
+// phase: a 30 m box reaching a neighbour 16 m away is a collision.
+// Footprints that change shape at random, by up to an order of
+// magnitude, leave the indexed collector equal to the brute-force
+// oracle; and a collector Reinit after a run with smaller shapes
+// reports and logs what a fresh one does.
+func TestFootprintRadiusFollowsShape(t *testing.T) {
+	length := 4.0
+	grower := Probe{ID: "a", Mode: func() string { return "mrc" },
+		Footprint: func() geom.OrientedBox { return geom.OrientedBox{Length: length, Width: 2} }}
+	other := (&fakeVehicle{pos: geom.V(16, 0), mode: "nominal"}).probe("b")
+	grown := NewCollector(grower, other)
+	e := env(100 * time.Millisecond)
+	grown.Sample(e)
+	length = 30
+	grown.Sample(e)
+	if n := grown.Report().Collisions; n != 1 {
+		t.Errorf("a footprint grown to reach its neighbour gives %d collisions, want 1", n)
+	}
+
+	modes := []string{"nominal", "degraded", "mrm", "mrc"}
+	sizes := []float64{1, 2, 4, 30}
+	const n = 6
+	vs := make([]*fakeVehicle, n)
+	shapes := make([][2]float64, n)
+	probes := func() []Probe {
+		out := make([]Probe, n)
+		for i := range out {
+			if vs[i] == nil {
+				vs[i] = &fakeVehicle{mode: "nominal"}
+			}
+			v := vs[i]
+			out[i] = v.probe(string(rune('a' + i)))
+			out[i].Footprint = func() geom.OrientedBox {
+				return geom.OrientedBox{Center: v.pos, Length: shapes[i][0], Width: shapes[i][1]}
+			}
+		}
+		return out
+	}
+	step := func(rng *rand.Rand, cs []*Collector, envs []*sim.Env) {
+		for i := range shapes {
+			shapes[i] = [2]float64{1, 1}
+		}
+		for tick := 0; tick < 200; tick++ {
+			for i, v := range vs {
+				v.pos = geom.V(rng.Float64()*80-40, rng.Float64()*80-40)
+				v.mode = modes[rng.Intn(len(modes))]
+				if tick > 0 && rng.Intn(8) == 0 {
+					shapes[i] = [2]float64{sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))]}
+				}
+			}
+			for k, c := range cs {
+				c.Sample(envs[k])
+			}
+		}
+	}
+	reused := NewCollector(probes()...)
+	step(rand.New(rand.NewSource(1)), []*Collector{reused}, []*sim.Env{env(100 * time.Millisecond)})
+	reused.Reinit()
+
+	brute := NewCollector(probes()...)
+	brute.UseBruteForce = true
+	fresh := NewCollector(probes()...)
+	envs := []*sim.Env{env(100 * time.Millisecond), env(100 * time.Millisecond), env(100 * time.Millisecond)}
+	step(rand.New(rand.NewSource(2)), []*Collector{brute, fresh, reused}, envs)
+
+	rb, rf, rr := brute.Report(), fresh.Report(), reused.Report()
+	if rb.Collisions != rf.Collisions || rb.NearMisses != rf.NearMisses || rb.MinSeparation != rf.MinSeparation {
+		t.Errorf("indexed %d collisions, %d near misses, min sep %v; brute %d, %d, %v",
+			rf.Collisions, rf.NearMisses, rf.MinSeparation, rb.Collisions, rb.NearMisses, rb.MinSeparation)
+	}
+	if rf.Collisions == 0 || rf.NearMisses == 0 {
+		t.Errorf("%d collisions and %d near misses: the layout proves nothing", rf.Collisions, rf.NearMisses)
+	}
+	if !reflect.DeepEqual(rf, rr) {
+		t.Errorf("Reinit collector reports %+v, fresh %+v", rr, rf)
+	}
+	if ef, er := envs[1].Log.Events(), envs[2].Log.Events(); !reflect.DeepEqual(ef, er) {
+		t.Errorf("Reinit collector logged %d events, fresh %d, or they differ", len(er), len(ef))
 	}
 }

@@ -110,8 +110,11 @@ type Collector struct {
 	// cache (each probe's Footprint() runs exactly once per tick), the
 	// cached risk relevance, and the broad-phase grid and its pair
 	// buffer, which also tells latch maintenance which pairs the
-	// broad phase scored this tick.
+	// broad phase scored this tick. halfDiag[i] is the half-diagonal
+	// of a footprint of shape[i] (length, width), recomputed only when
+	// probe i's shape changes; the zero shape has the zero radius.
 	boxes    []geom.OrientedBox
+	shape    [][2]float64
 	halfDiag []float64
 	relevant []bool
 	grid     *geom.Grid
@@ -134,6 +137,7 @@ func NewCollector(probes ...Probe) *Collector {
 		inContact:    make(map[[2]int]bool),
 		inNear:       make(map[[2]int]bool),
 		boxes:        make([]geom.OrientedBox, len(probes)),
+		shape:        make([][2]float64, len(probes)),
 		halfDiag:     make([]float64, len(probes)),
 		relevant:     make([]bool, len(probes)),
 	}
@@ -149,7 +153,8 @@ func NewCollector(probes ...Probe) *Collector {
 // assembly checks fleet identity before reusing). Behaviour after Reinit is
 // identical to a fresh collector's: every accumulator and latch is
 // cleared, and the per-tick scratch (footprint cache, relevance,
-// grid, pair buffer) is overwritten before it is read each Sample.
+// grid, pair buffer) is overwritten before it is read each Sample. The
+// footprint radii carry over: each is a function of its shape alone.
 func (c *Collector) Reinit() {
 	c.NearMissDist = 1.0
 	c.UseBruteForce = false
@@ -223,10 +228,15 @@ func (c *Collector) Sample(env *sim.Env) {
 	// broad-phase finds no candidates in range.
 	c.pairSeen = true
 	// Footprint cache: each probe's Footprint() closure runs at most
-	// once per tick, whatever the pair count.
+	// once per tick, whatever the pair count. Footprints come from the
+	// vehicle spec, so a radius is computed about once per run.
 	for i, p := range c.probes {
-		c.boxes[i] = p.Footprint()
-		c.halfDiag[i] = 0.5 * math.Hypot(c.boxes[i].Length, c.boxes[i].Width)
+		b := p.Footprint()
+		c.boxes[i] = b
+		if sh := [2]float64{b.Length, b.Width}; sh != c.shape[i] {
+			c.shape[i] = sh
+			c.halfDiag[i] = 0.5 * math.Hypot(b.Length, b.Width)
+		}
 	}
 	if c.UseBruteForce {
 		c.sampleBrute(env)
