@@ -11,11 +11,17 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet. CI installs staticcheck
-# (honnef.co/go/tools/cmd/staticcheck); locally the target runs it when
-# present and prints a notice otherwise, so `make lint` never fails on
-# a machine without the binary (or without network access to fetch it).
+# Static analysis beyond go vet. The gofmt gate lists every tracked Go
+# file that gofmt would change and fails when there is any. CI installs
+# staticcheck (honnef.co/go/tools/cmd/staticcheck); locally the target
+# runs it when present and prints a notice otherwise, so a machine
+# without the binary (or without network access to fetch it) still
+# runs vet and the gofmt gate.
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go') </dev/null); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needs to be run on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -105,8 +111,8 @@ memprofile-campaign:
 
 # microbench runs the Go micro-benchmarks with allocation accounting:
 # the per-artefact experiment benchmarks plus the hot-path pairs
-# (event-log query indexed vs scan, network tick heap vs scan,
-# proximity indexed vs brute, E16 full tick).
+# (network tick heap vs scan, proximity indexed vs brute, E16 full
+# tick).
 microbench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -bench=. -benchmem ./internal/runner ./internal/comm ./internal/sim

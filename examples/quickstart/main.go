@@ -56,7 +56,7 @@ func run() error {
 		return err
 	}
 
-	engine := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	engine := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	if err := engine.Register(car); err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func runA1Arm(seed int64, h *core.Hierarchy) (finalMRC string, risk float64, dur
 		ID: "ego", Spec: vehicle.DefaultSpec(vehicle.KindCar),
 		Start: geom.Pose{Pos: geom.V(0, 2)}, World: w, ODD: &roadODD, Hierarchy: h,
 	})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour, Seed: seed})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed})
 	e.MustRegister(c)
 	_ = c.Dispatch(geom.MustPath(geom.V(0, 2), geom.V(12000, 2)), 30)
 	e.RunFor(30 * time.Second)

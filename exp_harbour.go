@@ -6,7 +6,6 @@ import (
 
 	"coopmrm/internal/fault"
 	"coopmrm/internal/scenario"
-	"coopmrm/internal/sim"
 	"coopmrm/internal/world"
 )
 
@@ -74,6 +73,5 @@ func runE5Arm(opt Options, label string, twoLevel bool, horizon time.Duration) (
 		}
 	}
 	interventions = res.Report.Interventions
-	_ = res.Log.Count(sim.EventMRCLocal)
 	return total, afterTrigger, level, allSafe, interventions
 }

@@ -63,7 +63,7 @@ func runE13Episode(seed int64, nHelpers int, assistSpeed float64, kind fault.Kin
 	w.MustAddZone(world.Zone{ID: "shoulder", Kind: world.ZoneShoulder,
 		Area: geom.NewRect(geom.V(-500, 4), geom.V(50000, 7))})
 	roadODD := odd.DefaultRoadSpec()
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour, Seed: seed})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed})
 	initiator := core.MustConstituent(core.Config{
 		ID: "ego", Spec: vehicle.DefaultSpec(vehicle.KindCar),
 		Start: geom.Pose{Pos: geom.V(0, 2)}, World: w, ODD: &roadODD,

@@ -47,7 +47,7 @@ func newAgentRig(t *testing.T, neighbors func() []sensor.Target) (*sim.Engine, *
 		Speed:        10,
 		Neighbors:    neighbors,
 	})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	e.MustRegister(a)
 	return e, a, c
@@ -197,7 +197,7 @@ func TestServiceGateAndTime(t *testing.T) {
 	if a.Constituent() != c {
 		t.Fatal("Constituent accessor wrong")
 	}
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	e.MustRegister(a)
 	// First delivery at dep, then the truck returns to load and waits

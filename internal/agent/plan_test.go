@@ -175,7 +175,7 @@ func TestHaulAgentReplansWhileHeld(t *testing.T) {
 			return []sensor.Target{{ID: "wreck", Pos: blocked}}
 		},
 	})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	e.MustRegister(h)
 	e.RunFor(5 * time.Second)

@@ -393,11 +393,7 @@ func writeEventsFile(path string, events []sim.Event) error {
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	log := sim.NewEventLog()
-	for _, e := range events {
-		log.Append(e)
-	}
-	if err := log.WriteJSON(f); err != nil {
+	if err := sim.WriteEvents(f, events); err != nil {
 		f.Close()
 		return fmt.Errorf("artifact: %w", err)
 	}

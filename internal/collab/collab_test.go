@@ -46,7 +46,7 @@ func newQuarry(t *testing.T, nTrucks int) *quarry {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(-80, -80), geom.V(-30, -30))})
 
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(11))
 	e.AddPreHook(net.Hook())
 

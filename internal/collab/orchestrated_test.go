@@ -41,7 +41,7 @@ func rerouteRig(t *testing.T, gateWorld bool) (*Orchestrated, *core.Constituent,
 	if gateWorld {
 		o.World = w
 	}
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.AddPreHook(net.Hook())
 	e.MustRegister(c)
 	e.MustRegister(o)

@@ -208,7 +208,7 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 }
 
 func TestNetworkHook(t *testing.T) {
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Second})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	n := NewNetwork(NetConfig{Latency: 150 * time.Millisecond}, sim.NewRNG(1))
 	n.MustRegister("a")
 	n.MustRegister("b")

@@ -110,7 +110,7 @@ func (e *ConcertedMRM) Start(env *sim.Env) {
 			sets = append(sets, h.HoldCandidates(holds))
 		}
 		sel, fleetRisk := e.initiator.Planner().SelectJoint(sets)
-		if sel[0] >= 0 && cands[sel[0]].Risk <= e.initiator.Planner().Config().RiskCeiling {
+		if sel[0] >= 0 && cands[sel[0]].Risk <= traj.RiskCeiling {
 			for i, h := range e.helpers {
 				if k := sel[i+1]; k >= 0 {
 					h.AssistSlowdown(sets[i+1][k].Cruise)

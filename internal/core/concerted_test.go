@@ -18,7 +18,7 @@ func concertedRig(t *testing.T, n int) (*sim.Engine, *ConcertedMRM, *Constituent
 	t.Helper()
 	w := roadWorld()
 	roadODD := odd.DefaultRoadSpec()
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	init := MustConstituent(Config{ID: "ego", Spec: vehicle.DefaultSpec(vehicle.KindCar),
 		Start: geom.Pose{Pos: geom.V(100, 2)}, World: w, ODD: &roadODD,
 		Hierarchy: DefaultRoadHierarchy()})

@@ -79,8 +79,6 @@ type Config struct {
 	ID    string
 	Spec  vehicle.Spec
 	Start geom.Pose
-	// Suite defaults to a StandardSuite of the spec's sensor range.
-	Suite *sensor.Suite
 	// ODD defaults to the site spec.
 	ODD *odd.Spec
 	// Hierarchy defaults to the site hierarchy.
@@ -97,9 +95,6 @@ type Config struct {
 	// only on its own planning events, never on what other entities
 	// draw from the engine RNG.
 	Seed int64
-	// Planner overrides the trajectory-planner knobs (default
-	// traj.DefaultConfig()).
-	Planner *traj.Config
 	// Obstacles, when set, supplies the other constituents' observed
 	// states at planning time (a read-only snapshot of the tick's
 	// pre-step state, so what the planner sees does not depend on
@@ -108,8 +103,9 @@ type Config struct {
 }
 
 // Constituent is one automated vehicle or machine: body + perception
-// + ODD monitor + degradation manager + MRM executor. It implements
-// sim.Entity and fault.Handler.
+// (a standard sensor suite of the spec's range) + ODD monitor +
+// degradation manager + MRM executor. It implements sim.Entity and
+// fault.Handler.
 type Constituent struct {
 	id      string
 	body    *vehicle.Body
@@ -120,12 +116,10 @@ type Constituent struct {
 	net     *comm.Network
 	dm      *DegradationManager
 
-	// ownSuite/ownHier record that Reinit built the component itself
-	// (the Config left it nil). Only self-built components may be
-	// reused in place on the next Reinit — a caller-provided suite or
-	// hierarchy is caller-owned and must never be overwritten.
-	ownSuite bool
-	ownHier  bool
+	// ownHier records that Reinit built the hierarchy itself (the
+	// Config left it nil). Only a self-built hierarchy may be reused on
+	// the next Reinit — a caller-provided one is caller-owned.
+	ownHier bool
 
 	mode     Mode
 	goal     string
@@ -158,10 +152,6 @@ type Constituent struct {
 	plannedOK bool
 	planAt    time.Duration
 	replans   int
-	// ReplanEvery is the cadence of the mid-MRM staleness check on the
-	// active planned trajectory (default DefaultReplanEvery; the check
-	// draws no randomness, only a genuine replan does).
-	ReplanEvery time.Duration
 
 	// Measured transition risk per manoeuvre (planned candidates and
 	// scored scripted stops alike).
@@ -193,23 +183,20 @@ type Constituent struct {
 	// crawls while the policy coordinates, e.g. agreement-seeking
 	// classes requesting a gap first); the gate is re-consulted every
 	// tick until it allows or the policy triggers the MRM itself.
-	MRMGate func(c *Constituent, reason string) bool
-	// GateTimeout is the designed-in bound on how long an MRM may stay
-	// deferred by MRMGate: if the gate still refuses after this long,
-	// the MRM triggers anyway (reason suffixed "(gate timeout)"). This
-	// is the vehicle-level safety net under the coordinating policies —
-	// a policy that dies, partitions away, or mis-retries must not
-	// defer the manoeuvre forever. Defaults to DefaultGateTimeout;
-	// negative disables the watchdog.
-	GateTimeout time.Duration
-	gatedSince  time.Duration // -1 when not currently gated
+	MRMGate    func(c *Constituent, reason string) bool
+	gatedSince time.Duration // -1 when not currently gated
 }
 
-// DefaultGateTimeout is the default MRMGate watchdog bound. It is far
-// above any healthy coordination round (the agreement-seeking class
-// gives up after ~21s with default retry settings) so it only fires
-// when the coordinating policy itself has failed.
-const DefaultGateTimeout = 60 * time.Second
+// GateTimeout is the designed-in bound on how long an MRM may stay
+// deferred by MRMGate: if the gate still refuses after this long, the
+// MRM triggers anyway (reason suffixed "(gate timeout)"). This is the
+// vehicle-level safety net under the coordinating policies — a policy
+// that dies, partitions away, or mis-retries must not defer the
+// manoeuvre forever. It is far above any healthy coordination round
+// (the agreement-seeking class gives up after ~21s with default retry
+// settings) so it only fires when the coordinating policy itself has
+// failed.
+const GateTimeout = 60 * time.Second
 
 var (
 	_ sim.Entity    = (*Constituent)(nil)
@@ -232,10 +219,10 @@ func NewConstituent(cfg Config) (*Constituent, error) {
 // constituent is identical to a fresh one by construction: the whole
 // struct is reassigned as one composite literal (any field not listed
 // is zeroed, so new fields can never leak across runs), and the
-// per-run components the shell built itself — planner, body, sensor
-// suite, ODD monitor, MRC hierarchy, degradation manager, fault map —
-// are reinitialised in place rather than reallocated, each through
-// the same assignment its fresh constructor runs.
+// per-run components — planner, body, sensor suite, ODD monitor, the
+// self-built MRC hierarchy, degradation manager, fault map — are
+// reinitialised in place rather than reallocated, each through the
+// same assignment its fresh constructor runs.
 func (c *Constituent) Reinit(cfg Config) error {
 	if cfg.ID == "" {
 		return fmt.Errorf("core: constituent with empty ID")
@@ -243,15 +230,11 @@ func (c *Constituent) Reinit(cfg Config) error {
 	if cfg.Spec.Kind == 0 {
 		cfg.Spec = vehicle.DefaultSpec(vehicle.KindTruck)
 	}
-	suite, ownSuite := cfg.Suite, false
+	suite := c.suite
 	if suite == nil {
-		ownSuite = true
-		if c.ownSuite && c.suite != nil {
-			suite = c.suite
-			suite.ReinitStandard(cfg.Spec.SensorRange)
-		} else {
-			suite = sensor.StandardSuite(cfg.Spec.SensorRange)
-		}
+		suite = sensor.StandardSuite(cfg.Spec.SensorRange)
+	} else {
+		suite.ReinitStandard(cfg.Spec.SensorRange)
 	}
 	oddSpec := odd.DefaultSiteSpec()
 	if cfg.ODD != nil {
@@ -271,15 +254,11 @@ func (c *Constituent) Reinit(cfg Config) error {
 	if cfg.Goal == "" {
 		cfg.Goal = "user_goal"
 	}
-	pcfg := traj.DefaultConfig()
-	if cfg.Planner != nil {
-		pcfg = *cfg.Planner
-	}
 	planner := c.planner
 	if planner == nil {
-		planner = traj.New(traj.Seed(cfg.Seed, cfg.ID), pcfg)
+		planner = traj.New(traj.Seed(cfg.Seed, cfg.ID))
 	} else {
-		planner.Reinit(traj.Seed(cfg.Seed, cfg.ID), pcfg)
+		planner.Reinit(traj.Seed(cfg.Seed, cfg.ID))
 	}
 	body := c.body
 	if body == nil {
@@ -314,7 +293,6 @@ func (c *Constituent) Reinit(cfg Config) error {
 		world:        cfg.World,
 		net:          cfg.Net,
 		dm:           dm,
-		ownSuite:     ownSuite,
 		ownHier:      ownHier,
 		mode:         ModeNominal,
 		goal:         cfg.Goal,
@@ -327,8 +305,6 @@ func (c *Constituent) Reinit(cfg Config) error {
 		assistCap:    -1,
 		planner:      planner,
 		obstacles:    cfg.Obstacles,
-		ReplanEvery:  DefaultReplanEvery,
-		GateTimeout:  DefaultGateTimeout,
 		gatedSince:   -1,
 	}
 	return nil
@@ -629,7 +605,7 @@ func (c *Constituent) stepOperational(env *sim.Env, caps vehicle.Capabilities, o
 			if c.gatedSince < 0 {
 				c.gatedSince = now
 			}
-			if c.GateTimeout >= 0 && now-c.gatedSince >= c.GateTimeout {
+			if now-c.gatedSince >= GateTimeout {
 				// Designed-in watchdog: the coordinating policy has
 				// deferred the MRM for too long — trigger anyway.
 				c.gatedSince = -1
@@ -898,7 +874,8 @@ func (c *Constituent) fallbackMRM(env *sim.Env) {
 // schedule realises the candidate's deceleration profile (the body
 // itself knows only one target speed), and every ReplanEvery the
 // remaining trajectory is re-scored against fresh obstacles — genuine
-// mid-MRM replanning when it has gone stale.
+// mid-MRM replanning when it has gone stale. The check draws no
+// randomness; only a genuine replan does.
 func (c *Constituent) stepPlanned(env *sim.Env) {
 	// v(s) = min(cruise, sqrt(2·a·s_rem)): decelerate along the
 	// candidate's approach profile toward the stop point.
@@ -911,18 +888,14 @@ func (c *Constituent) stepPlanned(env *sim.Env) {
 		c.body.SetTargetSpeed(sched)
 	}
 
-	every := c.ReplanEvery
-	if every <= 0 {
-		every = DefaultReplanEvery
-	}
 	now := env.Clock.Now()
-	if now-c.planAt < every {
+	if now-c.planAt < ReplanEvery {
 		return
 	}
 	c.planAt = now
 	done, _ := c.body.PathProgress()
 	fresh := c.planner.ScoreRemaining(c.planRequest(c.currentMRC, c.targetZone, nil), c.planned, done)
-	if fresh.Risk <= c.planner.Config().RiskCeiling {
+	if fresh.Risk <= traj.RiskCeiling {
 		return
 	}
 	// The in-flight trajectory has gone stale (obstacles moved into
@@ -1040,9 +1013,9 @@ func (c *Constituent) HoldCandidates(speeds []float64) []traj.Candidate {
 	return c.planner.HoldCandidates(c.planRequest(MRC{}, world.Zone{}, route), speeds)
 }
 
-// DefaultReplanEvery is the default cadence of the mid-MRM staleness
-// check on an active planned trajectory.
-const DefaultReplanEvery = 5 * time.Second
+// ReplanEvery is the cadence of the mid-MRM staleness check on an
+// active planned trajectory.
+const ReplanEvery = 5 * time.Second
 
 // mrmStopPoint picks the stopped position inside the target zone: a
 // point a comfortable manoeuvre distance ahead of the vehicle,
@@ -1107,6 +1080,14 @@ func (c *Constituent) stepAutoRecovery(env *sim.Env, caps vehicle.Capabilities, 
 		return
 	}
 	c.autoRecovered++
+	c.returnToNominal()
+	env.Emit(sim.EventRecovered, c.id, "autonomous recovery: transient cause cleared (no intervention)")
+}
+
+// returnToNominal leaves the MRC: the refuge slot is freed and the
+// constituent resumes its user-defined strategic goal at full
+// capability with no manoeuvre, target or path left over.
+func (c *Constituent) returnToNominal() {
 	c.releaseZone()
 	c.mode = ModeNominal
 	c.goal = c.userGoal
@@ -1117,7 +1098,6 @@ func (c *Constituent) stepAutoRecovery(env *sim.Env, caps vehicle.Capabilities, 
 	c.currentMRC = MRC{}
 	c.targetZone = world.Zone{}
 	c.body.ClearPath()
-	env.Emit(sim.EventRecovered, c.id, "autonomous recovery: transient cause cleared (no intervention)")
 }
 
 // releaseZone frees the occupied refuge slot, if any.
@@ -1134,18 +1114,9 @@ func (c *Constituent) releaseZone() {
 // needs intervention, so this also counts an intervention.
 func (c *Constituent) Recover(env *sim.Env) {
 	c.interventions++
-	c.releaseZone()
 	c.activeFaults = make(map[string]fault.Fault)
 	c.recomputeEffects()
-	c.mode = ModeNominal
-	c.goal = c.userGoal
-	c.speedCap = c.body.Spec().MaxSpeed
-	c.assistCap = -1
-	c.mrmFeasible = false
-	c.plannedOK = false
-	c.currentMRC = MRC{}
-	c.targetZone = world.Zone{}
-	c.body.ClearPath()
+	c.returnToNominal()
 	env.Emit(sim.EventIntervention, c.id, "user recovery")
 	env.Emit(sim.EventRecovered, c.id, "recovered to nominal")
 }

@@ -31,7 +31,7 @@ func newRig(t *testing.T) (*sim.Engine, *Constituent, *world.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 30 * time.Minute})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	return e, c, w
 }

@@ -15,38 +15,22 @@ import (
 func TestGateWatchdogFires(t *testing.T) {
 	e, c, _ := newRig(t)
 	c.MRMGate = func(*Constituent, string) bool { return false } // a policy that never decides
-	c.GateTimeout = 5 * time.Second
 	e.RunFor(time.Second)
 	c.ApplyFault(fault.Fault{ID: "blind", Target: "truck1", Kind: fault.KindSensor,
 		Severity: 1, Permanent: true})
-	e.RunFor(3 * time.Second)
+	e.RunFor(GateTimeout - time.Second)
 	if c.MRMActive() || c.InMRC() {
 		t.Fatal("MRM should still be deferred inside the window")
 	}
 	if c.SpeedCap() > 2 {
 		t.Errorf("deferred vehicle should crawl, cap = %v", c.SpeedCap())
 	}
-	e.RunFor(5 * time.Second)
+	e.RunFor(2 * time.Second)
 	if !c.MRMActive() && !c.InMRC() {
 		t.Fatal("watchdog should trigger the MRM past GateTimeout")
 	}
 	if got := c.MRMReason(); !strings.Contains(got, "gate timeout") {
 		t.Errorf("reason = %q, want gate-timeout suffix", got)
-	}
-}
-
-// A negative GateTimeout disables the watchdog: the gate defers
-// indefinitely (the pre-watchdog behaviour, for policies that own
-// their whole timeout budget).
-func TestGateWatchdogDisabled(t *testing.T) {
-	e, c, _ := newRig(t)
-	c.MRMGate = func(*Constituent, string) bool { return false }
-	c.GateTimeout = -1
-	c.ApplyFault(fault.Fault{ID: "blind", Target: "truck1", Kind: fault.KindSensor,
-		Severity: 1, Permanent: true})
-	e.RunFor(2 * time.Minute)
-	if c.MRMActive() || c.InMRC() {
-		t.Fatal("disabled watchdog must never force the MRM")
 	}
 }
 
@@ -56,10 +40,12 @@ func TestGateGrantBeatsWatchdog(t *testing.T) {
 	e, c, _ := newRig(t)
 	allow := false
 	c.MRMGate = func(*Constituent, string) bool { return allow }
-	c.GateTimeout = 10 * time.Second
 	c.ApplyFault(fault.Fault{ID: "blind", Target: "truck1", Kind: fault.KindSensor,
 		Severity: 1, Permanent: true})
-	e.RunFor(5 * time.Second)
+	e.RunFor(GateTimeout - time.Second)
+	if c.MRMActive() || c.InMRC() {
+		t.Fatal("MRM should still be deferred before the deadline")
+	}
 	allow = true
 	e.RunFor(time.Second)
 	if !c.MRMActive() && !c.InMRC() {

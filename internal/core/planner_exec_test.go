@@ -21,7 +21,7 @@ func roadRig(t *testing.T) (*sim.Engine, *Constituent) {
 		Start: geom.Pose{Pos: geom.V(100, 2)}, World: w,
 		Hierarchy: DefaultRoadHierarchy(), Seed: 7,
 	})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	return e, c
 }

@@ -28,7 +28,7 @@ func recoveryRig(t *testing.T, policy AutoRecoveryPolicy) (*sim.Engine, *Constit
 	})
 	c.AutoRecovery = policy
 	c.RecoveryDwell = 5 * time.Second
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	return e, c, w
 }
@@ -151,7 +151,7 @@ func TestMRCTargetRespectsZoneCapacity(t *testing.T) {
 	w := world.New()
 	w.MustAddZone(world.Zone{ID: "pocket", Kind: world.ZonePocket, Capacity: 1,
 		Area: geom.NewRect(geom.V(40, 10), geom.V(60, 20))})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	mk := func(id string, x float64) *Constituent {
 		c := MustConstituent(Config{
 			ID: id, Spec: vehicle.DefaultSpec(vehicle.KindTruck),

@@ -9,9 +9,7 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
 	"coopmrm/internal/odd"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
-	"coopmrm/internal/traj"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
 )
@@ -22,7 +20,7 @@ import (
 // renders the event log, the final pose and the mode.
 func reinitDigest(t *testing.T, c *Constituent, w *world.World) string {
 	t.Helper()
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 30 * time.Minute, Seed: 5})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: 5})
 	e.MustRegister(c)
 	if err := c.Dispatch(geom.MustPath(c.Body().Position(), geom.V(900, 2)), 20); err != nil {
 		t.Fatal(err)
@@ -49,8 +47,8 @@ func reinitDigest(t *testing.T, c *Constituent, w *world.World) string {
 // one. A shell that ran under newRig's config and is then Reinit to
 // config B must be indistinguishable from NewConstituent(B), and stay
 // so when Reinit to B a second time (which reuses what the first
-// Reinit built itself). B comes with and without caller-provided
-// Suite, Hierarchy, ODD and Planner.
+// Reinit built itself). B comes with and without a caller-provided
+// Hierarchy and ODD.
 func TestReinitMatchesFresh(t *testing.T) {
 	cases := map[string]func(w *world.World) Config{
 		"defaults": func(w *world.World) Config {
@@ -59,18 +57,10 @@ func TestReinitMatchesFresh(t *testing.T) {
 		},
 		"caller-provided": func(w *world.World) Config {
 			roadODD := odd.DefaultRoadSpec()
-			planner := traj.DefaultConfig()
-			planner.Samples = 5
-			planner.LateralMax = 1.5
 			return Config{ID: "car7", Spec: vehicle.DefaultSpec(vehicle.KindCar),
 				Start: geom.Pose{Pos: geom.V(150, 2)}, World: w, Goal: "commute", Seed: 9,
-				Suite: sensor.NewSuite(
-					sensor.Sensor{Name: "lidar", NominalRange: 90, FrontFacing: true},
-					sensor.Sensor{Name: "ultrasonic", NominalRange: 15},
-				),
 				ODD:       &roadODD,
 				Hierarchy: DefaultRoadHierarchy(),
-				Planner:   &planner,
 			}
 		},
 	}
@@ -99,37 +89,5 @@ func TestReinitMatchesFresh(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// A caller-provided suite belongs to the caller: a later Reinit that
-// leaves Suite nil builds a suite of its own and must not reset the
-// caller's in place.
-func TestReinitLeavesCallerSuiteAlone(t *testing.T) {
-	_, c, w := newRig(t)
-	own := c.Suite()
-	s := sensor.StandardSuite(80)
-	if err := c.Reinit(Config{ID: "truck1", World: w, Suite: s}); err != nil {
-		t.Fatal(err)
-	}
-	c.ApplyFault(fault.Fault{ID: "haze", Target: "truck1", Kind: fault.KindSensor,
-		Severity: 0.5, Permanent: true})
-	s.SetWeatherFactor(0.5)
-	want := s.EffectiveRange()
-
-	if err := c.Reinit(Config{ID: "truck1", World: w}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Suite() == s {
-		t.Fatal("Reinit without a Suite kept the caller's suite")
-	}
-	if c.Suite() == own {
-		t.Error("Reinit reused a self-built suite across a caller-provided one")
-	}
-	if got := s.EffectiveRange(); got != want {
-		t.Errorf("caller's suite range changed from %v to %v by Reinit", want, got)
-	}
-	if got := c.Suite().EffectiveRange(); got != vehicle.DefaultSpec(vehicle.KindTruck).SensorRange {
-		t.Errorf("self-built suite range = %v, want the spec's nominal range", got)
 	}
 }

@@ -30,7 +30,7 @@ func siteRig(t *testing.T) (*sim.Engine, *Constituent, *world.World) {
 		ID: "t1", Spec: vehicle.DefaultSpec(vehicle.KindTruck),
 		Start: geom.Pose{Pos: geom.V(0, 0)}, World: w, Goal: "work",
 	})
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.MustRegister(c)
 	return e, c, w
 }

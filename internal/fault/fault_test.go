@@ -158,16 +158,14 @@ func TestInjectorUnregisteredTarget(t *testing.T) {
 }
 
 func TestInjectorHook(t *testing.T) {
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Second})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	h := &recHandler{}
 	in := NewInjector(nil)
 	in.RegisterHandler("v1", h)
 	in.MustSchedule(Fault{ID: "f", Target: "v1", Kind: KindComm, Severity: 1,
 		At: 300 * time.Millisecond, Permanent: true})
 	e.AddPreHook(in.Hook())
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.RunFor(time.Second)
 	if len(h.applied) != 1 {
 		t.Error("hook did not inject")
 	}

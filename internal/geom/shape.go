@@ -169,31 +169,30 @@ type OrientedBox struct {
 
 // Corners returns the four corners of the box in CCW order.
 func (b OrientedBox) Corners() [4]Vec2 {
-	f := Pose{Heading: b.Heading}.Forward().Scale(b.Length / 2)
-	s := Pose{Heading: b.Heading}.Forward().Perp().Scale(b.Width / 2)
+	return b.corners(Pose{Heading: b.Heading}.Forward())
+}
+
+// corners is Corners given the unit vector f along the box's heading.
+func (b OrientedBox) corners(f Vec2) [4]Vec2 {
+	l := f.Scale(b.Length / 2)
+	s := f.Perp().Scale(b.Width / 2)
 	return [4]Vec2{
-		b.Center.Add(f).Add(s),
-		b.Center.Sub(f).Add(s),
-		b.Center.Sub(f).Sub(s),
-		b.Center.Add(f).Sub(s),
+		b.Center.Add(l).Add(s),
+		b.Center.Sub(l).Add(s),
+		b.Center.Sub(l).Sub(s),
+		b.Center.Add(l).Sub(s),
 	}
 }
 
 // Overlaps reports whether two oriented boxes overlap, using the
-// separating axis theorem.
+// separating axis theorem. Each box's axes come from its heading, so
+// a box with zero length or width still has both.
 func (b OrientedBox) Overlaps(o OrientedBox) bool {
-	ca := b.Corners()
-	cb := o.Corners()
-	axes := [4]Vec2{
-		ca[0].Sub(ca[1]).Norm(),
-		ca[1].Sub(ca[2]).Norm(),
-		cb[0].Sub(cb[1]).Norm(),
-		cb[1].Sub(cb[2]).Norm(),
-	}
-	for _, ax := range axes {
-		if ax == (Vec2{}) {
-			continue
-		}
+	fa := Pose{Heading: b.Heading}.Forward()
+	fb := Pose{Heading: o.Heading}.Forward()
+	ca := b.corners(fa)
+	cb := o.corners(fb)
+	for _, ax := range [4]Vec2{fa, fa.Perp(), fb, fb.Perp()} {
 		minA, maxA := projectCorners(ca, ax)
 		minB, maxB := projectCorners(cb, ax)
 		if maxA < minB || maxB < minA {

@@ -147,6 +147,17 @@ func TestOrientedBoxDist(t *testing.T) {
 	if d := a.Dist(a); d != 0 {
 		t.Errorf("self Dist = %v, want 0", d)
 	}
+	// A box with zero length still has a separating axis along its
+	// heading: two such boxes 13.15 m apart along it do not overlap.
+	p := OrientedBox{Center: V(1, 2), Heading: 0.7, Length: 0, Width: 4}
+	q := p
+	q.Center = p.Center.Add(Pose{Heading: 0.7}.Forward().Scale(13.15))
+	if p.Overlaps(q) || q.Overlaps(p) {
+		t.Error("zero-length boxes 13.15 m apart along their heading overlap")
+	}
+	if d := p.Dist(q); math.Abs(d-13.15) > 1e-9 {
+		t.Errorf("zero-length Dist = %v, want 13.15", d)
+	}
 }
 
 func TestOrientedBoxCorners(t *testing.T) {

@@ -182,7 +182,7 @@ func TestFootprintRadiusFollowsShape(t *testing.T) {
 	}
 
 	modes := []string{"nominal", "degraded", "mrm", "mrc"}
-	sizes := []float64{1, 2, 4, 30}
+	sizes := []float64{0, 1, 2, 4, 30}
 	const n = 6
 	vs := make([]*fakeVehicle, n)
 	shapes := make([][2]float64, n)

@@ -21,7 +21,7 @@ func platoonRig(t *testing.T, n int) (*sim.Engine, *Platoon, []*core.Constituent
 	w.MustAddZone(world.Zone{ID: "shoulder", Kind: world.ZoneShoulder,
 		Area: geom.NewRect(geom.V(-100, 4), geom.V(100000, 8))})
 	roadODD := odd.DefaultRoadSpec()
-	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: time.Hour})
+	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	var members []*core.Constituent
 	for i := 0; i < n; i++ {
 		c := core.MustConstituent(core.Config{

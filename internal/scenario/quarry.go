@@ -175,12 +175,12 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 // Reset returns the rig to its just-constructed state under a new
 // seed, in O(mutable state) instead of O(world): the engine, network
 // and world rewind in place (retaining the route graph, its memoized
-// path cache when no blocking diverged, the zone index, event-log and
-// heap backing arrays), constituent shells are re-adopted by ID with
-// their planners reseeded in place, and wire() replays the exact
-// per-seed wiring fresh construction runs. A reset rig's output is
-// byte-identical to a fresh rig's at the same seed — the warm-rig
-// differential tests hold tables, bundles and checkpoints to that.
+// path cache, the zone index, event-log and heap backing arrays),
+// constituent shells are re-adopted by ID with their planners
+// reseeded in place, and wire() replays the exact per-seed wiring
+// fresh construction runs. A reset rig's output is byte-identical to
+// a fresh rig's at the same seed — the warm-rig differential tests
+// hold tables, bundles and checkpoints to that.
 func (r *QuarryRig) Reset(seed int64) error {
 	cfg := r.cfg
 	cfg.Seed = seed

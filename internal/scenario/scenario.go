@@ -93,7 +93,7 @@ type Result struct {
 // newEngine returns the engine every rig runs on: 100 ms ticks and a
 // one-day ceiling.
 func newEngine(seed int64) *sim.Engine {
-	return sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: seed})
+	return sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed})
 }
 
 // fleet is a rig's constituents in registration order.

@@ -138,42 +138,6 @@ func TestWarmRigQuarryResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// A mid-run edge block in seed N must not leak cached avoid-paths or
-// blocked state into seed N+1: after Reset, the world rewinds to the
-// construction baseline and the route cache is invalidated, so the
-// next run is byte-identical to a cold rig (ISSUE 10 satellite 6).
-func TestWarmRigQuarryBlockedEdgeDoesNotLeak(t *testing.T) {
-	const horizon = 30 * time.Second
-	cfg := QuarryConfig{Policy: PolicyCoordinated, Seed: 5}
-
-	cold, err := NewQuarry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := quarryDigest(t, cold, horizon)
-
-	warm, err := NewQuarry(QuarryConfig{Policy: PolicyCoordinated, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := warm.World.Graph()
-	// Force route traffic through the detour, warming path-cache
-	// entries computed under the blocked state.
-	if err := g.BlockEdge("load", "mid"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.ShortestPath("load", "dep"); err != nil {
-		t.Fatal(err)
-	}
-	warm.Run(horizon)
-	if err := warm.Reset(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := quarryDigest(t, warm, horizon); got != want {
-		t.Error("seed with blocked edge leaked into the next seed's run")
-	}
-}
-
 func TestQuarryPoolReusesRigs(t *testing.T) {
 	cfg := QuarryConfig{Policy: PolicyCoordinated, Seed: 21,
 		Net: &comm.NetConfig{Latency: 50 * time.Millisecond, Jitter: 80 * time.Millisecond, LossProb: 0.05}}

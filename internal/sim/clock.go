@@ -1,7 +1,8 @@
 // Package sim provides the deterministic fixed-step simulation engine
 // that every scenario runs on: a simulated clock, a seeded random
-// source, an entity registry stepped in stable order, a structured
-// event log, and configurable stop conditions.
+// source, an entity registry stepped in stable order, and a structured
+// event log. A run goes to a horizon (Engine.RunFor) or tick by tick
+// (Engine.RunTick).
 //
 // Determinism contract: for a given configuration and seed, a run
 // produces bit-identical event logs. All randomness must be drawn from

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -91,12 +90,10 @@ func TestRNGBool(t *testing.T) {
 
 func TestEngineStepOrder(t *testing.T) {
 	var order []string
-	e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: 30 * time.Millisecond})
+	e := NewEngine(Config{Step: 10 * time.Millisecond})
 	e.MustRegister(&counter{id: "b", order: &order})
 	e.MustRegister(&counter{id: "a", order: &order})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.RunFor(30 * time.Millisecond)
 	want := []string{"b", "a", "b", "a", "b", "a"}
 	if strings.Join(order, ",") != strings.Join(want, ",") {
 		t.Errorf("order = %v, want %v", order, want)
@@ -116,56 +113,13 @@ func TestEngineDuplicateID(t *testing.T) {
 	}
 }
 
-func TestEngineLookup(t *testing.T) {
-	e := NewEngine(Config{})
-	c := &counter{id: "v1"}
-	e.MustRegister(c)
-	got, ok := e.Lookup("v1")
-	if !ok || got != Entity(c) {
-		t.Error("Lookup failed")
-	}
-	if _, ok := e.Lookup("nope"); ok {
-		t.Error("Lookup of missing ID succeeded")
-	}
-}
-
-func TestEngineStopCondition(t *testing.T) {
-	e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: time.Hour})
-	c := &counter{id: "c"}
-	e.MustRegister(c)
-	e.AddStopCondition(func(env *Env) bool { return env.Clock.Tick() >= 5 })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.steps != 5 {
-		t.Errorf("steps = %d, want 5", c.steps)
-	}
-}
-
-func TestEngineNoProgress(t *testing.T) {
-	e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: 50 * time.Millisecond})
-	e.AddStopCondition(func(env *Env) bool { return false })
-	if err := e.Run(); !errors.Is(err, ErrNoProgress) {
-		t.Errorf("err = %v, want ErrNoProgress", err)
-	}
-}
-
-func TestEngineTimeBoundedRunIsSuccess(t *testing.T) {
-	e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: 50 * time.Millisecond})
-	if err := e.Run(); err != nil {
-		t.Errorf("time-bounded run errored: %v", err)
-	}
-}
-
 func TestEngineHooks(t *testing.T) {
-	e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: 20 * time.Millisecond})
+	e := NewEngine(Config{Step: 10 * time.Millisecond})
 	var seq []string
 	e.AddPreHook(func(env *Env) { seq = append(seq, "pre") })
 	e.MustRegister(&counter{id: "c", order: &seq})
 	e.AddPostHook(func(env *Env) { seq = append(seq, "post") })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.RunFor(20 * time.Millisecond)
 	want := "pre,c,post,pre,c,post"
 	if strings.Join(seq, ",") != want {
 		t.Errorf("seq = %v", seq)
@@ -192,9 +146,6 @@ func TestEventLogQueries(t *testing.T) {
 	}
 	if got := len(l.ByKind(EventMRMStarted)); got != 2 {
 		t.Errorf("ByKind = %d", got)
-	}
-	if got := len(l.BySubject("v1")); got != 2 {
-		t.Errorf("BySubject = %d", got)
 	}
 	if l.Count(EventMRCReached) != 1 {
 		t.Error("Count wrong")
@@ -298,13 +249,13 @@ func TestEmitFieldsCopiesMap(t *testing.T) {
 
 func TestEngineDeterministicRuns(t *testing.T) {
 	run := func() string {
-		e := NewEngine(Config{Step: 10 * time.Millisecond, MaxTime: 100 * time.Millisecond, Seed: 99})
+		e := NewEngine(Config{Step: 10 * time.Millisecond, Seed: 99})
 		e.AddPostHook(func(env *Env) {
 			if env.RNG.Bool(0.5) {
 				env.Emit(EventInfo, "coin", "heads")
 			}
 		})
-		_ = e.Run()
+		e.RunFor(100 * time.Millisecond)
 		var buf bytes.Buffer
 		_ = e.Env().Log.WriteJSON(&buf)
 		return buf.String()

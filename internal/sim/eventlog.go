@@ -50,58 +50,26 @@ type Event struct {
 	Fields  map[string]string `json:"fields,omitempty"`
 }
 
-// EventLog is an append-only in-memory event record.
-//
-// Append maintains per-kind and per-subject index slices (positions
-// into the event array), so the query methods — Count, ByKind,
-// BySubject, First, Last, KindHistogram — run in O(1) or O(matches)
-// instead of scanning the whole log. Several of those queries sit
-// inside per-tick stop conditions of long experiment runs, where the
-// log grows to tens of thousands of entries; the linear scans they
-// replaced were the dominant tick cost after the proximity broad-phase
-// landed. The scan implementations live in the tests (unexported
-// *Scan methods) as the oracle arm of the differential tests.
+// EventLog is an append-only in-memory event record. Every query
+// scans the list: the experiments, the artifact capture and the
+// summaries query a log once, after its run, never per tick.
 type EventLog struct {
-	events    []Event
-	byKind    map[EventKind][]int
-	bySubject map[string][]int
+	events []Event
 }
 
 // NewEventLog returns an empty log.
 func NewEventLog() *EventLog { return &EventLog{} }
 
-// Append adds an event and indexes it by kind and subject.
-func (l *EventLog) Append(e Event) {
-	i := len(l.events)
-	l.events = append(l.events, e)
-	if l.byKind == nil {
-		l.byKind = make(map[EventKind][]int)
-		l.bySubject = make(map[string][]int)
-	}
-	l.byKind[e.Kind] = append(l.byKind[e.Kind], i)
-	l.bySubject[e.Subject] = append(l.bySubject[e.Subject], i)
-}
+// Append adds an event.
+func (l *EventLog) Append(e Event) { l.events = append(l.events, e) }
 
-// resetKeepCapacity empties the log while retaining every backing
-// allocation (event array and index slices), so a warm rig's log
-// amortises to zero garbage across runs. Events are zeroed first to
-// release their Fields maps.
-func (l *EventLog) resetKeepCapacity() {
+// Reset empties the log for a new run while keeping its backing array
+// — the warm-rig counterpart of NewEventLog. Events are zeroed first
+// to release their Fields maps.
+func (l *EventLog) Reset() {
 	clear(l.events)
 	l.events = l.events[:0]
-	for k, idx := range l.byKind {
-		l.byKind[k] = idx[:0]
-	}
-	for s, idx := range l.bySubject {
-		l.bySubject[s] = idx[:0]
-	}
 }
-
-// Reset empties the log for a new run while keeping its backing
-// allocations — the warm-rig counterpart of NewEventLog. A reset log
-// is observationally identical to a fresh one (the differential rig
-// tests prove it at the byte level).
-func (l *EventLog) Reset() { l.resetKeepCapacity() }
 
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int { return len(l.events) }
@@ -113,73 +81,67 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// gather copies the indexed events into a fresh slice, preserving
-// append order (index slices are built in append order, so no sort is
-// needed). Returns nil for an empty index, matching the scan oracles.
-func (l *EventLog) gather(idx []int) []Event {
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]Event, len(idx))
-	for i, pos := range idx {
-		out[i] = l.events[pos]
+// ByKind returns all events of the given kind, in order (nil when
+// there are none).
+func (l *EventLog) ByKind(kind EventKind) []Event {
+	var out []Event
+	for _, e := range l.events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
-// ByKind returns all events of the given kind, in order.
-func (l *EventLog) ByKind(kind EventKind) []Event {
-	return l.gather(l.byKind[kind])
-}
-
-// BySubject returns all events with the given subject, in order.
-func (l *EventLog) BySubject(subject string) []Event {
-	return l.gather(l.bySubject[subject])
-}
-
 // Count returns the number of events of the given kind.
 func (l *EventLog) Count(kind EventKind) int {
-	return len(l.byKind[kind])
-}
-
-// CountSubject returns the number of events with the given subject.
-func (l *EventLog) CountSubject(subject string) int {
-	return len(l.bySubject[subject])
+	n := 0
+	for _, e := range l.events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // First returns the first event of the given kind and whether one
 // exists.
 func (l *EventLog) First(kind EventKind) (Event, bool) {
-	idx := l.byKind[kind]
-	if len(idx) == 0 {
-		return Event{}, false
+	for _, e := range l.events {
+		if e.Kind == kind {
+			return e, true
+		}
 	}
-	return l.events[idx[0]], true
+	return Event{}, false
 }
 
 // Last returns the last event of the given kind and whether one
 // exists.
 func (l *EventLog) Last(kind EventKind) (Event, bool) {
-	idx := l.byKind[kind]
-	if len(idx) == 0 {
-		return Event{}, false
+	for i := len(l.events) - 1; i >= 0; i-- {
+		if l.events[i].Kind == kind {
+			return l.events[i], true
+		}
 	}
-	return l.events[idx[len(idx)-1]], true
+	return Event{}, false
 }
 
 // KindHistogram returns a map of kind to count, useful in reports.
 func (l *EventLog) KindHistogram() map[EventKind]int {
-	h := make(map[EventKind]int, len(l.byKind))
-	for k, idx := range l.byKind {
-		h[k] = len(idx)
+	h := make(map[EventKind]int)
+	for _, e := range l.events {
+		h[e.Kind]++
 	}
 	return h
 }
 
 // WriteJSON streams the log as JSON lines to w.
-func (l *EventLog) WriteJSON(w io.Writer) error {
+func (l *EventLog) WriteJSON(w io.Writer) error { return WriteEvents(w, l.events) }
+
+// WriteEvents streams events as JSON lines to w, one event per line.
+func WriteEvents(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
-	for _, e := range l.events {
+	for _, e := range events {
 		if err := enc.Encode(e); err != nil {
 			return fmt.Errorf("encode event: %w", err)
 		}
@@ -187,7 +149,7 @@ func (l *EventLog) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses a JSON-lines stream written by WriteJSON back into
+// ReadJSON parses a JSON-lines stream written by WriteEvents back into
 // an EventLog, so run artifacts can be replayed and asserted on.
 func ReadJSON(r io.Reader) (*EventLog, error) {
 	log := NewEventLog()

@@ -16,15 +16,15 @@ import (
 // and keeps the (obstacle, candidate) pairs within one time bin. The
 // zone, comfort and total terms are score's own.
 func parentScore(p *Planner, cands []Candidate, req Request) {
-	nBins := int(p.cfg.Horizon/p.cfg.SampleDT) + 1
+	nBins := int(Horizon/SampleDT) + 1
 	nObs := len(req.Obstacles)
 	obsEnd := nObs * nBins
 	if nObs > 0 {
-		grid := geom.NewGrid(p.cfg.SafeDist)
+		grid := geom.NewGrid(SafeDist)
 		var sitePos []geom.Vec2
 		for _, ob := range req.Obstacles {
 			for t := 0; t < nBins; t++ {
-				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * p.cfg.SampleDT))
+				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * SampleDT))
 				grid.Insert(pos)
 				sitePos = append(sitePos, pos)
 			}
@@ -50,7 +50,7 @@ func parentScore(p *Planner, cands []Candidate, req Request) {
 			}
 			gap := sitePos[a].Dist(cands[ci].Samples[binB]) -
 				req.Obstacles[a/nBins].Radius - cands[ci].Radius
-			closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
+			closeness := geom.Clamp((SafeDist-gap)/SafeDist, 0, 1)
 			if closeness > cands[ci].Proximity {
 				cands[ci].Proximity = closeness
 			}
@@ -59,9 +59,9 @@ func parentScore(p *Planner, cands []Candidate, req Request) {
 	for i := range cands {
 		c := &cands[i]
 		c.ZoneRisk = p.stopRisk(req, c)
-		c.Comfort = comfort(c, req.Spec, p.cfg.LateralMax)
+		c.Comfort = comfort(c, req.Spec)
 		c.Risk = geom.Clamp(
-			p.cfg.WProximity*c.Proximity+p.cfg.WZone*c.ZoneRisk+p.cfg.WComfort*c.Comfort,
+			WProximity*c.Proximity+WZone*c.ZoneRisk+WComfort*c.Comfort,
 			0, 1)
 	}
 }
@@ -159,19 +159,15 @@ func assertScoresEqual(t *testing.T, what string, got, want []Candidate) int {
 
 // TestScoreMatchesParentPairs checks score against the all-pairs
 // oracle on random obstacle clouds through every scoring entry point:
-// Proximity and Risk must be bit-identical. Most trials plan over a
-// 15 s horizon, because the oracle's pair count grows with the square
-// of the samples per cell; every twelfth runs the default 40 s.
+// Proximity and Risk must be bit-identical. The oracle's pair count
+// grows with the square of the samples per cell, so 12 trials over
+// the 40 s horizon keep the test near two seconds.
 func TestScoreMatchesParentPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	near, total := 0, 0
-	for trial := 0; trial < 48; trial++ {
-		cfg := Config{Horizon: 15}
-		if trial%12 == 0 {
-			cfg = Config{}
-		}
-		p := New(int64(trial+1), cfg)
-		req := randomRequest(rng, p.cfg.SafeDist)
+	for trial := 0; trial < 12; trial++ {
+		p := New(int64(trial + 1))
+		req := randomRequest(rng, SafeDist)
 
 		cands := p.Candidates(req)
 		near += assertScoresEqual(t, "Candidates", cands, rescored(p, cands, req))
@@ -214,7 +210,7 @@ func TestScoreRetainsNoPairBuffer(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	p := New(1, Config{})
+	p := New(1)
 	c := p.ScoreStop(req, spec.ServiceDecel)
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -25,69 +25,32 @@ import (
 	"coopmrm/internal/world"
 )
 
-// Config holds the planner knobs. The zero value means "use the
-// defaults" field by field.
-type Config struct {
+// The planner's knobs. Every run uses these values.
+const (
 	// Samples is the number of candidate trajectories per planning
-	// event (default 12). The first candidate is always the nominal
-	// one (no offset, base cruise, full service decel), so a planner
-	// with Samples 1 degenerates to the scripted manoeuvre.
-	Samples int
-	// RiskCeiling is the maximum acceptable candidate risk (default
-	// 0.92): when no candidate scores below it the planning event
-	// fails and the executor falls back down the MRC hierarchy.
-	RiskCeiling float64
-	// Horizon is the prediction horizon in seconds (default 40).
-	Horizon float64
-	// SampleDT is the prediction sample step in seconds (default 0.5).
-	SampleDT float64
-	// LateralMax bounds the sampled lateral offset magnitude in metres
-	// (default 2.5).
-	LateralMax float64
+	// event. The first candidate is always the nominal one (no offset,
+	// base cruise, full service decel).
+	Samples = 12
+	// RiskCeiling is the maximum acceptable candidate risk: when no
+	// candidate scores below it the planning event fails and the
+	// executor falls back down the MRC hierarchy.
+	RiskCeiling = 0.92
+	// Horizon is the prediction horizon in seconds.
+	Horizon = 40.0
+	// SampleDT is the prediction sample step in seconds.
+	SampleDT = 0.5
+	// LateralMax bounds the sampled lateral offset magnitude in metres.
+	LateralMax = 2.5
 	// SafeDist is the separation (metres, footprint-to-footprint)
-	// below which predicted proximity starts contributing risk
-	// (default 12). It is also the broad-phase cell size.
-	SafeDist float64
-	// WProximity, WZone and WComfort weight the three cost terms
-	// (defaults 0.5, 0.35, 0.15). The total risk is clamped to [0, 1].
-	WProximity float64
-	WZone      float64
-	WComfort   float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Samples <= 0 {
-		c.Samples = 12
-	}
-	if c.RiskCeiling <= 0 {
-		c.RiskCeiling = 0.92
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 40
-	}
-	if c.SampleDT <= 0 {
-		c.SampleDT = 0.5
-	}
-	if c.LateralMax <= 0 {
-		c.LateralMax = 2.5
-	}
-	if c.SafeDist <= 0 {
-		c.SafeDist = 12
-	}
-	if c.WProximity <= 0 {
-		c.WProximity = 0.5
-	}
-	if c.WZone <= 0 {
-		c.WZone = 0.35
-	}
-	if c.WComfort <= 0 {
-		c.WComfort = 0.15
-	}
-	return c
-}
-
-// DefaultConfig returns the default planner configuration.
-func DefaultConfig() Config { return Config{}.withDefaults() }
+	// below which predicted proximity starts contributing risk. It is
+	// also the broad-phase cell size.
+	SafeDist = 12.0
+	// WProximity, WZone and WComfort weight the three cost terms. The
+	// total risk is clamped to [0, 1].
+	WProximity = 0.5
+	WZone      = 0.35
+	WComfort   = 0.15
+)
 
 // Seed derives the planner stream seed for one constituent from the
 // run seed and the constituent ID (FNV-1a over the ID folded into a
@@ -175,7 +138,6 @@ type Candidate struct {
 // owned by exactly one constituent and must not be shared across
 // goroutines.
 type Planner struct {
-	cfg  Config
 	rng  *sim.RNG
 	grid *geom.Grid
 
@@ -185,32 +147,26 @@ type Planner struct {
 	near    []int
 }
 
-// New returns a planner with the given stream seed and knobs.
-func New(seed int64, cfg Config) *Planner {
-	cfg = cfg.withDefaults()
+// New returns a planner with the given stream seed.
+func New(seed int64) *Planner {
 	return &Planner{
-		cfg:  cfg,
 		rng:  sim.NewRNG(seed),
-		grid: geom.NewGrid(cfg.SafeDist),
+		grid: geom.NewGrid(SafeDist),
 	}
 }
 
-// Reinit restores the planner, in place, to the state New(seed, cfg)
-// would produce, keeping the grid and scratch allocations: the RNG
-// reseeds to exactly the fresh stream, the grid re-sizes to the new
-// SafeDist (score() already resets it per planning event), and the
-// scratch buffers truncate. The warm-rig path for per-constituent
-// planner reuse across campaign seeds.
-func (p *Planner) Reinit(seed int64, cfg Config) {
-	p.cfg = cfg.withDefaults()
+// Reinit restores the planner, in place, to the state New(seed) would
+// produce, keeping the grid and scratch allocations: the RNG reseeds
+// to exactly the fresh stream, the grid empties (score() already
+// resets it per planning event), and the scratch buffers truncate.
+// The warm-rig path for per-constituent planner reuse across campaign
+// seeds.
+func (p *Planner) Reinit(seed int64) {
 	p.rng.Reseed(seed)
-	p.grid.Reset(p.cfg.SafeDist)
+	p.grid.Reset(SafeDist)
 	p.sitePos = p.sitePos[:0]
 	p.near = p.near[:0]
 }
-
-// Config returns the planner's effective configuration.
-func (p *Planner) Config() Config { return p.cfg }
 
 // Plan samples Candidates and returns the lowest-risk one. The
 // boolean is false when every candidate scores above the risk ceiling
@@ -227,7 +183,7 @@ func (p *Planner) Plan(req Request) (Candidate, bool) {
 			best = c
 		}
 	}
-	return best, best.Risk <= p.cfg.RiskCeiling
+	return best, best.Risk <= RiskCeiling
 }
 
 // Candidates samples and scores the full candidate set for one
@@ -249,10 +205,10 @@ func (p *Planner) Candidates(req Request) []Candidate {
 	base := CruiseBound(cap)
 	minCruise := math.Min(1, cap)
 
-	cands := make([]Candidate, 0, p.cfg.Samples)
+	cands := make([]Candidate, 0, Samples)
 	cands = append(cands, p.build(req, 0, base, decel))
-	for i := 1; i < p.cfg.Samples; i++ {
-		off := p.rng.Range(-p.cfg.LateralMax, p.cfg.LateralMax)
+	for i := 1; i < Samples; i++ {
+		off := p.rng.Range(-LateralMax, LateralMax)
 		cruise := geom.Clamp(p.rng.Range(0.35, 1.0)*cap, minCruise, cap)
 		d := p.rng.Range(0.45, 1.0) * decel
 		cands = append(cands, p.build(req, off, cruise, d))
@@ -315,7 +271,7 @@ func (p *Planner) HoldCandidates(req Request, speeds []float64) []Candidate {
 	}
 	route := req.Route
 	if route == nil {
-		route = geom.MustPath(req.Pose.Pos, req.Pose.Advance(math.Max(req.SpeedCap, 1)*p.cfg.Horizon).Pos)
+		route = geom.MustPath(req.Pose.Pos, req.Pose.Advance(math.Max(req.SpeedCap, 1)*Horizon).Pos)
 	}
 	cands := make([]Candidate, 0, len(speeds))
 	for _, v := range speeds {
@@ -361,8 +317,8 @@ func (p *Planner) build(req Request, offset, cruise, decel float64) Candidate {
 // actually be driven. The second return is the fraction of the path
 // completed within the horizon.
 func (p *Planner) predict(path *geom.Path, v0, cruise, decel float64, spec vehicle.Spec) ([]geom.Vec2, float64) {
-	dt := p.cfg.SampleDT
-	steps := int(p.cfg.Horizon/dt) + 1
+	dt := SampleDT
+	steps := int(Horizon/dt) + 1
 	out := make([]geom.Vec2, 0, steps)
 	s, v := 0.0, v0
 	out = append(out, path.PointAt(0))
@@ -395,8 +351,8 @@ func (p *Planner) predict(path *geom.Path, v0, cruise, decel float64, spec vehic
 // predictHold is predict without the stop-at-end rule: helpers keep
 // rolling at the hold speed until the horizon (or the path runs out).
 func (p *Planner) predictHold(path *geom.Path, v0, cruise, decel float64, spec vehicle.Spec) []geom.Vec2 {
-	dt := p.cfg.SampleDT
-	steps := int(p.cfg.Horizon/dt) + 1
+	dt := SampleDT
+	steps := int(Horizon/dt) + 1
 	out := make([]geom.Vec2, 0, steps)
 	s, v := 0.0, v0
 	out = append(out, path.PointAt(0))
@@ -457,14 +413,14 @@ func offsetPath(route *geom.Path, offset float64, zone world.Zone) *geom.Path {
 // within one time bin of the candidate sample contribute — the two
 // trains co-exist in time, alternative candidates do not.
 func (p *Planner) score(cands []Candidate, req Request) {
-	nBins := int(p.cfg.Horizon/p.cfg.SampleDT) + 1
+	nBins := int(Horizon/SampleDT) + 1
 	if len(req.Obstacles) > 0 {
-		p.grid.Reset(p.cfg.SafeDist)
+		p.grid.Reset(SafeDist)
 		p.sitePos = p.sitePos[:0]
 		// Obstacle oi's sample t is site oi*nBins+t.
 		for _, ob := range req.Obstacles {
 			for t := 0; t < nBins; t++ {
-				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * p.cfg.SampleDT))
+				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * SampleDT))
 				p.grid.Insert(pos)
 				p.sitePos = append(p.sitePos, pos)
 			}
@@ -478,7 +434,7 @@ func (p *Planner) score(cands []Candidate, req Request) {
 						continue
 					}
 					gap := p.sitePos[a].Dist(pos) - req.Obstacles[a/nBins].Radius - c.Radius
-					closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
+					closeness := geom.Clamp((SafeDist-gap)/SafeDist, 0, 1)
 					if closeness > c.Proximity {
 						c.Proximity = closeness
 					}
@@ -490,9 +446,9 @@ func (p *Planner) score(cands []Candidate, req Request) {
 	for i := range cands {
 		c := &cands[i]
 		c.ZoneRisk = p.stopRisk(req, c)
-		c.Comfort = comfort(c, req.Spec, p.cfg.LateralMax)
+		c.Comfort = comfort(c, req.Spec)
 		c.Risk = geom.Clamp(
-			p.cfg.WProximity*c.Proximity+p.cfg.WZone*c.ZoneRisk+p.cfg.WComfort*c.Comfort,
+			WProximity*c.Proximity+WZone*c.ZoneRisk+WComfort*c.Comfort,
 			0, 1)
 	}
 }
@@ -523,15 +479,12 @@ func (p *Planner) stopRisk(req Request, c *Candidate) float64 {
 // comfort scores the manoeuvre harshness in [0, 1]: how close the
 // approach decel is to the emergency decel, how far the lateral
 // offset strays, and how fast the trajectory cruises.
-func comfort(c *Candidate, spec vehicle.Spec, latMax float64) float64 {
+func comfort(c *Candidate, spec vehicle.Spec) float64 {
 	decelNorm := 0.0
 	if spec.EmergencyDecel > 0 {
 		decelNorm = geom.Clamp(c.Decel/spec.EmergencyDecel, 0, 1)
 	}
-	offNorm := 0.0
-	if latMax > 0 {
-		offNorm = geom.Clamp(math.Abs(c.Offset)/latMax, 0, 1)
-	}
+	offNorm := geom.Clamp(math.Abs(c.Offset)/LateralMax, 0, 1)
 	speedNorm := 0.0
 	if spec.MaxSpeed > 0 {
 		speedNorm = geom.Clamp(c.Cruise/spec.MaxSpeed, 0, 1)
@@ -551,12 +504,12 @@ func (p *Planner) Interaction(a, b Candidate) float64 {
 	peak := 0.0
 	for t := 0; t < n; t++ {
 		gap := a.Samples[t].Dist(b.Samples[t]) - a.Radius - b.Radius
-		closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
+		closeness := geom.Clamp((SafeDist-gap)/SafeDist, 0, 1)
 		if closeness > peak {
 			peak = closeness
 		}
 	}
-	return p.cfg.WProximity * peak
+	return WProximity * peak
 }
 
 // SelectJoint picks one candidate per constituent minimising the

@@ -86,8 +86,8 @@ func TestCandidateStreamDeterminism(t *testing.T) {
 	req := testRequest(w)
 	req.Obstacles = []Obstacle{{ID: "o1", Pos: geom.V(40, 3), Vel: geom.V(-1, 0), Radius: 2}}
 
-	p1 := New(Seed(7, "t1"), Config{})
-	p2 := New(Seed(7, "t1"), Config{})
+	p1 := New(Seed(7, "t1"))
+	p2 := New(Seed(7, "t1"))
 	first := p1.Candidates(req)
 	if !sameCandidates(first, p2.Candidates(req)) {
 		t.Fatal("first planning events diverged for identical seeds")
@@ -107,10 +107,10 @@ func TestCandidateStreamDeterminism(t *testing.T) {
 func TestCandidatesShape(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
-	p := New(1, Config{})
+	p := New(1)
 	cands := p.Candidates(req)
-	if len(cands) != p.Config().Samples {
-		t.Fatalf("candidates = %d, want %d", len(cands), p.Config().Samples)
+	if len(cands) != Samples {
+		t.Fatalf("candidates = %d, want %d", len(cands), Samples)
 	}
 	// Candidate 0 is the nominal scripted trajectory.
 	nom := cands[0]
@@ -122,7 +122,7 @@ func TestCandidatesShape(t *testing.T) {
 		if c.Risk < 0 || c.Risk > 1 {
 			t.Errorf("candidate %d risk %v outside [0,1]", i, c.Risk)
 		}
-		if math.Abs(c.Offset) > p.Config().LateralMax {
+		if math.Abs(c.Offset) > LateralMax {
 			t.Errorf("candidate %d offset %v beyond LateralMax", i, c.Offset)
 		}
 		if len(c.Samples) == 0 {
@@ -162,7 +162,7 @@ func TestCandidatesRespectDegradedCap(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
 	req.SpeedCap = 0.4
-	p := New(3, Config{})
+	p := New(3)
 	for i, c := range p.Candidates(req) {
 		if c.Cruise > req.SpeedCap+1e-12 {
 			t.Errorf("candidate %d cruise %v exceeds degraded cap %v", i, c.Cruise, req.SpeedCap)
@@ -176,7 +176,7 @@ func TestOffsetCandidatesEndInZone(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
 	zone := testZone()
-	p := New(11, Config{})
+	p := New(11)
 	for i, c := range p.Candidates(req) {
 		if !zone.Contains(c.Path.End()) {
 			t.Errorf("candidate %d (offset %v) ends at %v outside the zone",
@@ -188,7 +188,7 @@ func TestOffsetCandidatesEndInZone(t *testing.T) {
 func TestObstacleProximityRaisesRisk(t *testing.T) {
 	w := testWorld(t)
 	clear := testRequest(w)
-	p1 := New(5, Config{})
+	p1 := New(5)
 	quiet, ok := p1.Plan(clear)
 	if !ok {
 		t.Fatal("clear plan should succeed")
@@ -196,7 +196,7 @@ func TestObstacleProximityRaisesRisk(t *testing.T) {
 	blocked := testRequest(w)
 	// Parked straddling the route midpoint: every candidate must pass it.
 	blocked.Obstacles = []Obstacle{{ID: "o1", Pos: geom.V(40, 0), Radius: 3}}
-	p2 := New(5, Config{})
+	p2 := New(5)
 	cands := p2.Candidates(blocked)
 	maxProx := 0.0
 	for _, c := range cands {
@@ -225,7 +225,7 @@ func TestObstacleProximityRaisesRisk(t *testing.T) {
 func TestSlowCandidatesDoNotWin(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
-	p := New(6, Config{})
+	p := New(6)
 	cands := p.Candidates(req)
 	best := cands[0]
 	for _, c := range cands[1:] {
@@ -241,14 +241,26 @@ func TestSlowCandidatesDoNotWin(t *testing.T) {
 
 func TestPlanCeiling(t *testing.T) {
 	w := testWorld(t)
-	req := testRequest(w)
-	p := New(9, Config{RiskCeiling: 1e-9})
-	if _, ok := p.Plan(req); ok {
-		t.Error("a near-zero ceiling must reject every candidate")
+	p := New(9)
+	if _, ok := p.Plan(testRequest(w)); !ok {
+		t.Error("the ceiling should accept the quiet-site plan")
 	}
-	p = New(9, Config{})
-	if _, ok := p.Plan(req); !ok {
-		t.Error("default ceiling should accept the quiet-site plan")
+
+	// A vehicle boxed in by an obstacle over its own position, with
+	// nowhere safe to stop and brakes that only brake hard (every
+	// sampled decel is at or above the emergency decel): proximity,
+	// zone and comfort all score high for every candidate.
+	req := testRequest(nil)
+	req.Zone, req.FallbackRisk = world.Zone{}, 1
+	req.Spec.EmergencyDecel = 0.45 * req.Spec.ServiceDecel
+	req.Obstacles = []Obstacle{{ID: "block", Pos: req.Pose.Pos, Radius: 50}}
+	for i, c := range p.Candidates(req) {
+		if c.Risk <= RiskCeiling {
+			t.Fatalf("setup: candidate %d risk %v is not above the ceiling %v", i, c.Risk, RiskCeiling)
+		}
+	}
+	if _, ok := p.Plan(req); ok {
+		t.Error("Plan must fail when every candidate scores above the ceiling")
 	}
 }
 
@@ -256,7 +268,7 @@ func TestScoreStop(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
 	req.Zone = world.Zone{} // in-place stop: no target refuge
-	p := New(2, Config{})
+	p := New(2)
 	c := p.ScoreStop(req, 0) // brake-dead: decel floored at 0.05
 	if c.Decel != 0.05 {
 		t.Errorf("decel = %v, want the 0.05 coast floor", c.Decel)
@@ -273,7 +285,7 @@ func TestScoreStop(t *testing.T) {
 func TestHoldCandidatesDropZoneTerm(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)
-	p := New(4, Config{})
+	p := New(4)
 	holds := p.HoldCandidates(req, []float64{1, 2, 40})
 	if len(holds) != 3 {
 		t.Fatalf("holds = %d", len(holds))
@@ -289,14 +301,14 @@ func TestHoldCandidatesDropZoneTerm(t *testing.T) {
 }
 
 func TestInteraction(t *testing.T) {
-	p := New(1, Config{})
+	p := New(1)
 	near := []geom.Vec2{geom.V(0, 0), geom.V(1, 0)}
 	far := []geom.Vec2{geom.V(200, 0), geom.V(201, 0)}
 	a := Candidate{Samples: near, Radius: 1}
 	b := Candidate{Samples: near, Radius: 1}
 	c := Candidate{Samples: far, Radius: 1}
-	if got := p.Interaction(a, b); got != p.Config().WProximity {
-		t.Errorf("overlapping trains interaction = %v, want %v", got, p.Config().WProximity)
+	if got := p.Interaction(a, b); got != WProximity {
+		t.Errorf("overlapping trains interaction = %v, want %v", got, WProximity)
 	}
 	if got := p.Interaction(a, c); got != 0 {
 		t.Errorf("distant trains interaction = %v, want 0", got)
@@ -307,7 +319,7 @@ func TestInteraction(t *testing.T) {
 // greedy favourites collide: the fleet-optimal pick trades a slightly
 // riskier solo candidate for removing the pairwise interaction.
 func TestSelectJointAvoidsCollision(t *testing.T) {
-	p := New(1, Config{})
+	p := New(1)
 	near := []geom.Vec2{geom.V(0, 0), geom.V(1, 0), geom.V(2, 0)}
 	farA := []geom.Vec2{geom.V(100, 0), geom.V(101, 0), geom.V(102, 0)}
 	farB := []geom.Vec2{geom.V(0, 100), geom.V(0, 101), geom.V(0, 102)}

@@ -13,25 +13,23 @@ import (
 // Errors returned by route planning.
 var (
 	ErrUnknownNode = errors.New("world: unknown graph node")
-	ErrUnknownEdge = errors.New("world: unknown graph edge")
 	ErrNoRoute     = errors.New("world: no route between nodes")
 )
 
 // RouteGraph is a weighted graph over named waypoints used for route
-// planning and for rerouting around blocked nodes/edges (e.g. a
-// constituent stopped in a tunnel).
+// planning. The graph holds no blocked state: what a vehicle must
+// route around (e.g. a constituent stopped in a tunnel) is that
+// vehicle's own knowledge, passed to each query as an Avoidance.
 //
 // Shortest-path queries are memoized: orchestrated sites replan the
 // same origin/destination pairs on every TMS reassignment, so repeat
-// queries against an unchanged graph return a cached route. Any
-// topology or blocking mutation (AddNode, Connect, Block*/Unblock*)
-// invalidates the whole cache.
+// queries against an unchanged graph return a cached route. A cached
+// route depends only on the topology and the query's avoidance, so
+// only the topology mutations (AddNode, Connect) invalidate the cache.
 type RouteGraph struct {
-	pos         map[string]geom.Vec2
-	adj         map[string]map[string]float64 // from -> to -> length
-	blockedNode map[string]bool
-	blockedEdge map[[2]string]bool
-	nodeOrder   []string
+	pos       map[string]geom.Vec2
+	adj       map[string]map[string]float64 // from -> to -> length
+	nodeOrder []string
 
 	routeCache map[string]routeCacheEntry
 	cacheHits  int
@@ -46,16 +44,14 @@ type routeCacheEntry struct {
 // NewRouteGraph returns an empty graph.
 func NewRouteGraph() *RouteGraph {
 	return &RouteGraph{
-		pos:         make(map[string]geom.Vec2),
-		adj:         make(map[string]map[string]float64),
-		blockedNode: make(map[string]bool),
-		blockedEdge: make(map[[2]string]bool),
-		routeCache:  make(map[string]routeCacheEntry),
+		pos:        make(map[string]geom.Vec2),
+		adj:        make(map[string]map[string]float64),
+		routeCache: make(map[string]routeCacheEntry),
 	}
 }
 
-// invalidateRoutes drops every memoized route; called by any mutation
-// that can change planning outcomes.
+// invalidateRoutes drops every memoized route; called by the topology
+// mutations.
 func (g *RouteGraph) invalidateRoutes() {
 	clear(g.routeCache)
 }
@@ -76,13 +72,6 @@ func (g *RouteGraph) NodePos(id string) (geom.Vec2, bool) {
 	return p, ok
 }
 
-// Nodes returns node IDs in insertion order.
-func (g *RouteGraph) Nodes() []string {
-	out := make([]string, len(g.nodeOrder))
-	copy(out, g.nodeOrder)
-	return out
-}
-
 // Connect adds a bidirectional edge between a and b with weight equal
 // to the Euclidean distance. Both nodes must exist.
 func (g *RouteGraph) Connect(a, b string) error {
@@ -101,12 +90,6 @@ func (g *RouteGraph) Connect(a, b string) error {
 	return nil
 }
 
-// HasEdge reports whether an edge exists between a and b.
-func (g *RouteGraph) HasEdge(a, b string) bool {
-	_, ok := g.adj[a][b]
-	return ok
-}
-
 // MustConnect is Connect that panics on error.
 func (g *RouteGraph) MustConnect(a, b string) {
 	if err := g.Connect(a, b); err != nil {
@@ -114,81 +97,10 @@ func (g *RouteGraph) MustConnect(a, b string) {
 	}
 }
 
-// ConnectChain connects consecutive node IDs with bidirectional edges.
-func (g *RouteGraph) ConnectChain(ids ...string) error {
-	for i := 0; i+1 < len(ids); i++ {
-		if err := g.Connect(ids[i], ids[i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BlockNode marks a node unusable for routing (other than as an
-// endpoint), e.g. because a constituent reached MRC there.
-func (g *RouteGraph) BlockNode(id string) {
-	g.blockedNode[id] = true
-	g.invalidateRoutes()
-}
-
-// UnblockNode clears a node block.
-func (g *RouteGraph) UnblockNode(id string) {
-	delete(g.blockedNode, id)
-	g.invalidateRoutes()
-}
-
-// BlockEdge marks the edge between a and b (both directions)
-// unusable. Blocking an edge the graph does not have is an error,
-// consistent with Connect's validation: a silent no-op here would let
-// a mistyped blockage leave traffic flowing through the blocked spot.
-func (g *RouteGraph) BlockEdge(a, b string) error {
-	if err := g.checkEdge(a, b); err != nil {
-		return err
-	}
-	g.blockedEdge[[2]string{a, b}] = true
-	g.blockedEdge[[2]string{b, a}] = true
-	g.invalidateRoutes()
-	return nil
-}
-
-// UnblockEdge clears an edge block (both directions). Unblocking an
-// edge the graph does not have is an error; unblocking an existing
-// edge that was never blocked is a harmless no-op.
-func (g *RouteGraph) UnblockEdge(a, b string) error {
-	if err := g.checkEdge(a, b); err != nil {
-		return err
-	}
-	delete(g.blockedEdge, [2]string{a, b})
-	delete(g.blockedEdge, [2]string{b, a})
-	g.invalidateRoutes()
-	return nil
-}
-
-func (g *RouteGraph) checkEdge(a, b string) error {
-	for _, id := range []string{a, b} {
-		if _, ok := g.pos[id]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownNode, id)
-		}
-	}
-	if !g.HasEdge(a, b) {
-		return fmt.Errorf("%w: %q -- %q", ErrUnknownEdge, a, b)
-	}
-	return nil
-}
-
-// Blocked reports whether a node is currently blocked.
-func (g *RouteGraph) Blocked(id string) bool { return g.blockedNode[id] }
-
-// ShortestPath returns the node IDs of the cheapest route from a to b
-// (inclusive), avoiding blocked nodes and edges. Endpoints may be
-// blocked (a vehicle can leave or enter a blocked spot it occupies).
-func (g *RouteGraph) ShortestPath(a, b string) ([]string, error) {
-	return g.ShortestPathAvoiding(a, b, nil)
-}
-
 // Avoidance is an agent's private routing knowledge: nodes and edges
-// to plan around (e.g. learnt through status-sharing), as opposed to
-// the graph's own physically blocked elements.
+// to plan around (e.g. learnt through status-sharing). An avoided
+// node may still be a route's endpoint (a vehicle can leave or enter
+// a blocked spot it occupies).
 type Avoidance struct {
 	Nodes map[string]bool
 	Edges map[[2]string]bool
@@ -202,18 +114,11 @@ func (a Avoidance) AvoidsEdge(x, y string) bool {
 	return a.Edges[[2]string{x, y}] || a.Edges[[2]string{y, x}]
 }
 
-// ShortestPathAvoiding behaves like ShortestPath but additionally
-// avoids the given node set — an agent's *private* knowledge of
-// blocked spots (e.g. learnt through status-sharing), as opposed to
-// the graph's own physically blocked nodes.
-func (g *RouteGraph) ShortestPathAvoiding(a, b string, avoid map[string]bool) ([]string, error) {
-	return g.ShortestPathWith(a, b, Avoidance{Nodes: avoid})
-}
-
-// ShortestPathWith is the general planner honouring both node and
-// edge avoidance. Results are memoized per (origin, destination,
-// avoidance) until the next graph mutation; callers receive a private
-// copy of the route, so mutating it cannot poison the cache.
+// ShortestPathWith returns the node IDs of the cheapest route from a
+// to b (inclusive) honouring both node and edge avoidance. Results
+// are memoized per (origin, destination, avoidance) until the next
+// topology mutation; callers receive a private copy of the route, so
+// mutating it cannot poison the cache.
 func (g *RouteGraph) ShortestPathWith(a, b string, av Avoidance) ([]string, error) {
 	key := routeKey(a, b, av)
 	if e, ok := g.routeCache[key]; ok {
@@ -308,10 +213,10 @@ func (g *RouteGraph) shortestPath(a, b string, av Avoidance) ([]string, error) {
 		}
 		sort.Strings(nbrs)
 		for _, n := range nbrs {
-			if (g.blockedNode[n] || (av.Nodes != nil && av.Nodes[n])) && n != b {
+			if av.Nodes[n] && n != b {
 				continue
 			}
-			if g.blockedEdge[[2]string{cur.id, n}] || av.AvoidsEdge(cur.id, n) {
+			if av.AvoidsEdge(cur.id, n) {
 				continue
 			}
 			c := dist[cur.id] + g.adj[cur.id][n]
@@ -341,13 +246,7 @@ func (g *RouteGraph) shortestPath(a, b string, av Avoidance) ([]string, error) {
 // PathBetween returns the geometric path for the cheapest route
 // between two nodes.
 func (g *RouteGraph) PathBetween(a, b string) (*geom.Path, error) {
-	return g.PathBetweenAvoiding(a, b, nil)
-}
-
-// PathBetweenAvoiding returns the geometric path for the cheapest
-// route between two nodes that also avoids the given node set.
-func (g *RouteGraph) PathBetweenAvoiding(a, b string, avoid map[string]bool) (*geom.Path, error) {
-	return g.PathBetweenWith(a, b, Avoidance{Nodes: avoid})
+	return g.PathBetweenWith(a, b, Avoidance{})
 }
 
 // PathBetweenWith returns the geometric path for the cheapest route

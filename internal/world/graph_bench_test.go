@@ -34,7 +34,7 @@ func BenchmarkShortestPathGrid10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ShortestPath("n0_0", "n9_9"); err != nil {
+		if _, err := g.ShortestPathWith("n0_0", "n9_9", Avoidance{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,11 +42,11 @@ func BenchmarkShortestPathGrid10(b *testing.B) {
 
 func BenchmarkShortestPathGrid30Avoiding(b *testing.B) {
 	g := gridGraph(30)
-	avoid := map[string]bool{"n15_15": true, "n14_15": true, "n15_14": true}
+	avoid := Avoidance{Nodes: map[string]bool{"n15_15": true, "n14_15": true, "n15_14": true}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ShortestPathAvoiding("n0_0", "n29_29", avoid); err != nil {
+		if _, err := g.ShortestPathWith("n0_0", "n29_29", avoid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func BenchmarkShortestPathGrid10Uncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.invalidateRoutes()
-		if _, err := g.ShortestPath("n0_0", "n9_9"); err != nil {
+		if _, err := g.ShortestPathWith("n0_0", "n9_9", Avoidance{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,45 +99,16 @@ func TestNearestEdgeEndpointOrder(t *testing.T) {
 	}
 }
 
-// Blocking or unblocking an edge the graph does not have used to be a
-// silent no-op — a mistyped blockage would leave traffic flowing
-// through the blocked spot. It is now an error, consistent with
-// Connect's validation.
-func TestBlockEdgeValidation(t *testing.T) {
-	g := diamond()
-	if err := g.BlockEdge("a", "zzz"); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown node: err = %v, want ErrUnknownNode", err)
-	}
-	// Both nodes exist, but no edge connects them directly.
-	if err := g.BlockEdge("a", "b"); !errors.Is(err, ErrUnknownEdge) {
-		t.Errorf("unknown edge: err = %v, want ErrUnknownEdge", err)
-	}
-	if err := g.UnblockEdge("m", "alt"); !errors.Is(err, ErrUnknownEdge) {
-		t.Errorf("unblock unknown edge: err = %v, want ErrUnknownEdge", err)
-	}
-	// A real edge blocks fine; unblocking a never-blocked real edge is
-	// a harmless no-op.
-	if err := g.BlockEdge("a", "m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.UnblockEdge("m", "b"); err != nil {
-		t.Errorf("unblocking an existing unblocked edge: %v", err)
-	}
-	if !g.HasEdge("a", "m") || g.HasEdge("a", "b") {
-		t.Error("HasEdge wrong")
-	}
-}
-
 // Repeat queries against an unchanged graph must come from the route
-// cache; every mutation must invalidate it.
+// cache; every topology mutation must invalidate it.
 func TestRouteCacheHitsAndInvalidation(t *testing.T) {
 	g := diamond()
-	r1, err := g.ShortestPath("a", "b")
+	r1, err := g.ShortestPathWith("a", "b", Avoidance{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, miss0 := g.RouteCacheStats()
-	r2, err := g.ShortestPath("a", "b")
+	r2, err := g.ShortestPathWith("a", "b", Avoidance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,30 +122,33 @@ func TestRouteCacheHitsAndInvalidation(t *testing.T) {
 	// The caller's copy is private: mutating it must not poison the
 	// cache.
 	r2[1] = "poisoned"
-	r3, _ := g.ShortestPath("a", "b")
+	r3, _ := g.ShortestPathWith("a", "b", Avoidance{})
 	if r3[1] != "m" {
 		t.Errorf("cache poisoned through returned slice: %v", r3)
 	}
-	// Blocking the edge on the cached route invalidates the cache and
-	// replans around it.
-	if err := g.BlockEdge("a", "m"); err != nil {
-		t.Fatal(err)
+	// AddNode invalidates: a query for a node that did not exist is
+	// answered afresh once the node is added, not from the cached
+	// ErrUnknownNode.
+	if _, err := g.ShortestPathWith("a", "x", Avoidance{}); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("query before AddNode: err = %v, want ErrUnknownNode", err)
 	}
-	r4, err := g.ShortestPath("a", "b")
+	g.AddNode("x", geom.V(300, 0))
+	_, miss0 = g.RouteCacheStats()
+	if _, err := g.ShortestPathWith("a", "x", Avoidance{}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("query after AddNode: err = %v, want ErrNoRoute (stale cache?)", err)
+	}
+	if _, miss = g.RouteCacheStats(); miss != miss0+1 {
+		t.Errorf("query after AddNode: misses %d -> %d, want a fresh plan", miss0, miss)
+	}
+	// Connect invalidates: the cached ErrNoRoute gives way to the new
+	// edge's route.
+	g.MustConnect("b", "x")
+	route, err := g.ShortestPathWith("a", "x", Avoidance{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("query after Connect: %v (stale cache?)", err)
 	}
-	if r4[1] != "alt" {
-		t.Errorf("post-block route = %v, want via alt (stale cache?)", r4)
-	}
-	// Unblocking restores the direct route — again through a fresh
-	// plan, not a stale entry.
-	if err := g.UnblockEdge("a", "m"); err != nil {
-		t.Fatal(err)
-	}
-	r5, _ := g.ShortestPath("a", "b")
-	if r5[1] != "m" {
-		t.Errorf("post-unblock route = %v, want via m", r5)
+	if want := []string{"a", "m", "b", "x"}; len(route) != len(want) || route[1] != "m" || route[3] != "x" {
+		t.Errorf("route after Connect = %v, want %v", route, want)
 	}
 }
 

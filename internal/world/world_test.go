@@ -113,18 +113,17 @@ func TestRouteGraphShortestPath(t *testing.T) {
 	g.AddNode("b", geom.V(10, 0))
 	g.AddNode("c", geom.V(10, 10))
 	g.AddNode("d", geom.V(0, 10))
-	if err := g.ConnectChain("a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
+	g.MustConnect("a", "b")
+	g.MustConnect("b", "c")
 	g.MustConnect("a", "d")
 	g.MustConnect("d", "c")
 
-	route, err := g.ShortestPath("a", "c")
+	route, err := g.ShortestPathWith("a", "c", Avoidance{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both routes are length 20; tie-break must be deterministic.
-	r2, err := g.ShortestPath("a", "c")
+	r2, err := g.ShortestPathWith("a", "c", Avoidance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,67 +132,13 @@ func TestRouteGraphShortestPath(t *testing.T) {
 	}
 }
 
-func TestRouteGraphBlocking(t *testing.T) {
-	g := NewRouteGraph()
-	g.AddNode("a", geom.V(0, 0))
-	g.AddNode("m", geom.V(10, 0))
-	g.AddNode("b", geom.V(20, 0))
-	g.AddNode("alt", geom.V(10, 30))
-	g.MustConnect("a", "m")
-	g.MustConnect("m", "b")
-	g.MustConnect("a", "alt")
-	g.MustConnect("alt", "b")
-
-	route, err := g.ShortestPath("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(route) != 3 || route[1] != "m" {
-		t.Fatalf("route = %v, want via m", route)
-	}
-
-	g.BlockNode("m")
-	if !g.Blocked("m") {
-		t.Error("Blocked should be true")
-	}
-	route, err = g.ShortestPath("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if route[1] != "alt" {
-		t.Errorf("blocked route = %v, want via alt", route)
-	}
-
-	g.UnblockNode("m")
-	route, _ = g.ShortestPath("a", "b")
-	if route[1] != "m" {
-		t.Errorf("unblocked route = %v, want via m", route)
-	}
-
-	if err := g.BlockEdge("a", "m"); err != nil {
-		t.Fatal(err)
-	}
-	route, _ = g.ShortestPath("a", "b")
-	if route[1] != "alt" {
-		t.Errorf("edge-blocked route = %v", route)
-	}
-	if err := g.UnblockEdge("a", "m"); err != nil {
-		t.Fatal(err)
-	}
-	route, _ = g.ShortestPath("a", "b")
-	if route[1] != "m" {
-		t.Errorf("edge-unblocked route = %v", route)
-	}
-}
-
 func TestRouteGraphBlockedDestinationReachable(t *testing.T) {
 	g := NewRouteGraph()
 	g.AddNode("a", geom.V(0, 0))
 	g.AddNode("b", geom.V(10, 0))
 	g.MustConnect("a", "b")
-	g.BlockNode("b")
-	if _, err := g.ShortestPath("a", "b"); err != nil {
-		t.Errorf("blocked endpoint should still be reachable: %v", err)
+	if _, err := g.ShortestPathWith("a", "b", Avoidance{Nodes: map[string]bool{"b": true}}); err != nil {
+		t.Errorf("avoided endpoint should still be reachable: %v", err)
 	}
 }
 
@@ -201,16 +146,16 @@ func TestRouteGraphErrors(t *testing.T) {
 	g := NewRouteGraph()
 	g.AddNode("a", geom.V(0, 0))
 	g.AddNode("b", geom.V(100, 0))
-	if _, err := g.ShortestPath("a", "zzz"); !errors.Is(err, ErrUnknownNode) {
+	if _, err := g.ShortestPathWith("a", "zzz", Avoidance{}); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := g.ShortestPath("a", "b"); !errors.Is(err, ErrNoRoute) {
+	if _, err := g.ShortestPathWith("a", "b", Avoidance{}); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("disconnected err = %v", err)
 	}
 	if err := g.Connect("a", "zzz"); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("connect err = %v", err)
 	}
-	if p, err := g.ShortestPath("a", "a"); err != nil || len(p) != 1 {
+	if p, err := g.ShortestPathWith("a", "a", Avoidance{}); err != nil || len(p) != 1 {
 		t.Errorf("self path = %v err %v", p, err)
 	}
 }
