@@ -24,7 +24,7 @@ func (o Options) Observe(name string, rep metrics.Report, log *sim.EventLog,
 	if o.Artifacts == nil {
 		return
 	}
-	o.Artifacts.Record(artifact.CaptureRun(name, rep, log, net, inj, nil))
+	o.Artifacts.Record(artifact.CaptureRun(name, rep, log, net, inj))
 }
 
 // ObserveBench records one fine-grained timing measurement (tick

@@ -205,6 +205,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-seeds", "5..1"}, &buf); err == nil {
 		t.Error("bad seed spec should error")
 	}
+	// Seed 0 runs as seed 1, so this sweep would fold one sample twice.
+	if err := run([]string{"-quick", "-run", "E13", "-seeds", "0..1"}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "seed 0") {
+		t.Errorf("sweep over seed 0: err = %v, want a seed-0 error", err)
+	}
 }
 
 // A seed sweep renders the campaign annotation: the note names the

@@ -78,7 +78,7 @@ func runE18Arm(opt Options, pairs int, policy scenario.PolicyKind, horizon time.
 	ticks := int64(horizon / (100 * time.Millisecond))
 	opt.ObserveBench(artifact.BenchDetail{
 		ID:          "E18/" + id,
-		Entities:    len(rig.Engine.Entities()),
+		Entities:    rig.Engine.Len(),
 		Ticks:       ticks,
 		WallSeconds: wall.Seconds(),
 		TicksPerSec: float64(ticks) / wall.Seconds(),

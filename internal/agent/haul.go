@@ -99,19 +99,6 @@ func (a *HaulAgent) Constituent() *core.Constituent { return a.cfg.C }
 // Delivered returns the delivered units so far.
 func (a *HaulAgent) Delivered() float64 { return a.delivered }
 
-// LegsDone returns the number of completed legs.
-func (a *HaulAgent) LegsDone() int { return a.legsDone }
-
-// Stuck reports whether the last planning attempt found no route.
-func (a *HaulAgent) Stuck() bool { return a.stuck }
-
-// Target returns the current target node ("" before the first leg).
-func (a *HaulAgent) Target() string { return a.target }
-
-// Monitor returns the agent's obstacle monitor, nil when the agent was
-// built without a neighbour feed.
-func (a *HaulAgent) Monitor() *ObstacleMonitor { return a.monitor }
-
 // Avoid adds a node to the agent's private avoid set and replans the
 // current leg if it is affected.
 func (a *HaulAgent) Avoid(node string) {
@@ -241,15 +228,9 @@ func (a *HaulAgent) startNextLeg(env *sim.Env) {
 	a.enRoute = true
 }
 
-// PlanLegPath plans a drivable path from the constituent's position
-// to the target node, routing on the graph while avoiding the given
-// private node set.
-func PlanLegPath(c *core.Constituent, g *world.RouteGraph, target string, avoid map[string]bool) (*geom.Path, error) {
-	return PlanLegPathWith(c, g, target, world.Avoidance{Nodes: avoid})
-}
-
-// PlanLegPathWith plans a drivable path honouring node and edge
-// avoidance.
+// PlanLegPathWith plans a drivable path from the constituent's
+// position to the target node, routing on the graph while honouring
+// node and edge avoidance.
 func PlanLegPathWith(c *core.Constituent, g *world.RouteGraph, target string, av world.Avoidance) (*geom.Path, error) {
 	start, ok := g.NearestNode(c.Body().Position())
 	if !ok {

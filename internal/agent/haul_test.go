@@ -59,8 +59,8 @@ func TestHaulLoopDelivers(t *testing.T) {
 	if a.Delivered() < 3 {
 		t.Errorf("delivered = %v, want >= 3 in 3 minutes", a.Delivered())
 	}
-	if a.LegsDone() < 6 {
-		t.Errorf("legs = %d", a.LegsDone())
+	if a.legsDone < 6 {
+		t.Errorf("legs = %d", a.legsDone)
 	}
 	if got := e.Env().Log.Count(sim.EventTaskDone); float64(got) != a.Delivered() {
 		t.Errorf("task events = %d, delivered = %v", got, a.Delivered())
@@ -102,7 +102,7 @@ func TestStuckAndRecovery(t *testing.T) {
 	a.Avoid("mid")
 	a.Avoid("alt")
 	e.RunFor(5 * time.Second)
-	if !a.Stuck() {
+	if !a.stuck {
 		t.Fatal("agent should be stuck with both routes avoided")
 	}
 	before := a.Delivered()
@@ -113,8 +113,8 @@ func TestStuckAndRecovery(t *testing.T) {
 	a.Unavoid("mid")
 	a.Replan()
 	e.RunFor(time.Minute)
-	if a.Stuck() || a.Delivered() <= before {
-		t.Errorf("agent should recover: stuck=%v delivered=%v", a.Stuck(), a.Delivered())
+	if a.stuck || a.Delivered() <= before {
+		t.Errorf("agent should recover: stuck=%v delivered=%v", a.stuck, a.Delivered())
 	}
 }
 
@@ -171,7 +171,7 @@ func TestEmptyLoop(t *testing.T) {
 	e.MustRegister(c)
 	e.MustRegister(a)
 	e.RunFor(time.Second) // must not panic
-	if a.Delivered() != 0 || a.Target() != "" {
+	if a.Delivered() != 0 || a.target != "" {
 		t.Error("empty loop should do nothing")
 	}
 }

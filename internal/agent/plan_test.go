@@ -41,7 +41,7 @@ func planConstituent(w *world.World, at geom.Vec2) *core.Constituent {
 func TestPlanLegPathDropsPassedWaypoint(t *testing.T) {
 	w := planWorld()
 	c := planConstituent(w, geom.V(30, 0)) // on segment a-m, nearest node a
-	p, err := PlanLegPath(c, w.Graph(), "b", nil)
+	p, err := PlanLegPathWith(c, w.Graph(), "b", world.Avoidance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPlanLegPathKeepsDetourEntry(t *testing.T) {
 func TestPlanLegPathNoGraph(t *testing.T) {
 	w := world.New()
 	c := planConstituent(w, geom.V(0, 0))
-	if _, err := PlanLegPath(c, w.Graph(), "x", nil); err == nil {
+	if _, err := PlanLegPathWith(c, w.Graph(), "x", world.Avoidance{}); err == nil {
 		t.Error("empty graph should error")
 	}
 }

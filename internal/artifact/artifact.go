@@ -1,6 +1,6 @@
 // Package artifact serializes run results into schema-stable,
 // machine-readable artifacts: per-experiment bundles (table, recorded
-// rig runs, event and trace streams as JSON/JSONL) and a run-level
+// rig runs, event streams as JSON/JSONL) and a run-level
 // bench.json with wall-clock accounting. The paper's claims (Table I
 // capability deltas, the Fig. 2 global-vs-local trade-off) are
 // quantitative, so every experiment run must leave replayable,
@@ -31,7 +31,6 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/metrics"
 	"coopmrm/internal/sim"
-	"coopmrm/internal/trace"
 )
 
 // Schema identifiers embedded in every artifact file.
@@ -165,9 +164,9 @@ func CaptureFaults(in *fault.Injector) []FaultRecord {
 	return out
 }
 
-// Run is one recorded rig run inside an experiment. The event and
-// trace streams are carried out-of-line: the run index stores counts
-// and relative file names, the bundle writer emits the JSONL files.
+// Run is one recorded rig run inside an experiment. The event stream
+// is carried out-of-line: the run index stores its count and relative
+// file name, the bundle writer emits the JSONL file.
 type Run struct {
 	Name           string         `json:"name"`
 	Metrics        Metrics        `json:"metrics"`
@@ -176,17 +175,14 @@ type Run struct {
 	EventHistogram map[string]int `json:"event_histogram,omitempty"`
 	EventCount     int            `json:"event_count"`
 	EventsFile     string         `json:"events_file,omitempty"`
-	TraceCount     int            `json:"trace_count,omitempty"`
-	TraceFile      string         `json:"trace_file,omitempty"`
 
-	events  []sim.Event
-	samples []trace.Sample
+	events []sim.Event
 }
 
 // CaptureRun snapshots everything observable about one finished rig
-// run. Any of log, net, inj, rec may be nil.
+// run. Any of log, net, inj may be nil.
 func CaptureRun(name string, rep metrics.Report, log *sim.EventLog,
-	net *comm.Network, inj *fault.Injector, rec *trace.Recorder) Run {
+	net *comm.Network, inj *fault.Injector) Run {
 	run := Run{
 		Name:    name,
 		Metrics: CaptureMetrics(rep),
@@ -203,18 +199,8 @@ func CaptureRun(name string, rep metrics.Report, log *sim.EventLog,
 			}
 		}
 	}
-	if rec != nil {
-		run.samples = rec.Samples()
-		run.TraceCount = len(run.samples)
-	}
 	return run
 }
-
-// Events returns the captured event stream.
-func (r Run) Events() []sim.Event { return r.events }
-
-// TraceSamples returns the captured position samples.
-func (r Run) TraceSamples() []trace.Sample { return r.samples }
 
 // Recorder accumulates the runs of one experiment, in record order.
 // One recorder belongs to exactly one experiment job; the parallel
@@ -280,8 +266,8 @@ type runsFile struct {
 }
 
 // WriteBundle writes the bundle under dir/<table.ID>: table.json, a
-// runs.json index, and one events/trace JSONL file per recorded run
-// that carries a stream. The output bytes depend only on the bundle
+// runs.json index, and one events JSONL file per recorded run that
+// carries events. The output bytes depend only on the bundle
 // contents.
 //
 // The write is atomic at the bundle level: every file is staged into a
@@ -317,12 +303,6 @@ func WriteBundle(dir string, b Bundle) error {
 		if runs[i].EventCount > 0 {
 			runs[i].EventsFile = fmt.Sprintf("events/%03d-%s.jsonl", i, slug(runs[i].Name))
 			if err := writeEventsFile(filepath.Join(tmp, runs[i].EventsFile), runs[i].events); err != nil {
-				return err
-			}
-		}
-		if runs[i].TraceCount > 0 {
-			runs[i].TraceFile = fmt.Sprintf("trace/%03d-%s.jsonl", i, slug(runs[i].Name))
-			if err := writeTraceFile(filepath.Join(tmp, runs[i].TraceFile), runs[i].samples); err != nil {
 				return err
 			}
 		}
@@ -394,26 +374,6 @@ func writeEventsFile(path string, events []sim.Event) error {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	if err := sim.WriteEvents(f, events); err != nil {
-		f.Close()
-		return fmt.Errorf("artifact: %w", err)
-	}
-	return f.Close()
-}
-
-func writeTraceFile(path string, samples []trace.Sample) error {
-	if writeFileHook != nil {
-		if err := writeFileHook(path); err != nil {
-			return err
-		}
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if err := trace.WriteJSONL(f, samples); err != nil {
 		f.Close()
 		return fmt.Errorf("artifact: %w", err)
 	}

@@ -9,14 +9,12 @@ import (
 
 	"coopmrm/internal/comm"
 	"coopmrm/internal/fault"
-	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
 	"coopmrm/internal/sim"
-	"coopmrm/internal/trace"
 )
 
 // fixedRun builds a fully-populated Run from fixed inputs, exercising
-// every capture path (metrics, comm, faults, events, trace).
+// every capture path (metrics, comm, faults, events).
 func fixedRun(t *testing.T) Run {
 	t.Helper()
 	rep := metrics.Report{
@@ -59,17 +57,7 @@ func fixedRun(t *testing.T) Run {
 	log.Append(sim.Event{Time: 30 * time.Second, Tick: 300,
 		Kind: sim.EventMRCReached, Subject: "truck1"})
 
-	rec := trace.NewRecorder(time.Second, trace.Source{
-		ID:    "truck1",
-		Pos:   func() geom.Vec2 { return geom.V(1.5, -2) },
-		Speed: func() float64 { return 3 },
-		Mode:  func() string { return "mrm" },
-	})
-	e := sim.NewEngine(sim.Config{Step: 500 * time.Millisecond})
-	e.AddPostHook(rec.Hook())
-	e.RunFor(2 * time.Second)
-
-	return CaptureRun("arm/seed=1", rep, log, net, inj, rec)
+	return CaptureRun("arm/seed=1", rep, log, net, inj)
 }
 
 // The schema lock: bundle bytes for fixed inputs must match these
@@ -158,9 +146,7 @@ const goldenRuns = `{
         "mrm.started": 1
       },
       "event_count": 2,
-      "events_file": "events/000-arm-seed-1.jsonl",
-      "trace_count": 2,
-      "trace_file": "trace/000-arm-seed-1.jsonl"
+      "events_file": "events/000-arm-seed-1.jsonl"
     }
   ]
 }
@@ -168,10 +154,6 @@ const goldenRuns = `{
 
 const goldenEvents = `{"t":10000000000,"tick":100,"kind":"mrm.started","subject":"truck1","detail":"radar loss"}
 {"t":30000000000,"tick":300,"kind":"mrc.reached","subject":"truck1"}
-`
-
-const goldenTrace = `{"t_seconds":0,"subject":"truck1","x":1.5,"y":-2,"speed":3,"mode":"mrm"}
-{"t_seconds":1,"subject":"truck1","x":1.5,"y":-2,"speed":3,"mode":"mrm"}
 `
 
 func readFile(t *testing.T, path string) string {
@@ -201,7 +183,6 @@ func TestBundleGoldenSchema(t *testing.T) {
 		{"table.json", goldenTable},
 		{"runs.json", goldenRuns},
 		{"events/000-arm-seed-1.jsonl", goldenEvents},
-		{"trace/000-arm-seed-1.jsonl", goldenTrace},
 	} {
 		if got := readFile(t, filepath.Join(base, tc.file)); got != tc.want {
 			t.Errorf("%s schema drift:\n--- got ---\n%s\n--- want ---\n%s", tc.file, got, tc.want)
@@ -254,8 +235,8 @@ func TestBundleRequiresTableID(t *testing.T) {
 }
 
 func TestCaptureNilSafety(t *testing.T) {
-	run := CaptureRun("bare", metrics.Report{}, nil, nil, nil, nil)
-	if run.Comm != nil || run.Faults != nil || run.EventCount != 0 || run.TraceCount != 0 {
+	run := CaptureRun("bare", metrics.Report{}, nil, nil, nil)
+	if run.Comm != nil || run.Faults != nil || run.EventCount != 0 {
 		t.Errorf("nil captures leaked: %+v", run)
 	}
 	if CaptureComm(nil) != nil || CaptureFaults(nil) != nil {

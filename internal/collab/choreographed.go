@@ -76,9 +76,6 @@ func NewChoreographed(haul *agent.HaulAgent, board *CheckInBoard, watch []string
 // ID implements sim.Entity.
 func (p *Choreographed) ID() string { return p.haul.Constituent().ID() + ":choreographed" }
 
-// Triggered reports whether the designed response has fired.
-func (p *Choreographed) Triggered() bool { return p.triggered }
-
 // Step implements sim.Entity.
 func (p *Choreographed) Step(env *sim.Env) {
 	now := env.Clock.Now()

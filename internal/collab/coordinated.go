@@ -56,9 +56,6 @@ func NewCoordinated(base *coop.Base, model *core.DependencyModel) *Coordinated {
 // ID implements sim.Entity.
 func (p *Coordinated) ID() string { return p.base.C().ID() + ":coordinated" }
 
-// Base exposes the shared plumbing.
-func (p *Coordinated) Base() *coop.Base { return p.base }
-
 // Step implements sim.Entity.
 func (p *Coordinated) Step(env *sim.Env) {
 	c := p.base.C()

@@ -107,9 +107,6 @@ func NewDirector(id string, net *comm.Network, board *tms.Board, model *core.Dep
 // ID implements sim.Entity.
 func (d *Director) ID() string { return d.id }
 
-// Board returns the task board.
-func (d *Director) Board() *tms.Board { return d.board }
-
 // GlobalIssued reports whether the director has declared a global
 // MRC.
 func (d *Director) GlobalIssued() bool { return d.globalIssued }
@@ -124,14 +121,6 @@ func (d *Director) find(id string) *member {
 		return nil
 	}
 	return &d.roster[i]
-}
-
-// Mode returns the last reported mode of a member.
-func (d *Director) Mode(id string) string {
-	if m := d.find(id); m != nil {
-		return m.mode
-	}
-	return ""
 }
 
 // Step implements sim.Entity.
@@ -321,9 +310,6 @@ func NewOrchestrated(c *core.Constituent, net *comm.Network, graph *world.RouteG
 
 // ID implements sim.Entity.
 func (p *Orchestrated) ID() string { return p.c.ID() + ":orchestrated" }
-
-// Task returns the current task ID ("" when idle).
-func (p *Orchestrated) Task() string { return p.task }
 
 // Step implements sim.Entity.
 func (p *Orchestrated) Step(env *sim.Env) {

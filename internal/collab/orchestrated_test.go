@@ -91,12 +91,12 @@ func TestOrchestratedTaskExecution(t *testing.T) {
 	net.Send(comm.NewMessage("tms", "member", comm.TypeTask, comm.TopicTaskAssign,
 		&comm.Body{Fields: map[string]string{comm.KeyTask: "job-1", "from": "a", "to": "b"}}))
 	e.RunFor(2 * time.Second)
-	if o.Task() != "job-1" {
-		t.Fatalf("task = %q", o.Task())
+	if o.task != "job-1" {
+		t.Fatalf("task = %q", o.task)
 	}
 	e.RunFor(2 * time.Minute)
-	if o.Task() != "" {
-		t.Errorf("task not completed, still %q (pos %v)", o.Task(), c.Body().Position())
+	if o.task != "" {
+		t.Errorf("task not completed, still %q (pos %v)", o.task, c.Body().Position())
 	}
 	// The completion report reached the TMS endpoint.
 	done := false
@@ -131,7 +131,7 @@ func TestDirectorReassignsAndTracksModes(t *testing.T) {
 	}
 	beacon("nominal")
 	e.RunFor(time.Second)
-	if d.Mode("t1") != "nominal" {
+	if m := d.find("t1"); m == nil || m.mode != "nominal" {
 		t.Error("mode not tracked")
 	}
 	if got := board.AssignedTo("t1"); len(got) != 1 {

@@ -1,8 +1,8 @@
 // Package comm simulates the V2X communication substrate: typed
 // messages exchanged between constituents (and a TMS) over a network
-// with configurable latency, jitter, loss, node outages and link
-// partitions. Delivery is deterministic for a given seed and happens
-// at tick boundaries, before entities step.
+// with configurable latency, loss, reordering, node outages and
+// scheduled link partitions. Delivery is deterministic for a given
+// seed and happens at tick boundaries, before entities step.
 //
 // The cooperative/collaborative classes of the paper are
 // distinguished by the *content and direction* of the messages they

@@ -9,14 +9,12 @@ import (
 
 // NetConfig configures the simulated radio network. The zero value is
 // a perfect instantaneous channel; every knob degrades it
-// independently, and a config with LossProb, ReorderProb, DupProb all
-// zero and no Partitions behaves exactly like the pre-chaos network
-// (it consumes the same RNG stream, so runs are byte-identical).
+// independently, and a config with LossProb and ReorderProb zero and
+// no Partitions behaves exactly like the pre-chaos network (it consumes
+// the same RNG stream, so runs are byte-identical).
 type NetConfig struct {
 	// Latency is the base one-way delivery delay.
 	Latency time.Duration
-	// Jitter is the maximum extra random delay added per message.
-	Jitter time.Duration
 	// LossProb is the probability a message is silently dropped.
 	LossProb float64
 	// ReorderProb is the probability one scheduled delivery is held
@@ -27,12 +25,6 @@ type NetConfig struct {
 	// DefaultReorderWindow when ReorderProb > 0 and the window is
 	// unset.
 	ReorderWindow time.Duration
-	// DupProb is the probability one scheduled delivery is duplicated:
-	// the copy carries the same Seq and payload but draws its own
-	// jitter (and reorder) delay, so the two copies can arrive in any
-	// order. The duplicate counts as an extra attempted delivery in
-	// Stats, keeping delivered + dropped == sent.
-	DupProb float64
 	// Partitions are scheduled outage windows applied on the network
 	// clock: a message is dropped when its link (or an endpoint's
 	// radio) is inside a window either when it is sent or when it
@@ -53,13 +45,12 @@ func (c NetConfig) Validate() error {
 	}{
 		{"LossProb", c.LossProb},
 		{"ReorderProb", c.ReorderProb},
-		{"DupProb", c.DupProb},
 	} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("comm: %s %v out of [0,1]", p.name, p.v)
 		}
 	}
-	if c.Latency < 0 || c.Jitter < 0 || c.ReorderWindow < 0 {
+	if c.Latency < 0 || c.ReorderWindow < 0 {
 		return fmt.Errorf("comm: negative delay in config")
 	}
 	for _, w := range c.Partitions {
@@ -120,8 +111,8 @@ const (
 	// DropNodeDown: the sender's or recipient's radio was offline — at
 	// send time, or (recipient only) when the message would arrive.
 	DropNodeDown
-	// DropLinkDown: the pair was partitioned (SetLinkDown or a
-	// scheduled Partition window) at send or arrival time.
+	// DropLinkDown: a scheduled Partition window severed the pair at
+	// send or arrival time.
 	DropLinkDown
 	// DropLoss: random channel loss (LossProb).
 	DropLoss
@@ -138,11 +129,6 @@ type Breakdown struct {
 	LinkDown     int64
 	Loss         int64
 	Self         int64
-}
-
-// Total returns the sum over all causes (== Stats dropped).
-func (b Breakdown) Total() int64 {
-	return b.Unregistered + b.NodeDown + b.LinkDown + b.Loss + b.Self
 }
 
 // Network is the shared medium. Endpoints register by constituent ID;
@@ -167,7 +153,6 @@ type Network struct {
 	inbox    map[string]*inboxBuf
 	order    []string
 	downNode map[string]bool
-	downLink map[[2]string]bool
 
 	// recipBuf is the scratch fan-out list reused across Send calls
 	// (both unicast and broadcast), so Send allocates nothing once the
@@ -192,9 +177,8 @@ type envelope struct {
 }
 
 // envLess is the deterministic delivery order: deliverAt, then Seq,
-// then recipient. Envelopes comparing equal are necessarily identical
-// payloads (same Seq means same Send call — an original and its chaos
-// duplicate), so any tie-break among them delivers the same bytes.
+// then recipient. A Send queues at most one envelope per recipient, so
+// no two envelopes compare equal.
 func envLess(a, b envelope) bool {
 	if a.deliverAt != b.deliverAt {
 		return a.deliverAt < b.deliverAt
@@ -267,10 +251,10 @@ type inboxBuf struct {
 	cur, prev []Message
 }
 
-// NewNetwork returns a network using the given RNG for jitter, loss,
-// reorder, and duplication draws. Panics on an invalid config
-// (Validate), mirroring MustRegister: a malformed channel model is a
-// programming error, not a runtime condition.
+// NewNetwork returns a network using the given RNG for loss and
+// reorder draws. Panics on an invalid config (Validate), mirroring
+// MustRegister: a malformed channel model is a programming error, not
+// a runtime condition.
 func NewNetwork(cfg NetConfig, rng *sim.RNG) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -283,7 +267,6 @@ func NewNetwork(cfg NetConfig, rng *sim.RNG) *Network {
 		rng:      rng,
 		inbox:    make(map[string]*inboxBuf),
 		downNode: make(map[string]bool),
-		downLink: make(map[[2]string]bool),
 	}
 }
 
@@ -316,7 +299,6 @@ func (n *Network) Reset(seed int64) {
 	clear(n.order)
 	n.order = n.order[:0]
 	clear(n.downNode)
-	clear(n.downLink)
 	clear(n.recipBuf)
 	n.recipBuf = n.recipBuf[:0]
 	n.sent = 0
@@ -369,21 +351,6 @@ func (n *Network) SetNodeDown(id string, down bool) {
 	}
 }
 
-// NodeDown reports whether a node's radio is offline.
-func (n *Network) NodeDown(id string) bool { return n.downNode[id] }
-
-// SetLinkDown partitions the pair (both directions). Messages already
-// in transit across the link are dropped when they arrive.
-func (n *Network) SetLinkDown(a, b string, down bool) {
-	if down {
-		n.downLink[[2]string{a, b}] = true
-		n.downLink[[2]string{b, a}] = true
-	} else {
-		delete(n.downLink, [2]string{a, b})
-		delete(n.downLink, [2]string{b, a})
-	}
-}
-
 // drop accounts one failed delivery attempt.
 func (n *Network) drop(cause DropCause) {
 	n.dropped++
@@ -431,7 +398,7 @@ func (n *Network) Send(m Message) int64 {
 			n.drop(DropNodeDown)
 			continue
 		}
-		if n.downLink[[2]string{m.From, to}] || n.partitioned(m.From, to, now) {
+		if n.partitioned(m.From, to, now) {
 			n.drop(DropLinkDown)
 			continue
 		}
@@ -440,26 +407,16 @@ func (n *Network) Send(m Message) int64 {
 			continue
 		}
 		n.transit.push(envelope{msg: m, to: to, deliverAt: now + n.delay()})
-		if n.cfg.DupProb > 0 && n.rng.Bool(n.cfg.DupProb) {
-			// The duplicate is an extra attempted delivery with its
-			// own delay draws, so the copies can arrive in any order.
-			n.sent++
-			n.transit.push(envelope{msg: m, to: to, deliverAt: now + n.delay()})
-		}
 	}
 	return m.Seq
 }
 
-// delay draws one delivery delay: base latency, plus jitter, plus —
-// with probability ReorderProb — an extra hold-back in
-// (0, ReorderWindow]. The draws happen only when the matching knob is
-// enabled, so a zero-chaos config consumes exactly the pre-chaos RNG
-// stream.
+// delay draws one delivery delay: base latency, plus — with
+// probability ReorderProb — an extra hold-back in (0, ReorderWindow].
+// The draws happen only when reordering is enabled, so a zero-chaos
+// config consumes exactly the pre-chaos RNG stream.
 func (n *Network) delay() time.Duration {
 	d := n.cfg.Latency
-	if n.cfg.Jitter > 0 {
-		d += time.Duration(n.rng.Range(0, float64(n.cfg.Jitter)))
-	}
 	if n.cfg.ReorderProb > 0 && n.rng.Bool(n.cfg.ReorderProb) {
 		d += time.Duration(n.rng.Range(0, float64(n.cfg.ReorderWindow)))
 	}
@@ -508,12 +465,11 @@ func (n *Network) recipients(m Message) []string {
 
 // Deliver advances the network clock to now and moves due messages to
 // inboxes in deterministic order (deliverAt, then Seq, then
-// recipient). Every due envelope is re-checked against node and link
-// state at its scheduled arrival instant: a recipient whose radio died
-// after the send, a link partitioned mid-flight, or a scheduled
-// Partition window covering the arrival all drop the message (the
-// sender's state no longer matters — the datagram already left its
-// radio). Drops are accounted per cause in StatsBreakdown.
+// recipient). Every due envelope is re-checked at its scheduled
+// arrival instant: a recipient whose radio died after the send, or a
+// scheduled Partition window covering the arrival, drops the message
+// (the sender's state no longer matters — the datagram already left
+// its radio). Drops are accounted per cause in StatsBreakdown.
 //
 // The in-transit heap is keyed on exactly that order, so delivery is
 // a pop loop over the due prefix — O(due · log pending) — instead of
@@ -531,7 +487,7 @@ func (n *Network) deliverOne(e envelope) {
 	switch {
 	case n.downNode[e.to]:
 		n.drop(DropNodeDown)
-	case n.downLink[[2]string{e.msg.From, e.to}] || n.partitioned(e.msg.From, e.to, e.deliverAt):
+	case n.partitioned(e.msg.From, e.to, e.deliverAt):
 		n.drop(DropLinkDown)
 	default:
 		box := n.inbox[e.to]
@@ -563,10 +519,10 @@ func (n *Network) Receive(id string) []Message {
 func (n *Network) Pending() int { return len(n.transit) }
 
 // Stats returns per-recipient delivery accounting: sent counts every
-// attempted delivery (a broadcast to k recipients counts k, and a
-// chaos duplicate counts one extra), dropped counts the attempts that
-// failed — at send time or at arrival time. Invariants:
-// 0 <= dropped <= sent, and delivered + dropped + in-transit == sent.
+// attempted delivery (a broadcast to k recipients counts k), dropped
+// counts the attempts that failed — at send time or at arrival time.
+// Invariants: 0 <= dropped <= sent, and
+// delivered + dropped + in-transit == sent.
 func (n *Network) Stats() (sent, dropped int64) { return n.sent, n.dropped }
 
 // StatsBreakdown returns the per-cause drop accounting. The field sum

@@ -29,19 +29,19 @@ func BenchmarkBroadcastDeliver(b *testing.B) {
 	}
 }
 
-// benchNetworkTick10Node is the broadcast-heavy delivery tick of the
-// ISSUE-5 allocation audit: 10 nodes each beaconing one status
-// broadcast per tick (90 attempted deliveries), jitter spreading the
-// due times across several ticks so the in-transit set stays
-// populated. The scan arm is the pre-heap Deliver (deliverScan);
-// the ratio between the two is the delivery-tick speedup, and the
-// heap arm's allocs/op is locked to zero by
-// TestNetworkSteadyStateTickAllocFree for the no-jitter steady state.
+// benchNetworkTick10Node is a broadcast-heavy delivery tick: 10 nodes
+// each beaconing one status broadcast per tick (90 attempted
+// deliveries), random hold-backs spreading the due times across
+// several ticks so the in-transit set stays populated. The scan arm is
+// the pre-heap Deliver (deliverScan); the ratio between the two is the
+// delivery-tick speedup, and the heap arm's allocs/op is locked to
+// zero by TestNetworkSteadyStateTickAllocFree for the fixed-latency
+// steady state.
 func benchNetworkTick10Node(b *testing.B, scan bool) {
 	b.Helper()
 	n := NewNetwork(NetConfig{
-		Latency: 50 * time.Millisecond,
-		Jitter:  300 * time.Millisecond,
+		Latency:     50 * time.Millisecond,
+		ReorderProb: 1, ReorderWindow: 300 * time.Millisecond,
 	}, sim.NewRNG(1))
 	deliver := n.Deliver
 	if scan {

@@ -45,11 +45,13 @@ func TestDeliverDropsNodeDownedMidFlight(t *testing.T) {
 // Regression: a link partitioned between Send and Deliver used to let
 // in-flight messages through.
 func TestDeliverDropsLinkPartitionedMidFlight(t *testing.T) {
-	n := newNet(NetConfig{Latency: 100 * time.Millisecond})
+	n := newNet(NetConfig{
+		Latency:    100 * time.Millisecond,
+		Partitions: []Partition{{A: "a", B: "b", From: 50 * time.Millisecond, Until: time.Hour}},
+	})
 	n.MustRegister("a")
 	n.MustRegister("b")
-	n.Send(NewMessage("a", "b", TypeStatus, "x", nil))
-	n.SetLinkDown("a", "b", true)
+	n.Send(NewMessage("a", "b", TypeStatus, "x", nil)) // sent at 0, before the cut
 	n.Deliver(time.Second)
 	if got := n.Receive("b"); len(got) != 0 {
 		t.Fatalf("partitioned link delivered %d messages", len(got))
@@ -63,22 +65,23 @@ func TestDeliverDropsLinkPartitionedMidFlight(t *testing.T) {
 	}
 }
 
-// A partition healed mid-window: drops while down, flows after heal —
+// A partition healed mid-run: drops while down, flows after heal —
 // including a message sent during the outage (dropped at send) and one
 // sent after (delivered).
 func TestPartitionHealMidFlight(t *testing.T) {
-	n := newNet(NetConfig{Latency: 50 * time.Millisecond})
+	n := newNet(NetConfig{
+		Latency:    50 * time.Millisecond,
+		Partitions: []Partition{{A: "a", B: "b", Until: time.Second}},
+	})
 	n.MustRegister("a")
 	n.MustRegister("b")
 
-	n.SetLinkDown("a", "b", true)
 	n.Send(NewMessage("a", "b", TypeStatus, "during", nil))
-	n.Deliver(time.Second)
+	n.Deliver(time.Second) // the window ends at 1s
 	if len(n.Receive("b")) != 0 {
 		t.Fatal("message crossed a downed link")
 	}
 
-	n.SetLinkDown("a", "b", false)
 	n.Send(NewMessage("a", "b", TypeStatus, "after", nil))
 	n.Deliver(2 * time.Second)
 	got := n.Receive("b")
@@ -241,38 +244,19 @@ func TestReorderDeterministicAndEffective(t *testing.T) {
 	}
 }
 
-// With DupProb = 1 every scheduled delivery is duplicated; the copy is
-// an extra attempted delivery, so conservation still holds:
-// delivered + dropped == sent.
-func TestDuplicationConservation(t *testing.T) {
-	n := NewNetwork(NetConfig{Latency: 10 * time.Millisecond, DupProb: 1}, sim.NewRNG(3))
-	n.MustRegister("a")
-	n.MustRegister("b")
-	for i := 0; i < 10; i++ {
-		n.Send(NewMessage("a", "b", TypeStatus, "x", nil))
-	}
-	n.Deliver(time.Second)
-	got := n.Receive("b")
-	if len(got) != 20 {
-		t.Fatalf("DupProb=1 should deliver 2 copies each: got %d of 20", len(got))
-	}
-	sent, dropped := n.Stats()
-	if sent != 20 || dropped != 0 {
-		t.Errorf("stats = %d/%d, want 20 sent 0 dropped", sent, dropped)
-	}
-	if int64(len(got))+dropped != sent {
-		t.Errorf("conservation: %d delivered + %d dropped != %d sent", len(got), dropped, sent)
-	}
+// breakdownTotal sums the drop causes; it must equal Stats' dropped.
+func breakdownTotal(b Breakdown) int64 {
+	return b.Unregistered + b.NodeDown + b.LinkDown + b.Loss + b.Self
 }
 
 // The per-cause breakdown must sum exactly to the dropped total under
-// a random chaos campaign with mid-flight state flips, duplication,
-// reorder, scheduled partitions, and interleaved Deliver calls.
+// a random chaos campaign with mid-flight node flips, reorder,
+// scheduled partitions, and interleaved Deliver calls.
 func TestBreakdownSumsToDropped(t *testing.T) {
 	rng := sim.NewRNG(7)
 	n := NewNetwork(NetConfig{
-		Latency: 10 * time.Millisecond, Jitter: 40 * time.Millisecond,
-		LossProb: 0.2, ReorderProb: 0.3, DupProb: 0.2,
+		Latency:  10 * time.Millisecond,
+		LossProb: 0.2, ReorderProb: 0.3, ReorderWindow: 40 * time.Millisecond,
 		Partitions: []Partition{
 			{A: "a", B: "b", From: 100 * time.Millisecond, Until: 900 * time.Millisecond},
 			{A: "e", From: 300 * time.Millisecond, Until: 600 * time.Millisecond},
@@ -286,19 +270,17 @@ func TestBreakdownSumsToDropped(t *testing.T) {
 	n.AttachClock(func() time.Duration { return now })
 	delivered := int64(0)
 	for i := 0; i < 3000; i++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(7) {
 		case 0:
 			n.SetNodeDown(ids[rng.Intn(len(ids))], rng.Bool(0.5))
 		case 1:
-			n.SetLinkDown(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], rng.Bool(0.5))
-		case 2:
 			n.Send(NewMessage(ids[rng.Intn(len(ids))], Broadcast, TypeStatus, "x", nil))
-		case 3:
+		case 2:
 			n.Send(NewMessage(ids[rng.Intn(len(ids))], "ghost", TypeStatus, "x", nil))
-		case 4:
+		case 3:
 			id := ids[rng.Intn(len(ids))]
 			n.Send(NewMessage(id, id, TypeStatus, "x", nil)) // self-send
-		case 5:
+		case 4:
 			now += time.Duration(rng.Intn(30)) * time.Millisecond
 			n.Deliver(now)
 			for _, id := range ids {
@@ -311,8 +293,8 @@ func TestBreakdownSumsToDropped(t *testing.T) {
 		if dropped > sent {
 			t.Fatalf("step %d: %d dropped > %d sent", i, dropped, sent)
 		}
-		if bd := n.StatsBreakdown(); bd.Total() != dropped {
-			t.Fatalf("step %d: breakdown %+v sums to %d, dropped %d", i, bd, bd.Total(), dropped)
+		if bd := n.StatsBreakdown(); breakdownTotal(bd) != dropped {
+			t.Fatalf("step %d: breakdown %+v sums to %d, dropped %d", i, bd, breakdownTotal(bd), dropped)
 		}
 	}
 	// Drain everything: full conservation across causes.
@@ -328,8 +310,8 @@ func TestBreakdownSumsToDropped(t *testing.T) {
 		t.Errorf("conservation: %d delivered + %d dropped != %d sent", delivered, dropped, sent)
 	}
 	bd := n.StatsBreakdown()
-	if bd.Total() != dropped {
-		t.Errorf("breakdown %+v sums to %d, dropped %d", bd, bd.Total(), dropped)
+	if breakdownTotal(bd) != dropped {
+		t.Errorf("breakdown %+v sums to %d, dropped %d", bd, breakdownTotal(bd), dropped)
 	}
 	for _, c := range []struct {
 		name string
@@ -349,9 +331,7 @@ func TestNetConfigValidate(t *testing.T) {
 		{LossProb: -0.1},
 		{LossProb: 1.1},
 		{ReorderProb: 2},
-		{DupProb: -1},
 		{Latency: -time.Second},
-		{Jitter: -time.Second},
 		{ReorderWindow: -time.Second},
 		{Partitions: []Partition{{A: "", From: 0, Until: time.Second}}},
 		{Partitions: []Partition{{A: "a", B: "b", From: time.Second, Until: time.Second}}},
@@ -361,7 +341,7 @@ func TestNetConfigValidate(t *testing.T) {
 			t.Errorf("config %d should fail validation: %+v", i, cfg)
 		}
 	}
-	if err := (NetConfig{LossProb: 0.5, ReorderProb: 0.5, DupProb: 0.5,
+	if err := (NetConfig{LossProb: 0.5, ReorderProb: 0.5,
 		Partitions: []Partition{{A: "*", B: "*", From: 0, Until: time.Second}}}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
@@ -391,11 +371,11 @@ func TestZeroChaosPreservesRNGStream(t *testing.T) {
 		}
 		return msgs, rng.Range(0, 1) // the next draw exposes stream position
 	}
-	cfg := NetConfig{Latency: 20 * time.Millisecond, Jitter: 50 * time.Millisecond, LossProb: 0.3}
+	cfg := NetConfig{Latency: 20 * time.Millisecond, LossProb: 0.3}
 	_, before := run(cfg)
 	chaosOff := cfg
 	chaosOff.ReorderProb = 0
-	chaosOff.DupProb = 0
+	chaosOff.ReorderWindow = time.Second
 	chaosOff.Partitions = []Partition{{A: "c", B: "d", From: 0, Until: time.Hour}}
 	_, after := run(chaosOff)
 	if before != after {

@@ -127,8 +127,8 @@ func TestNodeDown(t *testing.T) {
 	n.MustRegister("a")
 	n.MustRegister("b")
 	n.SetNodeDown("b", true)
-	if !n.NodeDown("b") {
-		t.Error("NodeDown should be true")
+	if !n.downNode["b"] {
+		t.Error("node b should be down")
 	}
 	n.Send(NewMessage("a", "b", TypeStatus, "x", nil))
 	n.Deliver(0)
@@ -150,11 +150,10 @@ func TestNodeDown(t *testing.T) {
 }
 
 func TestLinkDown(t *testing.T) {
-	n := newNet(NetConfig{})
+	n := newNet(NetConfig{Partitions: []Partition{{A: "a", B: "b", Until: time.Second}}})
 	for _, id := range []string{"a", "b", "c"} {
 		n.MustRegister(id)
 	}
-	n.SetLinkDown("a", "b", true)
 	n.Send(NewMessage("a", Broadcast, TypeStatus, "x", nil))
 	n.Deliver(0)
 	if len(n.Receive("b")) != 0 {
@@ -163,9 +162,9 @@ func TestLinkDown(t *testing.T) {
 	if len(n.Receive("c")) != 1 {
 		t.Error("unaffected link should deliver")
 	}
-	n.SetLinkDown("a", "b", false)
+	n.Deliver(time.Second) // the window ends
 	n.Send(NewMessage("b", "a", TypeStatus, "y", nil))
-	n.Deliver(0)
+	n.Deliver(time.Second)
 	if len(n.Receive("a")) != 1 {
 		t.Error("restored link should deliver")
 	}
@@ -183,7 +182,7 @@ func TestUnknownRecipient(t *testing.T) {
 
 func TestDeliveryOrderDeterministic(t *testing.T) {
 	run := func() []int64 {
-		n := NewNetwork(NetConfig{Latency: 50 * time.Millisecond, Jitter: 30 * time.Millisecond}, sim.NewRNG(7))
+		n := NewNetwork(NetConfig{Latency: 50 * time.Millisecond, ReorderProb: 1, ReorderWindow: 30 * time.Millisecond}, sim.NewRNG(7))
 		n.MustRegister("a")
 		n.MustRegister("b")
 		for i := 0; i < 20; i++ {

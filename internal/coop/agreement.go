@@ -82,12 +82,6 @@ func NewAgreementSeeking(base *Base, peers []string) *AgreementSeeking {
 // ID implements sim.Entity.
 func (s *AgreementSeeking) ID() string { return s.base.C().ID() + ":agreement" }
 
-// Base exposes the shared plumbing.
-func (s *AgreementSeeking) Base() *Base { return s.base }
-
-// Evacuating reports whether a negotiated evacuation is under way.
-func (s *AgreementSeeking) Evacuating() bool { return s.evacuating }
-
 // DeclareEvacuation starts a negotiated global MRC (e.g. mine fire):
 // the declaring vehicle broadcasts the evacuation; every participant
 // independently derives the same deterministic order (sorted IDs) and

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"coopmrm/internal/comm"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/sim"
 )
@@ -13,7 +14,12 @@ import (
 // the MRM proceeds agreed (concerted), not as the conservative
 // fallback.
 func TestAgreementRetrySucceedsAfterHeal(t *testing.T) {
-	r := newRig(t, 2)
+	// The pair is severed before the request fires, so the first
+	// attempt is dropped at the link; the cut heals at 3s.
+	r := newRigNet(t, 2, comm.NetConfig{
+		Latency:    50 * time.Millisecond,
+		Partitions: []comm.Partition{{A: "t1", B: "t2", Until: 3 * time.Second}},
+	})
 	pols := []*AgreementSeeking{
 		NewAgreementSeeking(NewBase(r.hauls[0], r.net, r.w.Graph(), time.Second), []string{"t2"}),
 		NewAgreementSeeking(NewBase(r.hauls[1], r.net, r.w.Graph(), time.Second), []string{"t1"}),
@@ -21,9 +27,6 @@ func TestAgreementRetrySucceedsAfterHeal(t *testing.T) {
 	for _, p := range pols {
 		r.e.MustRegister(p)
 	}
-	// Sever the pair before the request fires: the first attempt is
-	// dropped at the link.
-	r.net.SetLinkDown("t1", "t2", true)
 	r.e.RunFor(2 * time.Second)
 	r.trucks[0].ApplyFault(fault.Fault{ID: "blind", Target: "t1", Kind: fault.KindSensor,
 		Severity: 1, Permanent: true})
@@ -31,9 +34,8 @@ func TestAgreementRetrySucceedsAfterHeal(t *testing.T) {
 	if r.trucks[0].MRMActive() || r.trucks[0].InMRC() {
 		t.Fatal("MRM should be deferred while the first attempt is lost")
 	}
-	// Heal before the first retry (default AckTimeout 3s): the resend
-	// crosses, t2 consents, and the exchange completes.
-	r.net.SetLinkDown("t1", "t2", false)
+	// The cut heals before the first retry (default AckTimeout 3s):
+	// the resend crosses, t2 consents, and the exchange completes.
 	r.e.RunFor(5 * time.Second)
 	if !r.trucks[0].MRMActive() && !r.trucks[0].InMRC() {
 		t.Fatal("agreed MRM should have triggered after the heal")

@@ -28,6 +28,12 @@ type rig struct {
 
 func newRig(t *testing.T, n int) *rig {
 	t.Helper()
+	return newRigNet(t, n, comm.NetConfig{Latency: 50 * time.Millisecond})
+}
+
+// newRigNet is newRig on the given channel.
+func newRigNet(t *testing.T, n int, cfg comm.NetConfig) *rig {
+	t.Helper()
 	w := world.New()
 	g := w.Graph()
 	g.AddNode("load", geom.V(0, 0))
@@ -46,7 +52,7 @@ func newRig(t *testing.T, n int) *rig {
 		Area: geom.NewRect(geom.V(-60, -60), geom.V(-20, -20))})
 
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
-	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(7))
+	net := comm.NewNetwork(cfg, sim.NewRNG(7))
 	e.AddPreHook(net.Hook())
 
 	r := &rig{e: e, w: w, net: net}
@@ -176,10 +182,10 @@ func TestIntentSharingSlowsNeighbours(t *testing.T) {
 	r.trucks[0].ApplyFault(fault.Fault{ID: "blind", Target: "t1", Kind: fault.KindSensor,
 		Severity: 1, Permanent: true})
 	r.e.RunFor(3 * time.Second)
-	if !pols[1].Reacting() {
+	if pols[1].reactingTo == "" {
 		t.Error("nearby truck should react to announced MRM")
 	}
-	if pols[2].Reacting() {
+	if pols[2].reactingTo != "" {
 		t.Error("distant truck should not react")
 	}
 	if !r.trucks[1].Assisting() {
@@ -187,7 +193,7 @@ func TestIntentSharingSlowsNeighbours(t *testing.T) {
 	}
 	// After t1 reaches MRC, the reaction ends (via beacon).
 	r.e.RunFor(30 * time.Second)
-	if pols[1].Reacting() {
+	if pols[1].reactingTo != "" {
 		t.Error("reaction should end after MRC confirmation")
 	}
 	if r.trucks[1].Assisting() {
@@ -301,7 +307,7 @@ func TestAgreementEvacuationOrdered(t *testing.T) {
 	pols[1].DeclareEvacuation(r.e.Env()) // fire detected by t2
 	r.e.RunFor(10 * time.Second)
 	for _, p := range pols {
-		if !p.Evacuating() {
+		if !p.evacuating {
 			t.Fatalf("%s not evacuating", p.ID())
 		}
 	}
@@ -392,7 +398,8 @@ func TestPrescriptiveRouteCommand(t *testing.T) {
 	r.e.MustRegister(auth)
 	r.e.MustRegister(NewPrescriptive(NewBase(r.hauls[0], r.net, r.w.Graph(), time.Second)))
 	r.e.RunFor(time.Second)
-	auth.CommandAvoid(r.e.Env(), "t1", "mid", "maintenance")
+	r.net.Send(comm.NewMessage("control", "t1", comm.TypeCommand, comm.TopicCommandRoute,
+		&comm.Body{Fields: map[string]string{comm.KeyAvoid: "mid", comm.KeyReason: "maintenance"}}))
 	r.e.RunFor(2 * time.Second)
 	if !r.hauls[0].Avoided("mid") {
 		t.Error("route command ignored")

@@ -79,13 +79,6 @@ func NewIntentSharing(base *Base) *IntentSharing {
 // ID implements sim.Entity.
 func (s *IntentSharing) ID() string { return s.base.C().ID() + ":intent_sharing" }
 
-// Base exposes the shared plumbing.
-func (s *IntentSharing) Base() *Base { return s.base }
-
-// Reacting reports whether the vehicle is currently adapting to a
-// peer's announced MRM.
-func (s *IntentSharing) Reacting() bool { return s.reactingTo != "" }
-
 // Step implements sim.Entity.
 func (s *IntentSharing) Step(env *sim.Env) {
 	c := s.base.C()

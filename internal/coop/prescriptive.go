@@ -54,13 +54,6 @@ func (a *Authority) CommandAllMRC(env *sim.Env, mrcID, reason string) {
 	}
 }
 
-// CommandAvoid orders one vehicle to reroute around a node.
-func (a *Authority) CommandAvoid(env *sim.Env, target, node, reason string) {
-	a.net.Send(comm.NewMessage(a.id, target, comm.TypeCommand, comm.TopicCommandRoute,
-		&comm.Body{Fields: map[string]string{comm.KeyAvoid: node, comm.KeyReason: reason}}))
-	env.Emit(sim.EventInfo, a.id, "ordered "+target+" to avoid "+node)
-}
-
 // Prescriptive is the vehicle-side policy of the class: it behaves
 // like status-sharing but additionally obeys authority commands. A
 // vehicle unable to comply with a positional order goes to its own
@@ -78,9 +71,6 @@ func NewPrescriptive(base *Base) *Prescriptive {
 
 // ID implements sim.Entity.
 func (p *Prescriptive) ID() string { return p.base.C().ID() + ":prescriptive" }
-
-// Base exposes the shared plumbing.
-func (p *Prescriptive) Base() *Base { return p.base }
 
 // Step implements sim.Entity.
 func (p *Prescriptive) Step(env *sim.Env) {

@@ -34,18 +34,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// GiveUpAfter returns the worst-case total wait from Begin to
-// expiry: the sum of every attempt's timeout.
-func (p RetryPolicy) GiveUpAfter() time.Duration {
-	p = p.withDefaults()
-	total, wait := time.Duration(0), float64(p.Timeout)
-	for i := 0; i < p.MaxAttempts; i++ {
-		total += time.Duration(wait)
-		wait *= p.Backoff
-	}
-	return total
-}
-
 // Outcome is what Poll tells the owning policy to do.
 type Outcome int
 
@@ -94,10 +82,6 @@ func (x *Exchange) Begin(now time.Duration, peers []string) {
 	x.active = true
 }
 
-// Active reports whether a request is outstanding (armed, not yet
-// complete or expired).
-func (x *Exchange) Active() bool { return x.active }
-
 // Attempt returns the 1-based attempt currently in flight (0 before
 // Begin).
 func (x *Exchange) Attempt() int { return x.attempt }
@@ -111,9 +95,6 @@ func (x *Exchange) Ack(from string, ok bool) {
 	}
 	x.acks[from] = ok
 }
-
-// Acked reports whether the peer has consented.
-func (x *Exchange) Acked(peer string) bool { return x.acks[peer] }
 
 // Complete reports whether every required peer has consented. An
 // exchange with no required peers never completes (there is nobody to

@@ -10,16 +10,6 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	if p.Timeout != 3*time.Second || p.Backoff != 2 || p.MaxAttempts != 3 {
 		t.Errorf("defaults = %+v, want 3s/2/3", p)
 	}
-	// 3 + 6 + 12 = 21s is the designed-in give-up instant.
-	if got := (RetryPolicy{}).GiveUpAfter(); got != 21*time.Second {
-		t.Errorf("default GiveUpAfter = %v, want 21s", got)
-	}
-	if got := (RetryPolicy{Timeout: 5 * time.Second}).GiveUpAfter(); got != 35*time.Second {
-		t.Errorf("5s GiveUpAfter = %v, want 35s (5+10+20)", got)
-	}
-	if got := (RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 4}).GiveUpAfter(); got != 4*time.Second {
-		t.Errorf("flat-backoff GiveUpAfter = %v, want 4s", got)
-	}
 }
 
 // The retry deadlines back off deterministically: resends fire at 3s
@@ -45,7 +35,7 @@ func TestExchangeBackoffSchedule(t *testing.T) {
 			t.Fatalf("Poll(%v) = %v, want %v (attempt %d)", s.at, got, s.want, x.Attempt())
 		}
 	}
-	if x.Active() {
+	if x.active {
 		t.Error("exchange still active after expiry")
 	}
 }
@@ -66,7 +56,7 @@ func TestExchangeCumulativeAcks(t *testing.T) {
 	if got := x.Poll(3 * time.Second); got != OutcomeResend {
 		t.Fatalf("Poll = %v, want resend for the laggard", got)
 	}
-	if !x.Acked("p1") {
+	if !x.acks["p1"] {
 		t.Fatal("ack lost across the retry")
 	}
 	x.Ack("p2", true)
@@ -76,7 +66,7 @@ func TestExchangeCumulativeAcks(t *testing.T) {
 	if got := x.Poll(time.Hour); got != OutcomeWait {
 		t.Fatalf("completed exchange polled %v, want wait", got)
 	}
-	if x.Active() {
+	if x.active {
 		t.Error("completed exchange should disarm")
 	}
 }
@@ -87,7 +77,7 @@ func TestExchangeDenialStaysOutstanding(t *testing.T) {
 	x := NewExchange(RetryPolicy{Timeout: time.Second, MaxAttempts: 1})
 	x.Begin(0, []string{"p1"})
 	x.Ack("p1", false)
-	if x.Complete() || x.Acked("p1") {
+	if x.Complete() || x.acks["p1"] {
 		t.Fatal("denial must not count as consent")
 	}
 	if got := x.Outstanding(); len(got) != 1 {
@@ -119,12 +109,12 @@ func TestExchangeBeginResets(t *testing.T) {
 	x := NewExchange(RetryPolicy{})
 	x.Ack("p1", true) // no-op: nothing armed
 	x.Begin(0, []string{"p1"})
-	if x.Acked("p1") {
+	if x.acks["p1"] {
 		t.Fatal("pre-Begin ack must not survive")
 	}
 	x.Ack("p1", true)
 	x.Begin(10*time.Second, []string{"p1"})
-	if x.Acked("p1") || x.Attempt() != 1 {
+	if x.acks["p1"] || x.Attempt() != 1 {
 		t.Fatal("Begin must clear acks and reset the attempt counter")
 	}
 	if got := x.Poll(12 * time.Second); got != OutcomeWait {

@@ -27,9 +27,6 @@ func NewStatusSharing(base *Base) *StatusSharing {
 // ID implements sim.Entity.
 func (s *StatusSharing) ID() string { return s.base.C().ID() + ":status_sharing" }
 
-// Base exposes the shared plumbing (for tests and composition).
-func (s *StatusSharing) Base() *Base { return s.base }
-
 // Step implements sim.Entity.
 func (s *StatusSharing) Step(env *sim.Env) {
 	for _, m := range s.base.Net.Receive(s.base.C().ID()) {

@@ -32,7 +32,6 @@ type ConcertedMRM struct {
 	startedAt time.Duration
 	completed bool
 	failed    bool
-	fleetRisk float64 // joint transition risk of the selected plan; <0 when scripted
 }
 
 var _ sim.Entity = (*ConcertedMRM)(nil)
@@ -48,38 +47,15 @@ func NewConcertedMRM(initiator *Constituent, helpers []*Constituent, reason stri
 		AssistSpeed: 2.0,
 		Timeout:     5 * time.Minute,
 		reason:      reason,
-		fleetRisk:   -1,
 	}
 }
-
-// FleetRisk returns the joint transition risk of the selected
-// concerted plan, or -1 when the episode fell back to the scripted
-// assist (no joint plan was feasible).
-func (e *ConcertedMRM) FleetRisk() float64 { return e.fleetRisk }
 
 // ID implements sim.Entity.
 func (e *ConcertedMRM) ID() string { return "concerted:" + e.initiator.ID() }
 
-// Initiator returns the constituent performing the MRM proper.
-func (e *ConcertedMRM) Initiator() *Constituent { return e.initiator }
-
-// Helpers returns the assisting constituents.
-func (e *ConcertedMRM) Helpers() []*Constituent {
-	out := make([]*Constituent, len(e.helpers))
-	copy(out, e.helpers)
-	return out
-}
-
-// Started reports whether the episode has begun.
-func (e *ConcertedMRM) Started() bool { return e.started }
-
 // Completed reports whether the initiator has reached MRC and the
 // helpers have been released.
 func (e *ConcertedMRM) Completed() bool { return e.completed }
-
-// Failed reports whether the episode timed out before the initiator
-// reached MRC (helpers were released anyway).
-func (e *ConcertedMRM) Failed() bool { return e.failed }
 
 // Start triggers the initiator's MRM and puts helpers into assist.
 func (e *ConcertedMRM) Start(env *sim.Env) {
@@ -118,7 +94,6 @@ func (e *ConcertedMRM) Start(env *sim.Env) {
 					h.AssistSlowdown(e.AssistSpeed)
 				}
 			}
-			e.fleetRisk = fleetRisk
 			fields["fleet_risk"] = fmt.Sprintf("%.3f", fleetRisk)
 			env.EmitFields(sim.EventMRMConcerted, e.initiator.ID(),
 				fmt.Sprintf("concerted MRM with %d helper(s), fleet transition risk %.3f",

@@ -42,11 +42,11 @@ func TestConcertedLifecycle(t *testing.T) {
 	e, ep, init, helpers := concertedRig(t, 2)
 	_ = init.Dispatch(geom.MustPath(geom.V(100, 2), geom.V(5000, 2)), 25)
 	e.RunFor(10 * time.Second)
-	if ep.Started() || ep.Completed() {
+	if ep.started || ep.Completed() {
 		t.Fatal("episode should be inert before Start")
 	}
 	ep.Start(e.Env())
-	if !ep.Started() {
+	if !ep.started {
 		t.Fatal("Start did not start")
 	}
 	if !init.MRMActive() && !init.InMRC() {
@@ -115,7 +115,7 @@ func TestConcertedStartIdempotent(t *testing.T) {
 
 func TestConcertedAccessors(t *testing.T) {
 	_, ep, init, helpers := concertedRig(t, 2)
-	if ep.Initiator() != init || len(ep.Helpers()) != len(helpers) {
+	if ep.initiator != init || len(ep.helpers) != len(helpers) {
 		t.Error("accessors wrong")
 	}
 	if ep.ID() != "concerted:ego" {
@@ -178,7 +178,7 @@ func TestConcertedTimeoutReleasesHelpers(t *testing.T) {
 		t.Fatal("completed without MRC — invariant broken")
 	}
 	if !ep.Completed() {
-		if !ep.Failed() {
+		if !ep.failed {
 			t.Fatal("episode neither completed nor failed after the timeout")
 		}
 		for _, h := range helpers {

@@ -172,10 +172,6 @@ type Constituent struct {
 	mrcSince      time.Duration
 	conditionsOK  time.Duration // since when recovery conditions held
 
-	// OnMRCReached, when set, is called once when the constituent
-	// reaches its MRC (used by policies to propagate local/global
-	// decisions).
-	OnMRCReached func(c *Constituent, m MRC)
 	// OnMRMStarted, when set, is called once per MRM trigger.
 	OnMRMStarted func(c *Constituent, m MRC, reason string)
 	// MRMGate, when set, is consulted before an internally assessed
@@ -336,18 +332,6 @@ func (c *Constituent) Mode() Mode { return c.mode }
 // goal.
 func (c *Constituent) Goal() string { return c.goal }
 
-// UserGoal returns the original user-defined strategic goal.
-func (c *Constituent) UserGoal() string { return c.userGoal }
-
-// SetUserGoal updates the user-defined strategic goal (e.g. when a
-// TMS re-tasks the constituent). Only honoured outside MRM/MRC.
-func (c *Constituent) SetUserGoal(goal string) {
-	c.userGoal = goal
-	if c.mode == ModeNominal || c.mode == ModeDegraded {
-		c.goal = goal
-	}
-}
-
 // InMRC reports whether the constituent has reached an MRC.
 func (c *Constituent) InMRC() bool { return c.mode == ModeMRC }
 
@@ -381,9 +365,6 @@ func (c *Constituent) Interventions() int { return c.interventions }
 // CommUp reports whether the V2X radio currently works.
 func (c *Constituent) CommUp() bool { return c.commUp }
 
-// ToolUp reports whether the work tool currently works.
-func (c *Constituent) ToolUp() bool { return c.toolUp }
-
 // Capabilities computes the current capability vector from the body,
 // suite and subsystem flags.
 func (c *Constituent) Capabilities() vehicle.Capabilities {
@@ -414,16 +395,6 @@ func (c *Constituent) HasPermanentFault() bool {
 		}
 	}
 	return false
-}
-
-// ActiveFaults returns the active faults sorted by ID.
-func (c *Constituent) ActiveFaults() []fault.Fault {
-	out := make([]fault.Fault, 0, len(c.activeFaults))
-	for _, f := range c.activeFaults {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // ApplyFault implements fault.Handler.
@@ -580,20 +551,16 @@ func (c *Constituent) Step(env *sim.Env) {
 	c.body.Step(env.Clock.StepSeconds())
 }
 
-// evaluateODD checks the current weather, position and caps against
-// the ODD; without a world the constituent is always inside it. The
-// evaluation is pure, so Step calls it only in the modes that read it:
+// evaluateODD checks the current weather and caps against the ODD;
+// without a world the constituent is always inside it. The evaluation
+// is pure, so Step calls it only in the modes that read it:
 // an MRM runs on capabilities alone, and an MRC without transient
 // auto-recovery waits for user intervention whatever the ODD says.
 func (c *Constituent) evaluateODD(caps vehicle.Capabilities) odd.Status {
 	if c.world == nil {
 		return odd.Status{Inside: true}
 	}
-	return c.monitor.Evaluate(odd.Input{
-		Weather:  c.world.Weather,
-		Position: c.body.Position(),
-		Caps:     caps,
-	})
+	return c.monitor.Evaluate(odd.Input{Weather: c.world.Weather, Caps: caps})
 }
 
 func (c *Constituent) stepOperational(env *sim.Env, caps vehicle.Capabilities, oddStatus odd.Status) {
@@ -658,9 +625,6 @@ func (c *Constituent) stepMRM(env *sim.Env, caps vehicle.Capabilities) {
 		env.EmitFields(sim.EventMRCReached, c.id, "reached MRC "+c.currentMRC.ID,
 			map[string]string{"mrc": c.currentMRC.ID, "reason": c.mrmReason,
 				"risk": fmt.Sprintf("%.2f", c.effectiveStopRisk())})
-		if c.OnMRCReached != nil {
-			c.OnMRCReached(c, c.currentMRC)
-		}
 	}
 }
 

@@ -186,14 +186,7 @@ func TestMidMRMSwitch(t *testing.T) {
 			c.Mode(), c.Body().Position(), c.Body().Speed())
 	}
 	// Stopped on the shoulder, not in the lane.
-	zones := w.ZoneAt(c.Body().Position())
-	found := false
-	for _, z := range zones {
-		if z.Kind == world.ZoneShoulder {
-			found = true
-		}
-	}
-	if !found {
+	if !w.HasZoneKindAt(world.ZoneShoulder, c.Body().Position()) {
 		t.Errorf("stopped at %v, not on shoulder", c.Body().Position())
 	}
 }
@@ -235,7 +228,7 @@ func TestRecovery(t *testing.T) {
 	if c.Interventions() != 1 {
 		t.Errorf("interventions = %d", c.Interventions())
 	}
-	if len(c.ActiveFaults()) != 0 {
+	if len(c.activeFaults) != 0 {
 		t.Error("recovery should repair faults")
 	}
 	e.RunFor(5 * time.Second)
@@ -255,38 +248,25 @@ func TestDispatchRejectedInMRC(t *testing.T) {
 	}
 }
 
-func TestSetUserGoal(t *testing.T) {
-	e, c, _ := newRig(t)
-	c.SetUserGoal("new mission")
-	if c.Goal() != "new mission" || c.UserGoal() != "new mission" {
-		t.Error("goal update failed")
-	}
-	c.ApplyFault(fault.Fault{ID: "blind", Target: "truck1", Kind: fault.KindSensor,
-		Severity: 1, Permanent: true})
-	e.RunFor(30 * time.Second)
-	c.SetUserGoal("while stopped")
-	if strings.HasPrefix(c.Goal(), "while") {
-		t.Error("goal must stay mrc:* during MRC")
-	}
-	if c.UserGoal() != "while stopped" {
-		t.Error("user goal should still record")
-	}
-}
-
 func TestCommFaultTakesRadioDown(t *testing.T) {
 	w := roadWorld()
 	net := comm.NewNetwork(comm.NetConfig{}, sim.NewRNG(1))
 	net.MustRegister("truck1")
+	net.MustRegister("peer")
 	roadODD := odd.DefaultRoadSpec()
 	c := MustConstituent(Config{ID: "truck1", World: w, Net: net, ODD: &roadODD,
 		Hierarchy: DefaultRoadHierarchy()})
+	ping := func() int64 {
+		net.Send(comm.NewMessage("peer", "truck1", comm.TypeStatus, "ping", nil))
+		return net.StatsBreakdown().NodeDown
+	}
 	c.ApplyFault(fault.Fault{ID: "radio", Target: "truck1", Kind: fault.KindComm,
 		Severity: 1, At: 0, ClearAt: time.Minute})
-	if c.CommUp() || !net.NodeDown("truck1") {
+	if c.CommUp() || ping() != 1 {
 		t.Error("comm fault should take the radio down")
 	}
 	c.ClearFault(fault.Fault{ID: "radio"})
-	if !c.CommUp() || net.NodeDown("truck1") {
+	if !c.CommUp() || ping() != 1 {
 		t.Error("clear should restore the radio")
 	}
 }
@@ -318,11 +298,11 @@ func TestToolAndLocalizationFaults(t *testing.T) {
 	digger := MustConstituent(Config{ID: "digger1",
 		Spec: vehicle.DefaultSpec(vehicle.KindDigger), World: w})
 	e.MustRegister(digger)
-	if !digger.ToolUp() {
+	if !digger.toolUp {
 		t.Fatal("digger tool should start up")
 	}
 	digger.ApplyFault(fault.Fault{ID: "arm", Target: "digger1", Kind: fault.KindTool, Severity: 1})
-	if digger.ToolUp() {
+	if digger.toolUp {
 		t.Error("tool fault ignored")
 	}
 	digger.ApplyFault(fault.Fault{ID: "gps", Target: "digger1", Kind: fault.KindLocalization, Severity: 1})
@@ -372,15 +352,13 @@ func TestCommandMRM(t *testing.T) {
 
 func TestOnMRCCallback(t *testing.T) {
 	e, c, _ := newRig(t)
-	var gotMRC string
 	var started string
-	c.OnMRCReached = func(cc *Constituent, m MRC) { gotMRC = m.ID }
 	c.OnMRMStarted = func(cc *Constituent, m MRC, reason string) { started = m.ID }
 	c.ApplyFault(fault.Fault{ID: "blind", Target: "truck1", Kind: fault.KindSensor,
 		Severity: 1, Permanent: true})
 	e.RunFor(30 * time.Second)
-	if gotMRC != "in_lane" || started != "in_lane" {
-		t.Errorf("callbacks: started=%q reached=%q", started, gotMRC)
+	if started != "in_lane" || !c.InMRC() || c.CurrentMRC().ID != "in_lane" {
+		t.Errorf("callback: started=%q, mode %v, MRC %q", started, c.Mode(), c.CurrentMRC().ID)
 	}
 }
 

@@ -200,7 +200,7 @@ func TestMRCTargetRespectsZoneCapacity(t *testing.T) {
 // the slot; recovery releases it.
 func TestOccupancyLifecycle(t *testing.T) {
 	e, c, w := recoveryRig(t, AutoRecoveryOff)
-	w.MustAddZone(world.Zone{ID: "spot", Kind: world.ZonePocket, Capacity: 1,
+	w.MustAddZone(world.Zone{ID: "spot", Kind: world.ZoneParking, Capacity: 1,
 		Area: geom.NewRect(geom.V(20, 20), geom.V(40, 40))})
 	w.Weather = world.Weather{Condition: world.HeavyRain, TemperatureC: 8}
 	e.RunFor(2 * time.Minute)
@@ -211,11 +211,11 @@ func TestOccupancyLifecycle(t *testing.T) {
 	if zone.ID == "" {
 		t.Fatalf("expected a positional MRC, got %v", c.CurrentMRC().ID)
 	}
-	if w.Occupancy(zone.ID) != 1 {
-		t.Errorf("occupancy of %s = %d, want 1", zone.ID, w.Occupancy(zone.ID))
+	if w.HasCapacity(zone.ID) {
+		t.Errorf("%s (capacity %d) still has room with the stop registered", zone.ID, zone.Capacity)
 	}
 	c.Recover(e.Env())
-	if w.Occupancy(zone.ID) != 0 {
-		t.Errorf("occupancy after recovery = %d", w.Occupancy(zone.ID))
+	if !w.HasCapacity(zone.ID) {
+		t.Errorf("%s still full after recovery", zone.ID)
 	}
 }

@@ -45,13 +45,7 @@ func TestTriggerMRMToSpecific(t *testing.T) {
 	if !c.InMRC() {
 		t.Fatalf("mode = %v", c.Mode())
 	}
-	in := false
-	for _, z := range w.ZoneAt(c.Body().Position()) {
-		if z.ID == "pocket" {
-			in = true
-		}
-	}
-	if !in {
+	if pocket, _ := w.Zone("pocket"); !pocket.Contains(c.Body().Position()) {
 		t.Errorf("stopped at %v, not in the pocket", c.Body().Position())
 	}
 	// Re-triggering while in MRC is a no-op.
@@ -154,15 +148,5 @@ func TestAccessorsAndCruise(t *testing.T) {
 	e.RunFor(10 * time.Second)
 	if c.Body().Stopped() {
 		t.Error("release should resume motion")
-	}
-}
-
-func TestActiveFaultsSorted(t *testing.T) {
-	_, c, _ := siteRig(t)
-	c.ApplyFault(fault.Fault{ID: "zz", Target: "t1", Kind: fault.KindComm, Severity: 1})
-	c.ApplyFault(fault.Fault{ID: "aa", Target: "t1", Kind: fault.KindTool, Severity: 1})
-	fs := c.ActiveFaults()
-	if len(fs) != 2 || fs[0].ID != "aa" || fs[1].ID != "zz" {
-		t.Errorf("faults = %+v", fs)
 	}
 }

@@ -202,9 +202,6 @@ func (in *Injector) Applied() []Fault {
 	return out
 }
 
-// PendingCount returns the number of not-yet-injected faults.
-func (in *Injector) PendingCount() int { return len(in.pending) }
-
 // Hook returns a sim pre-step hook that injects due faults each tick.
 func (in *Injector) Hook() sim.Hook {
 	return func(env *sim.Env) { in.Step(env.Clock.Now()) }

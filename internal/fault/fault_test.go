@@ -92,14 +92,14 @@ func TestInjectorAppliesAtOnset(t *testing.T) {
 	if len(h.applied) != 0 {
 		t.Error("applied early")
 	}
-	if in.PendingCount() != 1 {
-		t.Errorf("PendingCount = %d", in.PendingCount())
+	if len(in.pending) != 1 {
+		t.Errorf("pending = %d", len(in.pending))
 	}
 	in.Step(5 * time.Second)
 	if len(h.applied) != 1 || h.applied[0].ID != "f1" {
 		t.Errorf("applied = %+v", h.applied)
 	}
-	if in.PendingCount() != 0 || len(in.Applied()) != 1 {
+	if len(in.pending) != 0 || len(in.Applied()) != 1 {
 		t.Error("bookkeeping wrong")
 	}
 	// Permanent: never clears.

@@ -69,9 +69,6 @@ func (p *Path) Points() []Vec2 {
 	return out
 }
 
-// Start returns the first point of the path.
-func (p *Path) Start() Vec2 { return p.pts[0] }
-
 // End returns the last point of the path.
 func (p *Path) End() Vec2 { return p.pts[len(p.pts)-1] }
 
@@ -148,14 +145,5 @@ func (p *Path) SubPath(from, to float64) (*Path, error) {
 		}
 	}
 	pts = append(pts, p.PointAt(to))
-	return NewPath(pts...)
-}
-
-// Append returns a new path consisting of p followed by q. The join is
-// direct (a connecting segment is implied if the endpoints differ).
-func (p *Path) Append(q *Path) (*Path, error) {
-	pts := make([]Vec2, 0, len(p.pts)+len(q.pts))
-	pts = append(pts, p.pts...)
-	pts = append(pts, q.pts...)
 	return NewPath(pts...)
 }

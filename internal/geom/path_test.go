@@ -95,23 +95,11 @@ func TestPathSubPath(t *testing.T) {
 	if math.Abs(sub.Len()-10) > 1e-9 {
 		t.Errorf("sub Len = %v, want 10", sub.Len())
 	}
-	if !sub.Start().ApproxEq(V(5, 0), 1e-9) || !sub.End().ApproxEq(V(10, 5), 1e-9) {
-		t.Errorf("sub endpoints = %v..%v", sub.Start(), sub.End())
+	if !sub.pts[0].ApproxEq(V(5, 0), 1e-9) || !sub.End().ApproxEq(V(10, 5), 1e-9) {
+		t.Errorf("sub endpoints = %v..%v", sub.pts[0], sub.End())
 	}
 	if _, err := p.SubPath(15, 5); err == nil {
 		t.Error("reversed bounds should error")
-	}
-}
-
-func TestPathAppend(t *testing.T) {
-	a := MustPath(V(0, 0), V(10, 0))
-	b := MustPath(V(10, 0), V(10, 10))
-	c, err := a.Append(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.Len()-20) > 1e-9 {
-		t.Errorf("appended Len = %v, want 20", c.Len())
 	}
 }
 

@@ -7,9 +7,6 @@ type Segment struct {
 	A, B Vec2
 }
 
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
 // ClosestPoint returns the point on the segment closest to p, and the
 // parameter t in [0, 1] such that the point equals A.Lerp(B, t).
 func (s Segment) ClosestPoint(p Vec2) (Vec2, float64) {
@@ -93,69 +90,11 @@ func (r Rect) Contains(p Vec2) bool {
 // Center returns the centre point of r.
 func (r Rect) Center() Vec2 { return r.Min.Lerp(r.Max, 0.5) }
 
-// Width returns the extent of r along X.
-func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
-
-// Height returns the extent of r along Y.
-func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Expand returns r grown by m on every side.
-func (r Rect) Expand(m float64) Rect {
-	return Rect{
-		Min: Vec2{r.Min.X - m, r.Min.Y - m},
-		Max: Vec2{r.Max.X + m, r.Max.Y + m},
-	}
-}
-
-// Overlaps reports whether r and o share any area (or boundary).
-func (r Rect) Overlaps(o Rect) bool {
-	return r.Min.X <= o.Max.X && r.Max.X >= o.Min.X &&
-		r.Min.Y <= o.Max.Y && r.Max.Y >= o.Min.Y
-}
-
 // Dist returns the distance from p to the rectangle (0 if inside).
 func (r Rect) Dist(p Vec2) float64 {
 	dx := math.Max(math.Max(r.Min.X-p.X, 0), p.X-r.Max.X)
 	dy := math.Max(math.Max(r.Min.Y-p.Y, 0), p.Y-r.Max.Y)
 	return math.Hypot(dx, dy)
-}
-
-// Polygon is a simple polygon given by its vertices in order.
-type Polygon struct {
-	Vertices []Vec2
-}
-
-// Contains reports whether p is inside the polygon (ray casting;
-// boundary points may report either way).
-func (pg Polygon) Contains(p Vec2) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		vi, vj := pg.Vertices[i], pg.Vertices[j]
-		if (vi.Y > p.Y) != (vj.Y > p.Y) &&
-			p.X < (vj.X-vi.X)*(p.Y-vi.Y)/(vj.Y-vi.Y)+vi.X {
-			inside = !inside
-		}
-	}
-	return inside
-}
-
-// Bounds returns the axis-aligned bounding rectangle of the polygon.
-func (pg Polygon) Bounds() Rect {
-	if len(pg.Vertices) == 0 {
-		return Rect{}
-	}
-	r := Rect{Min: pg.Vertices[0], Max: pg.Vertices[0]}
-	for _, v := range pg.Vertices[1:] {
-		r.Min.X = math.Min(r.Min.X, v.X)
-		r.Min.Y = math.Min(r.Min.Y, v.Y)
-		r.Max.X = math.Max(r.Max.X, v.X)
-		r.Max.Y = math.Max(r.Max.Y, v.Y)
-	}
-	return r
 }
 
 // OrientedBox is a rectangle with arbitrary orientation, used as a

@@ -78,46 +78,11 @@ func TestRect(t *testing.T) {
 	if r.Center() != V(2, 4) {
 		t.Errorf("Center = %v", r.Center())
 	}
-	if r.Width() != 4 || r.Height() != 4 {
-		t.Error("Width/Height wrong")
-	}
-	e := r.Expand(1)
-	if e.Min != V(-1, 1) || e.Max != V(5, 7) {
-		t.Errorf("Expand = %+v", e)
-	}
-	if !r.Overlaps(NewRect(V(3, 5), V(10, 10))) {
-		t.Error("Overlaps should be true")
-	}
-	if r.Overlaps(NewRect(V(5, 7), V(10, 10))) {
-		t.Error("Overlaps should be false")
-	}
 	if d := r.Dist(V(7, 10)); math.Abs(d-5) > 1e-12 {
 		t.Errorf("Rect.Dist = %v, want 5", d)
 	}
 	if d := r.Dist(V(1, 3)); d != 0 {
 		t.Errorf("inside Rect.Dist = %v, want 0", d)
-	}
-}
-
-func TestPolygonContains(t *testing.T) {
-	tri := Polygon{Vertices: []Vec2{V(0, 0), V(10, 0), V(0, 10)}}
-	if !tri.Contains(V(2, 2)) {
-		t.Error("point inside triangle reported outside")
-	}
-	if tri.Contains(V(8, 8)) {
-		t.Error("point outside triangle reported inside")
-	}
-	var empty Polygon
-	if empty.Contains(V(0, 0)) {
-		t.Error("empty polygon contains nothing")
-	}
-}
-
-func TestPolygonBounds(t *testing.T) {
-	pg := Polygon{Vertices: []Vec2{V(1, 5), V(-2, 0), V(4, 3)}}
-	b := pg.Bounds()
-	if b.Min != V(-2, 0) || b.Max != V(4, 5) {
-		t.Errorf("Bounds = %+v", b)
 	}
 }
 

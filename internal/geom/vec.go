@@ -44,9 +44,6 @@ func (v Vec2) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
 // Dist returns the Euclidean distance between v and o.
 func (v Vec2) Dist(o Vec2) float64 { return v.Sub(o).Len() }
 
-// DistSq returns the squared distance between v and o.
-func (v Vec2) DistSq(o Vec2) float64 { return v.Sub(o).LenSq() }
-
 // Norm returns the unit vector in the direction of v. The zero vector
 // is returned unchanged.
 func (v Vec2) Norm() Vec2 {
@@ -59,12 +56,6 @@ func (v Vec2) Norm() Vec2 {
 
 // Perp returns v rotated 90 degrees counter-clockwise.
 func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
-
-// Rotate returns v rotated by theta radians counter-clockwise.
-func (v Vec2) Rotate(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
 
 // Angle returns the angle of v in radians in (-pi, pi].
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
@@ -100,20 +91,6 @@ func (p Pose) Forward() Vec2 {
 func (p Pose) Advance(d float64) Pose {
 	return Pose{Pos: p.Pos.Add(p.Forward().Scale(d)), Heading: p.Heading}
 }
-
-// NormalizeAngle wraps theta into (-pi, pi].
-func NormalizeAngle(theta float64) float64 {
-	for theta > math.Pi {
-		theta -= 2 * math.Pi
-	}
-	for theta <= -math.Pi {
-		theta += 2 * math.Pi
-	}
-	return theta
-}
-
-// AngleDiff returns the smallest signed angle from a to b in (-pi, pi].
-func AngleDiff(a, b float64) float64 { return NormalizeAngle(b - a) }
 
 // Clamp limits x to the interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

@@ -36,9 +36,6 @@ func TestVecDist(t *testing.T) {
 	if d := V(0, 0).Dist(V(3, 4)); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
 	}
-	if d := V(1, 1).DistSq(V(4, 5)); d != 25 {
-		t.Errorf("DistSq = %v, want 25", d)
-	}
 }
 
 func TestVecNorm(t *testing.T) {
@@ -55,10 +52,6 @@ func TestVecPerpRotate(t *testing.T) {
 	p := V(1, 0).Perp()
 	if !p.ApproxEq(V(0, 1), 1e-12) {
 		t.Errorf("Perp = %v, want (0,1)", p)
-	}
-	r := V(1, 0).Rotate(math.Pi / 2)
-	if !r.ApproxEq(V(0, 1), 1e-12) {
-		t.Errorf("Rotate = %v, want (0,1)", r)
 	}
 	if a := V(0, 1).Angle(); math.Abs(a-math.Pi/2) > 1e-12 {
 		t.Errorf("Angle = %v, want pi/2", a)
@@ -84,40 +77,13 @@ func TestPoseForwardAdvance(t *testing.T) {
 	}
 }
 
-func TestNormalizeAngle(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-		{-math.Pi / 2, -math.Pi / 2},
-	}
-	for _, c := range cases {
-		if got := NormalizeAngle(c.in); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("NormalizeAngle(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestAngleDiff(t *testing.T) {
-	if d := AngleDiff(0.1, -0.1); math.Abs(d+0.2) > 1e-12 {
-		t.Errorf("AngleDiff = %v, want -0.2", d)
-	}
-	// Wraps the short way around.
-	if d := AngleDiff(3, -3); d > 0.3 || d < 0.2 {
-		t.Errorf("AngleDiff(3,-3) = %v, want ~0.28", d)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp misbehaves")
 	}
 }
 
-// Property: normalisation always yields unit length (or zero) and
-// rotation preserves length.
+// Property: normalisation always yields unit length (or zero).
 func TestVecProperties(t *testing.T) {
 	normLen := func(x, y float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
@@ -132,35 +98,6 @@ func TestVecProperties(t *testing.T) {
 		return l == 0 || math.Abs(l-1) < 1e-6
 	}
 	if err := quick.Check(normLen, nil); err != nil {
-		t.Error(err)
-	}
-
-	rotPreserves := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(theta) {
-			return true
-		}
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		theta = math.Mod(theta, 2*math.Pi)
-		v := V(x, y)
-		r := v.Rotate(theta)
-		return math.Abs(r.Len()-v.Len()) < 1e-6*(1+v.Len())
-	}
-	if err := quick.Check(rotPreserves, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeAngleProperty(t *testing.T) {
-	inRange := func(theta float64) bool {
-		if math.IsNaN(theta) || math.IsInf(theta, 0) {
-			return true
-		}
-		theta = math.Mod(theta, 1e4)
-		n := NormalizeAngle(theta)
-		return n > -math.Pi-1e-9 && n <= math.Pi+1e-9
-	}
-	if err := quick.Check(inRange, nil); err != nil {
 		t.Error(err)
 	}
 }

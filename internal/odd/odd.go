@@ -1,6 +1,6 @@
 // Package odd models operational design domains: the conditions a
 // constituent is designed to handle. An ODD monitor evaluates the
-// current weather, position and capability vector against the spec
+// current weather and capability vector against the spec
 // and reports violations and near-exit warnings, which the ADS layer
 // turns into degradations or MRM triggers.
 package odd
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 
-	"coopmrm/internal/geom"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
 )
@@ -24,14 +23,9 @@ type Spec struct {
 	MinTemperatureC float64
 	// MaxSlipRisk bounds the acceptable traction loss in [0, 1].
 	MaxSlipRisk float64
-	// Geofence, when non-nil, bounds the allowed operating area.
-	Geofence *geom.Rect
 	// MinPerceptionRange is the minimum effective sensing range
 	// needed to operate at all.
 	MinPerceptionRange float64
-	// RequireComm marks systems whose ODD includes a working V2X
-	// link (e.g. constituents that must track a human's position).
-	RequireComm bool
 }
 
 // DefaultRoadSpec returns a permissive highway ODD.
@@ -59,9 +53,8 @@ func DefaultSiteSpec() Spec {
 
 // Input is the state evaluated against a Spec.
 type Input struct {
-	Weather  world.Weather
-	Position geom.Vec2
-	Caps     vehicle.Capabilities
+	Weather world.Weather
+	Caps    vehicle.Capabilities
 }
 
 // Status is the result of one evaluation.
@@ -107,9 +100,6 @@ func (m *Monitor) Reinit(spec Spec) {
 	*m = Monitor{spec: spec, Margin: 0.2}
 }
 
-// Spec returns the monitored spec.
-func (m *Monitor) Spec() Spec { return m.spec }
-
 // Evaluate checks in against the spec.
 func (m *Monitor) Evaluate(in Input) Status {
 	var st Status
@@ -139,18 +129,6 @@ func (m *Monitor) Evaluate(in Input) Status {
 		st.NearReasons = append(st.NearReasons, "slip risk near ODD max")
 	}
 
-	if g := m.spec.Geofence; g != nil {
-		if !g.Contains(in.Position) {
-			st.Inside = false
-			st.Violations = append(st.Violations, "outside geofence")
-		} else {
-			margin := m.Margin * minDim(*g)
-			if g.Dist(in.Position) == 0 && distToBoundary(*g, in.Position) < margin {
-				st.NearReasons = append(st.NearReasons, "near geofence boundary")
-			}
-		}
-	}
-
 	if in.Caps.PerceptionRange < m.spec.MinPerceptionRange {
 		st.Inside = false
 		st.Violations = append(st.Violations,
@@ -160,38 +138,9 @@ func (m *Monitor) Evaluate(in Input) Status {
 		st.NearReasons = append(st.NearReasons, "perception near ODD min")
 	}
 
-	if m.spec.RequireComm && !in.Caps.Comm {
-		st.Inside = false
-		st.Violations = append(st.Violations, "required comm link lost")
-	}
-
 	st.NearExit = st.Inside && len(st.NearReasons) > 0
 	if !st.Inside {
 		st.NearReasons = nil
 	}
 	return st
-}
-
-func minDim(r geom.Rect) float64 {
-	w, h := r.Width(), r.Height()
-	if w < h {
-		return w
-	}
-	return h
-}
-
-// distToBoundary returns the distance from an interior point to the
-// nearest rectangle edge.
-func distToBoundary(r geom.Rect, p geom.Vec2) float64 {
-	d := p.X - r.Min.X
-	if v := r.Max.X - p.X; v < d {
-		d = v
-	}
-	if v := p.Y - r.Min.Y; v < d {
-		d = v
-	}
-	if v := r.Max.Y - p.Y; v < d {
-		d = v
-	}
-	return d
 }

@@ -4,16 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"coopmrm/internal/geom"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
 )
 
 func nominalInput() Input {
 	return Input{
-		Weather:  world.Weather{Condition: world.Clear, TemperatureC: 15},
-		Position: geom.V(50, 50),
-		Caps:     vehicle.FullCapabilities(vehicle.DefaultSpec(vehicle.KindTruck)),
+		Weather: world.Weather{Condition: world.Clear, TemperatureC: 15},
+		Caps:    vehicle.FullCapabilities(vehicle.DefaultSpec(vehicle.KindTruck)),
 	}
 }
 
@@ -79,28 +77,6 @@ func TestSlipViolation(t *testing.T) {
 	}
 }
 
-func TestGeofence(t *testing.T) {
-	spec := DefaultRoadSpec()
-	fence := geom.NewRect(geom.V(0, 0), geom.V(100, 100))
-	spec.Geofence = &fence
-	m := NewMonitor(spec)
-
-	in := nominalInput()
-	in.Position = geom.V(150, 50)
-	if st := m.Evaluate(in); st.Inside {
-		t.Error("outside geofence should violate")
-	}
-	in.Position = geom.V(50, 50)
-	if st := m.Evaluate(in); !st.Inside || st.NearExit {
-		t.Errorf("centre = %+v", st)
-	}
-	in.Position = geom.V(99, 50) // 1m from the edge, margin is 20
-	st := m.Evaluate(in)
-	if !st.Inside || !st.NearExit {
-		t.Errorf("near edge = %+v", st)
-	}
-}
-
 func TestPerceptionViolation(t *testing.T) {
 	m := NewMonitor(DefaultRoadSpec()) // min 20m
 	in := nominalInput()
@@ -113,21 +89,6 @@ func TestPerceptionViolation(t *testing.T) {
 	st = m.Evaluate(in)
 	if !st.Inside || !st.NearExit {
 		t.Errorf("marginal perception = %+v", st)
-	}
-}
-
-func TestRequireComm(t *testing.T) {
-	spec := DefaultSiteSpec()
-	spec.RequireComm = true
-	m := NewMonitor(spec)
-	in := nominalInput()
-	in.Caps.Comm = false
-	st := m.Evaluate(in)
-	if st.Inside {
-		t.Error("lost comm should violate comm-required ODD")
-	}
-	if !strings.Contains(st.String(), "comm") {
-		t.Errorf("String = %q", st.String())
 	}
 }
 

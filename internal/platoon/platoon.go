@@ -89,10 +89,6 @@ func (p *Platoon) Order() []string {
 // Elections returns how many leader re-elections have happened.
 func (p *Platoon) Elections() int { return p.elections }
 
-// Disbanded reports whether the platoon had to give up (no member can
-// lead) and sent everyone to MRC.
-func (p *Platoon) Disbanded() bool { return p.disbanded }
-
 // MeanSpeed returns the average speed of the operational members —
 // the system-level capacity measure of case (iv).
 func (p *Platoon) MeanSpeed() float64 {

@@ -92,7 +92,7 @@ func TestLeaderHandoverKeepsSpeed(t *testing.T) {
 	if after < before*0.9 {
 		t.Errorf("system speed dropped: %v -> %v (case iv promises no system degradation)", before, after)
 	}
-	if p.Disbanded() {
+	if p.disbanded {
 		t.Error("platoon must not disband")
 	}
 	// The ex-leader keeps its permanent fault (constituent-level
@@ -113,7 +113,7 @@ func TestPlatoonDisbandsWhenNobodyCanLead(t *testing.T) {
 		_ = i
 	}
 	e.RunFor(3 * time.Minute)
-	if !p.Disbanded() {
+	if !p.disbanded {
 		t.Fatal("platoon should disband when nobody can lead")
 	}
 	for _, m := range members {
@@ -177,7 +177,7 @@ func TestLeaderMRCTriggersElection(t *testing.T) {
 	if p.Elections() < 1 {
 		t.Error("election should have happened")
 	}
-	if p.Disbanded() {
+	if p.disbanded {
 		t.Error("platoon should continue with remaining members")
 	}
 	if s := p.MeanSpeed(); s < p.Speed*0.8 {

@@ -11,7 +11,7 @@ import (
 	"coopmrm/internal/fault"
 )
 
-// chaosQuarry is a 2×2 quarry on a lossy, jittery channel with a
+// chaosQuarry is a 2×2 quarry on a lossy, randomly delayed channel with a
 // truck sensor fault at 30 s: enough dropped and reordered beacons
 // that a policy sending or emitting in map order leaves a different
 // log on some runs.
@@ -19,7 +19,7 @@ func chaosQuarry(p PolicyKind, g core.Granularity, seed int64) QuarryConfig {
 	return QuarryConfig{
 		Pairs: 2, TrucksPerPair: 2, Policy: p, Granularity: g, Concerted: true, Seed: seed,
 		Net: &comm.NetConfig{
-			Latency: 50 * time.Millisecond, Jitter: 80 * time.Millisecond, LossProb: 0.25,
+			Latency: 50 * time.Millisecond, ReorderProb: 1, ReorderWindow: 80 * time.Millisecond, LossProb: 0.25,
 		},
 		Faults: []fault.Fault{{ID: "s", Target: "truck1_1", Kind: fault.KindSensor,
 			Severity: 1, Permanent: true, At: 30 * time.Second}},

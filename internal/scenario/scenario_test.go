@@ -116,13 +116,7 @@ func TestHighwayEgoShoulderMRC(t *testing.T) {
 		t.Errorf("ego MRC = %v, want shoulder", got)
 	}
 	// Stopped on the shoulder zone.
-	onShoulder := false
-	for _, z := range rig.World.ZoneAt(rig.Ego.Body().Position()) {
-		if z.Kind == world.ZoneShoulder {
-			onShoulder = true
-		}
-	}
-	if !onShoulder {
+	if !rig.World.HasZoneKindAt(world.ZoneShoulder, rig.Ego.Body().Position()) {
 		t.Errorf("ego stopped at %v, not on the shoulder", rig.Ego.Body().Position())
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -88,10 +89,13 @@ func (fc *feedCheck) done(t *testing.T) {
 	}
 }
 
+// haulMonitors returns the agents' obstacle monitors. An agent keeps
+// its monitor to itself, so the test reads the field by reflection.
 func haulMonitors(hauls []*agent.HaulAgent) []*agent.ObstacleMonitor {
 	var out []*agent.ObstacleMonitor
 	for _, h := range hauls {
-		if m := h.Monitor(); m != nil {
+		v := reflect.ValueOf(h).Elem().FieldByName("monitor")
+		if m := (*agent.ObstacleMonitor)(v.UnsafePointer()); m != nil {
 			out = append(out, m)
 		}
 	}

@@ -48,8 +48,8 @@ func quarryDigest(t *testing.T, r *QuarryRig, horizon time.Duration) string {
 type quarryWarmCase struct {
 	cfg QuarryConfig
 	// seedSensitive cases draw visibly from the seeded RNG (network
-	// jitter/loss), so runs at different seeds must differ — proving
-	// the differential has the power to catch seed leakage. The
+	// random delays and loss), so runs at different seeds must differ
+	// — proving the differential has the power to catch seed leakage. The
 	// default deterministic network makes output seed-invariant, so
 	// that case skips the power guard.
 	seedSensitive bool
@@ -60,15 +60,15 @@ type quarryWarmCase struct {
 // each policy family's wiring shape, fault schedules, chaos network
 // configs, the A2/A3 ablation knobs).
 func quarryWarmCases() map[string]quarryWarmCase {
-	// Jitter wide enough to move deliveries across tick boundaries and
-	// a little loss: both draw from the seeded network RNG, making the
-	// run's output an observable function of the seed.
-	jitter := &comm.NetConfig{
-		Latency: 50 * time.Millisecond, Jitter: 80 * time.Millisecond, LossProb: 0.05,
+	// Random delays wide enough to move deliveries across tick
+	// boundaries and a little loss: both draw from the seeded network
+	// RNG, making the run's output an observable function of the seed.
+	spread := &comm.NetConfig{
+		Latency: 50 * time.Millisecond, ReorderProb: 1, ReorderWindow: 80 * time.Millisecond, LossProb: 0.05,
 	}
 	chaos := &comm.NetConfig{
-		Latency: 40 * time.Millisecond, Jitter: 25 * time.Millisecond,
-		LossProb: 0.08, ReorderProb: 0.2, ReorderWindow: 3, DupProb: 0.03,
+		Latency:  40 * time.Millisecond,
+		LossProb: 0.08, ReorderProb: 0.5, ReorderWindow: 300 * time.Millisecond,
 	}
 	f := []fault.Fault{
 		{ID: "f1", Target: "truck1_1", Kind: fault.KindSensor,
@@ -80,13 +80,13 @@ func quarryWarmCases() map[string]quarryWarmCase {
 		"defaultnet": {cfg: QuarryConfig{Policy: PolicyCoordinated, Faults: f}},
 		// No power guard for baseline: the individual-AV class sends no
 		// policy traffic, so nothing observable draws from the RNG.
-		"baseline":     {cfg: QuarryConfig{Policy: PolicyBaseline, Net: jitter, Faults: f}},
-		"coordinated":  {cfg: QuarryConfig{Policy: PolicyCoordinated, Pairs: 3, TrucksPerPair: 2, Net: jitter, Faults: f}, seedSensitive: true},
-		"prescriptive": {cfg: QuarryConfig{Policy: PolicyPrescriptive, Net: jitter, Faults: f}, seedSensitive: true},
-		"orchestrated": {cfg: QuarryConfig{Policy: PolicyOrchestrated, Net: jitter, Faults: f}, seedSensitive: true},
+		"baseline":     {cfg: QuarryConfig{Policy: PolicyBaseline, Net: spread, Faults: f}},
+		"coordinated":  {cfg: QuarryConfig{Policy: PolicyCoordinated, Pairs: 3, TrucksPerPair: 2, Net: spread, Faults: f}, seedSensitive: true},
+		"prescriptive": {cfg: QuarryConfig{Policy: PolicyPrescriptive, Net: spread, Faults: f}, seedSensitive: true},
+		"orchestrated": {cfg: QuarryConfig{Policy: PolicyOrchestrated, Net: spread, Faults: f}, seedSensitive: true},
 		"chaos":        {cfg: QuarryConfig{Policy: PolicyStatusSharing, Net: chaos, Faults: f}, seedSensitive: true},
 		"ablationknobs": {cfg: QuarryConfig{Policy: PolicyCoordinated, Pairs: 3, TrucksPerPair: 2, BeaconPeriod: 2 * time.Second,
-			Patience: 4 * time.Second, Net: jitter, Faults: f}, seedSensitive: true},
+			Patience: 4 * time.Second, Net: spread, Faults: f}, seedSensitive: true},
 	}
 }
 
@@ -140,7 +140,7 @@ func TestWarmRigQuarryResetMatchesFresh(t *testing.T) {
 
 func TestQuarryPoolReusesRigs(t *testing.T) {
 	cfg := QuarryConfig{Policy: PolicyCoordinated, Seed: 21,
-		Net: &comm.NetConfig{Latency: 50 * time.Millisecond, Jitter: 80 * time.Millisecond, LossProb: 0.05}}
+		Net: &comm.NetConfig{Latency: 50 * time.Millisecond, ReorderProb: 1, ReorderWindow: 80 * time.Millisecond, LossProb: 0.05}}
 	const horizon = 30 * time.Second
 
 	fresh, err := NewQuarry(cfg)
@@ -150,7 +150,7 @@ func TestQuarryPoolReusesRigs(t *testing.T) {
 	want := quarryDigest(t, fresh, horizon)
 
 	a, err := AcquireQuarry(QuarryConfig{Policy: PolicyCoordinated, Seed: 3,
-		Net: &comm.NetConfig{Latency: 50 * time.Millisecond, Jitter: 80 * time.Millisecond, LossProb: 0.05}})
+		Net: &comm.NetConfig{Latency: 50 * time.Millisecond, ReorderProb: 1, ReorderWindow: 80 * time.Millisecond, LossProb: 0.05}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type Sensor struct {
 	health float64 // 0 = dead, 1 = nominal
 }
 
-// Health returns the sensor's health in [0, 1].
-func (s *Sensor) Health() float64 { return s.health }
-
 // Suite is a set of sensors belonging to one constituent.
 type Suite struct {
 	// sensors in definition order. Suites hold a handful, so a lookup
@@ -137,9 +134,6 @@ func (st *Suite) SetWeatherFactor(f float64) {
 	st.weatherFactor = geom.Clamp(f, 0.01, 1)
 }
 
-// Fail marks a sensor dead. Unknown names are an error.
-func (st *Suite) Fail(name string) error { return st.setHealth(name, 0) }
-
 // Degrade sets a sensor's health factor in [0, 1].
 func (st *Suite) Degrade(name string, health float64) error {
 	return st.setHealth(name, geom.Clamp(health, 0, 1))
@@ -183,26 +177,6 @@ func (st *Suite) MaxRange() float64 {
 	}
 	return best
 }
-
-// FrontRange returns the best current range over front-facing sensors
-// only — the quantity that gates platoon-lead capability.
-func (st *Suite) FrontRange() float64 {
-	best := 0.0
-	for i := range st.sensors {
-		s := &st.sensors[i]
-		if !s.FrontFacing {
-			continue
-		}
-		r := s.NominalRange * s.health * st.weatherFactor
-		if r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-// Blind reports whether no sensor currently detects anything.
-func (st *Suite) Blind() bool { return st.EffectiveRange() <= 0 }
 
 // Target is a detectable object.
 type Target struct {

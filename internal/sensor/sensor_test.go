@@ -11,7 +11,7 @@ func TestSuiteEffectiveRange(t *testing.T) {
 		t.Errorf("EffectiveRange = %v, want 100", r)
 	}
 	// Long-range radar fails: fall back to camera (60).
-	if err := st.Fail("long_range_radar"); err != nil {
+	if err := st.Degrade("long_range_radar", 0); err != nil {
 		t.Fatal(err)
 	}
 	if r := st.EffectiveRange(); r != 60 {
@@ -35,9 +35,6 @@ func TestSuiteEffectiveRange(t *testing.T) {
 
 func TestSuiteUnknownSensor(t *testing.T) {
 	st := StandardSuite(100)
-	if err := st.Fail("nope"); err == nil {
-		t.Error("unknown sensor should error")
-	}
 	if err := st.Degrade("nope", 0.5); err == nil {
 		t.Error("unknown sensor should error")
 	}
@@ -63,31 +60,12 @@ func TestSuiteWeather(t *testing.T) {
 	}
 }
 
-func TestFrontRange(t *testing.T) {
-	st := StandardSuite(100)
-	if st.FrontRange() != 100 {
-		t.Errorf("FrontRange = %v", st.FrontRange())
-	}
-	_ = st.Fail("long_range_radar")
-	if st.FrontRange() != 60 {
-		t.Errorf("FrontRange after radar fail = %v, want camera 60", st.FrontRange())
-	}
-	_ = st.Fail("camera")
-	if st.FrontRange() != 0 {
-		t.Errorf("FrontRange with all front sensors dead = %v", st.FrontRange())
-	}
-	// Non-front sensor still gives overall range.
-	if st.EffectiveRange() != 30 {
-		t.Errorf("EffectiveRange = %v, want 30", st.EffectiveRange())
-	}
-}
-
 func TestBlind(t *testing.T) {
 	st := StandardSuite(100)
 	for _, n := range st.Names() {
-		_ = st.Fail(n)
+		_ = st.Degrade(n, 0)
 	}
-	if !st.Blind() {
+	if st.EffectiveRange() > 0 {
 		t.Error("all sensors dead should be blind")
 	}
 }
@@ -98,7 +76,7 @@ func TestMaxRange(t *testing.T) {
 		t.Fatalf("MaxRange = %v, want 100", r)
 	}
 	// Faults and weather shrink the effective range, never the bound.
-	_ = st.Fail("long_range_radar")
+	_ = st.Degrade("long_range_radar", 0)
 	_ = st.Degrade("camera", 0.5)
 	st.SetWeatherFactor(0.3)
 	if r := st.MaxRange(); r != 100 {

@@ -108,6 +108,11 @@ func Canonicalize(req JobRequest) (CanonicalJob, error) {
 		}
 		seen := make(map[int64]bool, len(req.Seeds.list))
 		for _, s := range req.Seeds.list {
+			if s == 0 {
+				// Mirrors ParseSeedSpec: seed 0 runs as the default
+				// seed 1, so the campaign would fold one sample twice.
+				return CanonicalJob{}, fmt.Errorf("seeds: seed 0 runs as the default seed 1")
+			}
 			if seen[s] {
 				// Mirrors ParseSeedSpec: a repeated seed would fold the
 				// same arm twice and silently skew mean±sd.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,8 @@ var rejectedSubmissions = []string{
 	`{"experiment":"E999"}`,                            // unknown experiment
 	`{"experiment":"E1","seeds":[]}`,                   // empty sweep
 	`{"experiment":"E1","seeds":[3,3]}`,                // duplicate seed skews mean±sd
+	`{"experiment":"E1","seeds":[0,1]}`,                // seed 0 runs as seed 1: one sample twice
+	`{"experiment":"E1","seeds":"0..3"}`,               // the same through a spec
 	`{"experiment":"E1","seeds":"nonsense"}`,           // unparsable spec
 	`{"experiment":"E1","seeds":"1..4","stream":true}`, // retired field
 	`{"experiment":"E1","options":{"shards":4}}`,       // retired option
@@ -105,7 +108,8 @@ func TestCanonicalizeRejects(t *testing.T) {
 // FuzzCanonicalize: any body either fails the strict decoder or
 // Canonicalize, or reduces to a canonical job that is a fixed point —
 // resubmitted in canonical form, seeds as an explicit array, it yields
-// the same CanonicalJob and key. A sweep's plan holds 1..1<<20 seeds.
+// the same CanonicalJob and key. A sweep's plan holds 1..1<<20 seeds,
+// none of them 0.
 func FuzzCanonicalize(f *testing.F) {
 	for _, group := range equivalentSubmissions {
 		for _, body := range group {
@@ -126,6 +130,9 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		if len(cj.Seeds) > 1<<20 {
 			t.Fatalf("%s: %d seeds", body, len(cj.Seeds))
+		}
+		if slices.Contains(cj.Seeds, 0) {
+			t.Fatalf("%s: plan holds seed 0, an alias of seed 1", body)
 		}
 		wire := map[string]any{
 			"experiment": cj.Experiment,

@@ -149,12 +149,8 @@ func (e *Engine) MustRegister(ent Entity) {
 	}
 }
 
-// Entities returns the registered entities in step order.
-func (e *Engine) Entities() []Entity {
-	out := make([]Entity, len(e.entities))
-	copy(out, e.entities)
-	return out
-}
+// Len returns the number of registered entities.
+func (e *Engine) Len() int { return len(e.entities) }
 
 // AddPreHook registers a hook that runs before entity steps each tick.
 func (e *Engine) AddPreHook(h Hook) { e.pre = append(e.pre, h) }

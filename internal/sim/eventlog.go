@@ -31,8 +31,6 @@ const (
 	EventMRCLocal      EventKind = "mrc.local"
 	EventMRCGlobal     EventKind = "mrc.global"
 	EventRecovered     EventKind = "mrc.recovered"
-	EventMsgSent       EventKind = "comm.sent"
-	EventMsgDropped    EventKind = "comm.dropped"
 	EventTaskDone      EventKind = "task.done"
 	EventTaskAssigned  EventKind = "task.assigned"
 	EventCollision     EventKind = "safety.collision"
@@ -147,22 +145,6 @@ func WriteEvents(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSON parses a JSON-lines stream written by WriteEvents back into
-// an EventLog, so run artifacts can be replayed and asserted on.
-func ReadJSON(r io.Reader) (*EventLog, error) {
-	log := NewEventLog()
-	dec := json.NewDecoder(r)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return log, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("decode event %d: %w", log.Len(), err)
-		}
-		log.Append(e)
-	}
 }
 
 // Summary renders a compact human-readable histogram of event kinds.

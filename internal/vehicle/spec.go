@@ -148,18 +148,3 @@ func (c Capabilities) CanLead(requiredRange float64) bool {
 	return c.PerceptionRange >= requiredRange && c.Steering && c.ServiceBrake &&
 		c.Propulsion && c.Localization
 }
-
-// CanDriveAlone reports whether the vehicle can operate outside a
-// follower role: it needs some perception, full longitudinal and
-// lateral control, and localization.
-func (c Capabilities) CanDriveAlone(minRange float64) bool {
-	return c.PerceptionRange >= minRange && c.Steering && c.ServiceBrake &&
-		c.Propulsion && c.Localization
-}
-
-// CanFollow reports whether the vehicle can act as a platoon follower,
-// which tolerates reduced forward perception because the leader
-// extends it.
-func (c Capabilities) CanFollow() bool {
-	return c.Steering && c.ServiceBrake && c.Propulsion && c.Localization
-}

@@ -28,7 +28,7 @@ func TestWorldRestore(t *testing.T) {
 	if w.Weather != weather {
 		t.Errorf("weather after Restore = %+v, want %+v", w.Weather, weather)
 	}
-	if n := w.Occupancy("pk"); n != 0 || !w.HasCapacity("pk") {
+	if n := w.occupied["pk"]; n != 0 || !w.HasCapacity("pk") {
 		t.Errorf("occupancy after Restore = %d, want 0", n)
 	}
 	hits0, miss0 := g.RouteCacheStats()

@@ -142,9 +142,6 @@ func (s *WeatherSchedule) Apply(w *World, now time.Duration) []WeatherChange {
 	return applied
 }
 
-// Done reports whether all changes have been applied.
-func (s *WeatherSchedule) Done() bool { return s.next >= len(s.changes) }
-
 // Rewind rewinds the schedule's cursor so the full script replays from
 // t=0. Rigs that take an externally supplied schedule call this on
 // construction, so a schedule passed to several rigs behaves in each

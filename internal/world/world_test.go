@@ -59,15 +59,14 @@ func TestWorldZones(t *testing.T) {
 	if z, ok := w.Zone("sh1"); !ok || z.Kind != ZoneShoulder {
 		t.Error("Zone lookup failed")
 	}
-	if got := len(w.Zones()); got != 3 {
-		t.Errorf("Zones = %d", got)
+	if got := len(w.zones); got != 3 {
+		t.Errorf("zones = %d", got)
 	}
 	if got := len(w.ZonesOfKind(ZoneLane)); got != 1 {
 		t.Errorf("ZonesOfKind = %d", got)
 	}
-	at := w.ZoneAt(geom.V(50, 2))
-	if len(at) != 1 || at[0].ID != "lane1" {
-		t.Errorf("ZoneAt = %+v", at)
+	if !w.HasZoneKindAt(ZoneLane, geom.V(50, 2)) || w.HasZoneKindAt(ZoneShoulder, geom.V(50, 2)) {
+		t.Error("HasZoneKindAt: (50, 2) lies in lane1 only")
 	}
 }
 
@@ -75,11 +74,11 @@ func TestNearestZoneOfKind(t *testing.T) {
 	w := New()
 	w.MustAddZone(Zone{ID: "pk-far", Kind: ZoneParking, Area: rect(200, 0, 210, 10)})
 	w.MustAddZone(Zone{ID: "pk-near", Kind: ZoneParking, Area: rect(20, 0, 30, 10)})
-	z, ok := w.NearestZoneOfKind(geom.V(0, 5), ZoneParking)
+	z, ok := w.NearestAvailableZoneOfKind(geom.V(0, 5), ZoneParking)
 	if !ok || z.ID != "pk-near" {
 		t.Errorf("nearest = %+v ok=%v", z, ok)
 	}
-	if _, ok := w.NearestZoneOfKind(geom.V(0, 0), ZoneTunnel); ok {
+	if _, ok := w.NearestAvailableZoneOfKind(geom.V(0, 0), ZoneTunnel); ok {
 		t.Error("no tunnel should exist")
 	}
 }
@@ -225,7 +224,7 @@ func TestWeatherSchedule(t *testing.T) {
 	if got := s.Apply(w, time.Minute); len(got) != 1 || w.Weather.Condition != HeavyRain {
 		t.Errorf("apply at 60s = %v weather %v", got, w.Weather)
 	}
-	if !s.Done() {
+	if s.next != len(s.changes) {
 		t.Error("schedule should be done")
 	}
 	if _, err := NewWeatherSchedule(
@@ -251,8 +250,8 @@ func TestZoneCapacityAndOccupancy(t *testing.T) {
 	if w.HasCapacity("pk") {
 		t.Error("zone at capacity should refuse")
 	}
-	if w.Occupancy("pk") != 2 {
-		t.Errorf("occupancy = %d", w.Occupancy("pk"))
+	if w.occupied["pk"] != 2 {
+		t.Errorf("occupancy = %d", w.occupied["pk"])
 	}
 	// Unlimited zone never fills.
 	for i := 0; i < 10; i++ {
@@ -281,8 +280,8 @@ func TestZoneCapacityAndOccupancy(t *testing.T) {
 	w.ReleaseStop("ghost")
 	w.ReleaseStop("pk")
 	w.ReleaseStop("pk") // extra release must not go negative
-	if w.Occupancy("pk") != 0 {
-		t.Errorf("occupancy = %d", w.Occupancy("pk"))
+	if w.occupied["pk"] != 0 {
+		t.Errorf("occupancy = %d", w.occupied["pk"])
 	}
 }
 

@@ -7,7 +7,6 @@ package world
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"coopmrm/internal/geom"
@@ -167,9 +166,6 @@ func (w *World) Zone(id string) (Zone, bool) {
 	return w.zones[i], true
 }
 
-// Zones returns all zones in insertion order.
-func (w *World) Zones() []Zone { return slices.Clone(w.zones) }
-
 // ZonesOfKind returns all zones of the given kind, in insertion order.
 func (w *World) ZonesOfKind(kind ZoneKind) []Zone {
 	var out []Zone
@@ -181,22 +177,9 @@ func (w *World) ZonesOfKind(kind ZoneKind) []Zone {
 	return out
 }
 
-// ZoneAt returns the zones containing p, in insertion order.
-func (w *World) ZoneAt(p geom.Vec2) []Zone {
-	var out []Zone
-	for i := range w.zones {
-		if w.zones[i].Contains(p) {
-			out = append(out, w.zones[i])
-		}
-	}
-	return out
-}
-
-// HasZoneKindAt reports whether a zone of the given kind contains p.
-// It is the allocation-free membership companion of ZoneAt: per-tick
-// callers (risk-relevance probes, obstacle monitors) only test kinds,
-// and building the zone slice for that was a measurable share of the
-// tick loop's garbage.
+// HasZoneKindAt reports whether a zone of the given kind contains p,
+// without allocating: per-tick callers (risk-relevance probes,
+// obstacle monitors) only test kinds.
 func (w *World) HasZoneKindAt(kind ZoneKind, p geom.Vec2) bool {
 	for i := range w.zones {
 		if z := &w.zones[i]; z.Kind == kind && z.Contains(p) {
@@ -206,27 +189,10 @@ func (w *World) HasZoneKindAt(kind ZoneKind, p geom.Vec2) bool {
 	return false
 }
 
-// NearestZoneOfKind returns the zone of the given kind nearest to p
-// (by boundary distance) and whether one exists. Ties break by lower
-// zone ID for determinism.
-func (w *World) NearestZoneOfKind(p geom.Vec2, kind ZoneKind) (Zone, bool) {
-	candidates := w.ZonesOfKind(kind)
-	if len(candidates) == 0 {
-		return Zone{}, false
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		di, dj := candidates[i].Area.Dist(p), candidates[j].Area.Dist(p)
-		if di != dj {
-			return di < dj
-		}
-		return candidates[i].ID < candidates[j].ID
-	})
-	return candidates[0], true
-}
-
-// NearestAvailableZoneOfKind behaves like NearestZoneOfKind but skips
-// zones whose stop capacity is exhausted — a full rest stop cannot be
-// the target of another MRM.
+// NearestAvailableZoneOfKind returns the zone of the given kind nearest
+// to p (by boundary distance) that still has stop capacity — a full
+// rest stop cannot be the target of another MRM — and whether one
+// exists. Ties break by lower zone ID for determinism.
 func (w *World) NearestAvailableZoneOfKind(p geom.Vec2, kind ZoneKind) (Zone, bool) {
 	candidates := w.ZonesOfKind(kind)
 	available := candidates[:0]
@@ -273,9 +239,6 @@ func (w *World) ReleaseStop(zoneID string) {
 		w.occupied[zoneID]--
 	}
 }
-
-// Occupancy returns the number of registered stops in the zone.
-func (w *World) Occupancy(zoneID string) int { return w.occupied[zoneID] }
 
 // Graph returns the world's route graph.
 func (w *World) Graph() *RouteGraph { return w.graph }

@@ -13,6 +13,9 @@ import (
 //	"3,5,9"   an explicit comma-separated list
 //	"x8"      8 seeds derived from base via DeriveSeed (never sharing
 //	          a stream with base itself or each other)
+//
+// A plan may not hold seed 0: a run at seed 0 is the run at the default
+// seed 1, so the sweep would fold one sample twice.
 func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -48,6 +51,9 @@ func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 		if span >= 1<<20 {
 			return nil, fmt.Errorf("seed spec %q: range too large", spec)
 		}
+		if a <= 0 && b >= 0 {
+			return nil, errSeedZero(spec)
+		}
 		seeds := make([]int64, span+1)
 		for i := range seeds {
 			seeds[i] = a + int64(i)
@@ -61,6 +67,9 @@ func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("seed spec %q: bad seed %q", spec, part)
 		}
+		if s == 0 {
+			return nil, errSeedZero(spec)
+		}
 		// A repeated seed would run (and aggregate) the same arm
 		// twice, silently skewing mean±sd — reject it.
 		if seen[s] {
@@ -70,6 +79,10 @@ func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 		seeds = append(seeds, s)
 	}
 	return seeds, nil
+}
+
+func errSeedZero(spec string) error {
+	return fmt.Errorf("seed spec %q: seed 0 runs as the default seed 1; sweep from 1", spec)
 }
 
 // seedSpan renders a seed plan for the aggregated note: short lists

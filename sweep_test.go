@@ -28,7 +28,7 @@ func TestParseSeedSpec(t *testing.T) {
 		dup[s] = true
 	}
 	for _, bad := range []string{"", "5..1", "5..3", "x0", "xq", "a,b", "1...3",
-		",", " , ", "3,5,3", "7,7"} {
+		",", " , ", "3,5,3", "7,7", "0..3", "-2..0", "0,2", "3,0"} {
 		if _, err := ParseSeedSpec(bad, 1); err == nil {
 			t.Errorf("spec %q should fail", bad)
 		}
@@ -69,12 +69,12 @@ func TestParseSeedSpecRangeCap(t *testing.T) {
 }
 
 // FuzzParseSeedSpec: any spec either fails or yields between 1 and
-// 1<<20 distinct seeds, without panicking or looping forever. The
-// corpus holds the specs of the tests above.
+// 1<<20 distinct seeds, none of them 0, without panicking or looping
+// forever. The corpus holds the specs of the tests above.
 func FuzzParseSeedSpec(f *testing.F) {
 	for _, spec := range []string{
 		"1..5", "3, 5 ,9", "x4", "", "5..1", "5..3", "x0", "xq", "a,b", "1...3",
-		",", " , ", "3,5,3", "7,7", "3,3", "   ",
+		",", " , ", "3,5,3", "7,7", "3,3", "   ", "0..3", "-2..0", "0,2", "3,0",
 		"x1048577", "1..1048577", "x1048576", "1..1048576",
 		"9223372036854775806..9223372036854775807",
 		"0..9223372036854775807", "-9223372036854775808..-1",
@@ -88,6 +88,9 @@ func FuzzParseSeedSpec(f *testing.F) {
 		}
 		if len(seeds) < 1 || len(seeds) > 1<<20 {
 			t.Fatalf("spec %q: %d seeds", spec, len(seeds))
+		}
+		if slices.Contains(seeds, 0) {
+			t.Fatalf("spec %q: plan holds seed 0, an alias of seed 1", spec)
 		}
 		sorted := slices.Clone(seeds)
 		slices.Sort(sorted)
