@@ -31,7 +31,7 @@ type Config struct {
 	// Neighbors returns candidate obstacles for the operational
 	// obstacle hold (see ObstacleMonitor.Neighbors). Nil disables
 	// holding.
-	Neighbors func() []sensor.Target
+	Neighbors func(lo, hi geom.Vec2) []sensor.Target
 	// ServiceNodes marks loop nodes where the vehicle must be
 	// serviced (e.g. loaded by a digger) before departing.
 	ServiceNodes map[string]bool
@@ -62,7 +62,6 @@ type HaulAgent struct {
 	enRoute    bool
 	stuck      bool
 	delivered  float64
-	legsDone   int
 
 	inService    bool
 	serviceSince time.Duration
@@ -191,7 +190,6 @@ func (a *HaulAgent) InService() bool { return a.inService }
 
 func (a *HaulAgent) completeLeg(env *sim.Env) {
 	a.enRoute = false
-	a.legsDone++
 	if a.cfg.DepositNodes[a.target] {
 		a.delivered++
 		env.EmitFields(sim.EventTaskDone, a.cfg.C.ID(),

@@ -30,7 +30,7 @@ func mineWorld() *world.World {
 	return w
 }
 
-func newAgentRig(t *testing.T, neighbors func() []sensor.Target) (*sim.Engine, *HaulAgent, *core.Constituent) {
+func newAgentRig(t *testing.T, neighbors func(lo, hi geom.Vec2) []sensor.Target) (*sim.Engine, *HaulAgent, *core.Constituent) {
 	t.Helper()
 	w := mineWorld()
 	c := core.MustConstituent(core.Config{
@@ -58,9 +58,6 @@ func TestHaulLoopDelivers(t *testing.T) {
 	e.RunFor(3 * time.Minute)
 	if a.Delivered() < 3 {
 		t.Errorf("delivered = %v, want >= 3 in 3 minutes", a.Delivered())
-	}
-	if a.legsDone < 6 {
-		t.Errorf("legs = %d", a.legsDone)
 	}
 	if got := e.Env().Log.Count(sim.EventTaskDone); float64(got) != a.Delivered() {
 		t.Errorf("task events = %d, delivered = %v", got, a.Delivered())
@@ -121,7 +118,7 @@ func TestStuckAndRecovery(t *testing.T) {
 func TestObstacleHold(t *testing.T) {
 	obstacle := geom.V(50, 0) // on the first leg
 	active := true
-	neighbors := func() []sensor.Target {
+	neighbors := func(_, _ geom.Vec2) []sensor.Target {
 		if !active {
 			return nil
 		}

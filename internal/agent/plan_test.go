@@ -91,7 +91,7 @@ func TestObstacleMonitorPassAroundOutsideTunnel(t *testing.T) {
 	w := planWorld()
 	mover := planConstituent(w, geom.V(185, 0)) // outside tunnel (ends at 180)
 	obstaclePos := geom.V(192, 0)
-	mon := NewObstacleMonitor(mover, func() []sensor.Target {
+	mon := NewObstacleMonitor(mover, func(_, _ geom.Vec2) []sensor.Target {
 		return []sensor.Target{{ID: "o", Pos: obstaclePos}}
 	}, w)
 	// The monitor runs every tick in real use; mirror that.
@@ -129,7 +129,7 @@ func TestObstacleMonitorPassAroundOutsideTunnel(t *testing.T) {
 func TestObstacleMonitorTunnelHoldsForever(t *testing.T) {
 	w := planWorld()
 	mover := planConstituent(w, geom.V(94, 0))
-	mon := NewObstacleMonitor(mover, func() []sensor.Target {
+	mon := NewObstacleMonitor(mover, func(_, _ geom.Vec2) []sensor.Target {
 		return []sensor.Target{{ID: "o", Pos: geom.V(100, 0)}} // in tunnel
 	}, w)
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
@@ -150,7 +150,7 @@ func TestObstacleMonitorIgnoresLateralAndRear(t *testing.T) {
 		{ID: "lateral", Pos: geom.V(110, 10)}, // 10m off the corridor
 		{ID: "behind", Pos: geom.V(80, 0)},
 	}
-	mon := NewObstacleMonitor(mover, func() []sensor.Target { return targets }, w)
+	mon := NewObstacleMonitor(mover, func(_, _ geom.Vec2) []sensor.Target { return targets }, w)
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	mon.Apply(e.Env())
 	if mover.Holding() {
@@ -171,7 +171,7 @@ func TestHaulAgentReplansWhileHeld(t *testing.T) {
 		DepositNodes: map[string]bool{"b": true},
 		Speed:        8,
 		World:        w,
-		Neighbors: func() []sensor.Target {
+		Neighbors: func(_, _ geom.Vec2) []sensor.Target {
 			return []sensor.Target{{ID: "wreck", Pos: blocked}}
 		},
 	})

@@ -77,7 +77,7 @@ func newRigNet(t *testing.T, n int, cfg comm.NetConfig) *rig {
 			Loop:         []string{"dep", "load"},
 			DepositNodes: map[string]bool{"dep": true},
 			Speed:        8,
-			Neighbors: func() []sensor.Target {
+			Neighbors: func(_, _ geom.Vec2) []sensor.Target {
 				var ts []sensor.Target
 				for j, o := range r.trucks {
 					if j != i {

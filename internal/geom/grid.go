@@ -7,19 +7,20 @@ import (
 )
 
 // Grid is a uniform-cell broad-phase index over point sites. Callers
-// insert sites, then ask either for candidate pairs or for the
-// neighbourhood of a point: every site closer than the cell size is
-// guaranteed to be reported, at the price of some farther sites (up to
-// one full cell diagonal beyond) also appearing. A site's handle is
-// its insertion index since the last Reset: 0, 1, 2, … The typical
-// cycle is Reset, Insert xN, then CandidatePairs or Near.
+// insert sites, then ask for candidate pairs, for the neighbourhood of
+// a point, or for the sites in an axis-aligned box: every site closer
+// than the cell size (or inside the box) is guaranteed to be reported,
+// at the price of some farther sites (up to one full cell diagonal
+// beyond) also appearing. A site's handle is its insertion index since
+// the last Reset: 0, 1, 2, … The typical cycle is Reset, Insert xN,
+// then CandidatePairs, Near or Box.
 //
 // The grid is a flat list of (cell, handle) sites. Up to smallGrid
 // sites, queries scan the list in insertion order and compare cell
 // keys directly. Above it, the first query after an Insert sorts the
 // list by cell, so each occupied cell is one run of sites in handle
 // order, and the cells of one grid column lie next to each other;
-// queries read those runs. Both paths report the same sets, and
+// queries walk those runs. Both paths report the same sets, and
 // CandidatePairs the same order. Reset empties the list, so a cycle
 // costs what its own sites cost, and the grid reuses its buffers
 // across cycles: a warm cycle allocates nothing.
@@ -195,26 +196,6 @@ func (g *Grid) radixPass(byX bool, minX, minY int32, shift, width uint) {
 	}
 }
 
-// column returns the span [lo, hi) of runs in cells (x, y-1) to
-// (x, y+1), which lie next to each other in sorted order.
-func (g *Grid) column(x, y int32) (lo, hi int) {
-	from, to := cellKey{x, y - 1}, cellKey{x, y + 1}
-	lo, hi = 0, len(g.runs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if g.runs[m].key.less(from) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	hi = lo
-	for hi < len(g.runs) && !to.less(g.runs[hi].key) {
-		hi++
-	}
-	return lo, hi
-}
-
 // Near appends to buf the handles of every site in p's cell and its
 // eight neighbours, and returns the extended slice. That is a
 // superset of the sites within the cell size of p, and exactly the
@@ -222,34 +203,81 @@ func (g *Grid) column(x, y int32) (lo, hi int) {
 // The order is unspecified.
 func (g *Grid) Near(buf []int, p Vec2) []int {
 	k := g.key(p)
-	if len(g.sites) <= smallGrid {
-		return g.nearDirect(buf, k)
-	}
-	return g.nearSorted(buf, k)
+	return g.cells(buf, cellKey{k.x - 1, k.y - 1}, cellKey{k.x + 1, k.y + 1})
 }
 
-// nearDirect is Near over the sites in insertion order.
-func (g *Grid) nearDirect(buf []int, k cellKey) []int {
-	for h, s := range g.sites {
-		if adjacent(k, s.key) {
-			buf = append(buf, h)
+// Box appends to buf the handles of every site in a cell that meets
+// the axis-aligned box [lo, hi], and returns the extended slice. That
+// is a superset of the sites inside the box, and it holds no site
+// whose cell misses the box. A box that holds no point (lo above hi
+// on an axis, or a NaN corner) meets no cell. The order is
+// unspecified.
+func (g *Grid) Box(buf []int, lo, hi Vec2) []int {
+	if !(lo.X <= hi.X && lo.Y <= hi.Y) {
+		return buf
+	}
+	return g.cells(buf, g.key(lo), g.key(hi))
+}
+
+// cells appends the handles of the sites in every cell (x, y) with
+// lo.x <= x <= hi.x and lo.y <= y <= hi.y.
+func (g *Grid) cells(buf []int, lo, hi cellKey) []int {
+	if len(g.sites) <= smallGrid {
+		return g.cellsDirect(buf, lo, hi)
+	}
+	return g.cellsSorted(buf, lo, hi)
+}
+
+// cellsDirect is cells over the sites in list order: insertion order
+// unless a sorted query ran since the last Insert.
+func (g *Grid) cellsDirect(buf []int, lo, hi cellKey) []int {
+	for _, s := range g.sites {
+		if s.key.x >= lo.x && s.key.x <= hi.x && s.key.y >= lo.y && s.key.y <= hi.y {
+			buf = append(buf, int(s.handle))
 		}
 	}
 	return buf
 }
 
-// nearSorted is Near over the cell runs.
-func (g *Grid) nearSorted(buf []int, k cellKey) []int {
+// cellsSorted is cells over the cell runs, in sorted order. The walk
+// visits only occupied runs: it enters each occupied column of the
+// range at row lo.y with one binary search and leaves it past row
+// hi.y with another, so a range of any width costs what its occupied
+// columns cost.
+func (g *Grid) cellsSorted(buf []int, lo, hi cellKey) []int {
 	g.index()
-	for x := k.x - 1; x <= k.x+1; x++ {
-		lo, hi := g.column(x, k.y)
-		for _, r := range g.runs[lo:hi] {
-			for _, s := range g.sites[r.lo:r.hi] {
+	for r := g.seek(0, lo); r < len(g.runs); {
+		run := g.runs[r]
+		switch k := run.key; {
+		case k.x > hi.x:
+			return buf
+		case k.y < lo.y:
+			r = g.seek(r, cellKey{k.x, lo.y})
+		case k.y > hi.y:
+			r = g.seek(r, cellKey{k.x + 1, lo.y})
+		default:
+			for _, s := range g.sites[run.lo:run.hi] {
 				buf = append(buf, int(s.handle))
 			}
+			r++
 		}
 	}
 	return buf
+}
+
+// seek returns the index of the first run at or after from whose key
+// is not less than k.
+func (g *Grid) seek(from int, k cellKey) int {
+	lo, hi := from, len(g.runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.runs[m].key.less(k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // CandidatePairs appends to buf every candidate pair (a, b) with

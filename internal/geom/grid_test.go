@@ -261,6 +261,163 @@ func TestGridNearProperty(t *testing.T) {
 	}
 }
 
+// oracleCell is cellCoord restated: the cell coordinate of v at the
+// given cell size, with NaN and far values on the edge cells.
+func oracleCell(v, cell float64) float64 {
+	c := math.Floor(v / cell)
+	if !(c > -cellLimit) {
+		return -cellLimit
+	}
+	return min(c, cellLimit)
+}
+
+// checkBox checks one Box query on g, which holds pts, against the
+// brute-force oracle: the answer is exactly the sites whose cell lies
+// in the box's cell range on both axes, nothing for a box that holds
+// no point, and every site inside the box is among them. Both paths
+// must give that set. It returns the answer's size.
+func checkBox(t *testing.T, g *Grid, pts []Vec2, lo, hi Vec2) int {
+	t.Helper()
+	var want []int
+	if lo.X <= hi.X && lo.Y <= hi.Y {
+		x0, x1 := oracleCell(lo.X, g.cell), oracleCell(hi.X, g.cell)
+		y0, y1 := oracleCell(lo.Y, g.cell), oracleCell(hi.Y, g.cell)
+		for h, p := range pts {
+			if x, y := oracleCell(p.X, g.cell), oracleCell(p.Y, g.cell); x >= x0 && x <= x1 && y >= y0 && y <= y1 {
+				want = append(want, h)
+			}
+		}
+		k0, k1 := g.key(lo), g.key(hi)
+		for _, path := range []struct {
+			name  string
+			cells func(*Grid, []int, cellKey, cellKey) []int
+		}{{"direct", (*Grid).cellsDirect}, {"sorted", (*Grid).cellsSorted}} {
+			got := path.cells(g, nil, k0, k1)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d sites, cell %v, box %v–%v: %s path = %v, want %v", len(pts), g.cell, lo, hi, path.name, got, want)
+			}
+		}
+	}
+	got := g.Box([]int{-1}, lo, hi)
+	if got[0] != -1 {
+		t.Fatalf("Box overwrote the buffer: %v", got)
+	}
+	got = got[1:]
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d sites, cell %v, box %v–%v: Box = %v, want %v", len(pts), g.cell, lo, hi, got, want)
+	}
+	for h, p := range pts {
+		if p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y {
+			if _, ok := slices.BinarySearch(got, h); !ok {
+				t.Fatalf("%d sites, box %v–%v: site %d at %v inside the box missed", len(pts), lo, hi, h, p)
+			}
+		}
+	}
+	return len(got)
+}
+
+// TestGridBoxProperty checks Box, on both paths, against the
+// brute-force oracle at every gridSizes entry. Sites straddle the
+// origin, sit exactly on cell edges and corners, clump in one cell,
+// and a few lie far out or at NaN. Boxes are random, span exactly one
+// site or one site's cell, have edges on cell boundaries and on
+// sites, or are inverted, NaN, infinite or ±1e300 wide; the sorted
+// walk must cross the widest in the time its occupied columns take.
+func TestGridBoxProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	far := []Vec2{V(math.NaN(), 1), V(1e300, -1e300), V(math.Inf(-1), 0)}
+	hits := 0
+	for _, n := range gridSizes {
+		for trial := 0; trial < 20; trial++ {
+			cell := 0.25 + 8*rng.Float64()
+			g := NewGrid(cell)
+			var pts []Vec2
+			for len(pts) < n {
+				var p Vec2
+				switch rng.Intn(8) {
+				case 0: // exactly on a cell edge or corner
+					p = V(float64(rng.Intn(9)-4)*cell, float64(rng.Intn(9)-4)*cell)
+					if rng.Intn(2) == 0 {
+						p.Y += rng.Float64() * cell
+					}
+				case 1: // a clump in one cell
+					p = V(-cell+0.5*cell*rng.Float64(), 2*cell+0.5*cell*rng.Float64())
+				case 2:
+					p = far[rng.Intn(len(far))]
+				default: // anywhere, negative coordinates included
+					p = V(rng.Float64()*20*cell-10*cell, rng.Float64()*20*cell-10*cell)
+				}
+				pts = append(pts, p)
+				g.Insert(p)
+			}
+			var boxes [][2]Vec2
+			for range 10 {
+				a := V(rng.Float64()*24*cell-12*cell, rng.Float64()*24*cell-12*cell)
+				b := a.Add(V(rng.Float64()*6*cell, rng.Float64()*6*cell))
+				boxes = append(boxes, [2]Vec2{a, b}, [2]Vec2{b, a})
+				// Edges on cell boundaries.
+				a = V(float64(rng.Intn(9)-4)*cell, float64(rng.Intn(9)-4)*cell)
+				boxes = append(boxes, [2]Vec2{a, a.Add(V(float64(rng.Intn(3))*cell, float64(rng.Intn(3))*cell))})
+			}
+			if n > 0 {
+				p := pts[rng.Intn(n)]
+				q := pts[rng.Intn(n)]
+				boxes = append(boxes,
+					[2]Vec2{p, p}, // the site alone
+					[2]Vec2{V(math.Min(p.X, q.X), math.Min(p.Y, q.Y)), V(math.Max(p.X, q.X), math.Max(p.Y, q.Y))},
+					[2]Vec2{V(math.Nextafter(p.X, math.Inf(1)), p.Y), V(p.X+cell, p.Y+cell)}) // just past it
+			}
+			nan, inf := math.NaN(), math.Inf(1)
+			boxes = append(boxes,
+				[2]Vec2{V(nan, 0), V(1, 1)},
+				[2]Vec2{V(0, 0), V(1, nan)},
+				[2]Vec2{V(nan, nan), V(nan, nan)},
+				[2]Vec2{V(-inf, -inf), V(inf, inf)},
+				[2]Vec2{V(-1e300, -cell), V(1e300, cell)},
+				[2]Vec2{V(-cell, -1e300), V(cell, 1e300)},
+				[2]Vec2{V(1e300, 0), V(inf, 1)},
+				[2]Vec2{V(inf, -inf), V(-inf, inf)})
+			for _, b := range boxes {
+				hits += checkBox(t, g, pts, b[0], b[1])
+			}
+		}
+	}
+	if hits == 0 {
+		t.Error("no box held a site: the layouts prove nothing")
+	}
+}
+
+// FuzzGridBox checks Box against the brute-force oracle on both paths
+// for any cell size, box and random layout of up to 300 sites, about
+// half of them inside the box's span.
+func FuzzGridBox(f *testing.F) {
+	f.Add(int64(1), uint16(0), 1.0, 0.0, 0.0, 1.0, 1.0)
+	f.Add(int64(2), uint16(smallGrid), 2.5, -3.0, -3.0, 4.0, 2.0)
+	f.Add(int64(3), uint16(smallGrid+1), 11.3, 0.5, -2.5, 25.0, 2.5)
+	f.Add(int64(4), uint16(300), 0.7, 5.0, 5.0, -5.0, -5.0)
+	f.Add(int64(5), uint16(100), 1.0, math.NaN(), 0.0, 1.0, 1.0)
+	f.Add(int64(6), uint16(100), 1e-300, -1e300, -1.0, 1e300, 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, cell, lox, loy, hix, hiy float64) {
+		rng := rand.New(rand.NewSource(seed))
+		g := NewGrid(cell)
+		lo, hi := V(lox, loy), V(hix, hiy)
+		span := func(a, b float64) float64 {
+			if s := a + (b-a)*(2*rng.Float64()-0.5); !math.IsNaN(s) {
+				return s
+			}
+			return a
+		}
+		pts := make([]Vec2, int(n)%301)
+		for i := range pts {
+			pts[i] = V(span(lox, hix), span(loy, hiy))
+			g.Insert(pts[i])
+		}
+		checkBox(t, g, pts, lo, hi)
+	})
+}
+
 func TestGridNearAppendsAndSkipsEmpty(t *testing.T) {
 	g := NewGrid(1)
 	if got := g.Near(nil, V(0, 0)); len(got) != 0 {
@@ -373,14 +530,14 @@ func BenchmarkGridPairs(b *testing.B) {
 }
 
 // BenchmarkGridNear times one Reset/Insert cycle and a Near query at
-// every site, as the fleet sensing index asks, on both paths.
+// every site, as the trajectory planner asks, on both paths.
 func BenchmarkGridNear(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {
 		pts := benchSites(n)
 		for _, path := range []struct {
-			name string
-			near func(*Grid, []int, cellKey) []int
-		}{{"direct", (*Grid).nearDirect}, {"sorted", (*Grid).nearSorted}} {
+			name  string
+			cells func(*Grid, []int, cellKey, cellKey) []int
+		}{{"direct", (*Grid).cellsDirect}, {"sorted", (*Grid).cellsSorted}} {
 			b.Run(fmt.Sprintf("sites=%d/%s", n, path.name), func(b *testing.B) {
 				g := NewGrid(15)
 				var buf []int
@@ -390,7 +547,35 @@ func BenchmarkGridNear(b *testing.B) {
 						g.Insert(p)
 					}
 					for _, p := range pts {
-						buf = path.near(g, buf[:0], g.key(p))
+						k := g.key(p)
+						buf = path.cells(g, buf[:0], cellKey{k.x - 1, k.y - 1}, cellKey{k.x + 1, k.y + 1})
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGridBox times one Reset/Insert cycle and a Box query at
+// every site for the 25 m by 5 m corridor ahead of it, as the fleet
+// sensing index asks, on both paths.
+func BenchmarkGridBox(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 32, 64, 128} {
+		pts := benchSites(n)
+		for _, path := range []struct {
+			name  string
+			cells func(*Grid, []int, cellKey, cellKey) []int
+		}{{"direct", (*Grid).cellsDirect}, {"sorted", (*Grid).cellsSorted}} {
+			b.Run(fmt.Sprintf("sites=%d/%s", n, path.name), func(b *testing.B) {
+				g := NewGrid(15)
+				var buf []int
+				for range b.N {
+					g.Reset(15)
+					for _, p := range pts {
+						g.Insert(p)
+					}
+					for _, p := range pts {
+						buf = path.cells(g, buf[:0], g.key(p.Add(V(0.5, -2.5))), g.key(p.Add(V(25, 2.5))))
 					}
 				}
 			})

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -240,5 +241,72 @@ func TestFootprintRadiusFollowsShape(t *testing.T) {
 	}
 	if ef, er := envs[1].Log.Events(), envs[2].Log.Events(); !reflect.DeepEqual(ef, er) {
 		t.Errorf("Reinit collector logged %d events, fresh %d, or they differ", len(er), len(ef))
+	}
+}
+
+// TestCircleRejectAtNearMissDist places pairs of footprints corner to
+// corner along their diagonal, where the footprint gap equals the gap
+// between the bounding circles, at gaps within 1e-9 of NearMissDist
+// and beyond the reject's float margin, near the origin and 10 km out.
+// The indexed collector, which skips Dist for pairs whose circles lie
+// apart, must match the brute-force oracle report and event for
+// event, and no pair it skips may have a footprint gap below
+// NearMissDist.
+func TestCircleRejectAtNearMissDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	offsets := []float64{-1e-6, -1e-9, -5e-10, -1e-10, 0, 1e-10, 5e-10, 1e-9, 1e-8, 1e-6, 1e-3}
+	const pairs = 12
+	boxes := make([]geom.OrientedBox, 2*pairs)
+	probes := func() []Probe {
+		out := make([]Probe, len(boxes))
+		for i := range out {
+			out[i] = Probe{ID: string(rune('a' + i)), Mode: func() string { return "mrm" },
+				Footprint: func() geom.OrientedBox { return boxes[i] }}
+		}
+		return out
+	}
+	brute := NewCollector(probes()...)
+	brute.UseBruteForce = true
+	indexed := NewCollector(probes()...)
+	envB, envI := env(100*time.Millisecond), env(100*time.Millisecond)
+	skipped, scored := 0, 0
+	for tick := 0; tick < 300; tick++ {
+		for p := 0; p < pairs; p++ {
+			origin := geom.V(float64(p)*100, 0)
+			if p%2 == 1 {
+				origin = origin.Add(geom.V(1e4, -1e4))
+			}
+			h := rng.Float64() * 2 * math.Pi
+			l, w := 4+8*rng.Float64(), 2+3*rng.Float64()
+			f := geom.Pose{Heading: h}.Forward()
+			diag := f.Scale(l).Add(f.Perp().Scale(w)).Norm()
+			gap := indexed.NearMissDist + offsets[rng.Intn(len(offsets))]
+			boxes[2*p] = geom.OrientedBox{Center: origin, Heading: h, Length: l, Width: w}
+			boxes[2*p+1] = geom.OrientedBox{Center: origin.Add(diag.Scale(math.Hypot(l, w) + gap)),
+				Heading: h, Length: l, Width: w}
+		}
+		brute.Sample(envB)
+		indexed.Sample(envI)
+		for p := 0; p < pairs; p++ {
+			if !indexed.circlesApart(2*p, 2*p+1) {
+				scored++
+				continue
+			}
+			skipped++
+			if d := boxes[2*p].Dist(boxes[2*p+1]); d < indexed.NearMissDist {
+				t.Fatalf("tick %d pair %d: circles apart at a footprint gap of NearMissDist%+g", tick, p, d-indexed.NearMissDist)
+			}
+		}
+	}
+	rb, ri := brute.Report(), indexed.Report()
+	if !reflect.DeepEqual(rb, ri) {
+		t.Errorf("indexed report %+v, brute %+v", ri, rb)
+	}
+	if evB, evI := envB.Log.Events(), envI.Log.Events(); !reflect.DeepEqual(evB, evI) {
+		t.Errorf("indexed logged %d events, brute %d, or they differ", len(evI), len(evB))
+	}
+	t.Logf("%d pairs skipped, %d scored, %d near misses", skipped, scored, ri.NearMisses)
+	if skipped == 0 || scored == 0 || ri.NearMisses == 0 {
+		t.Errorf("%d pairs skipped, %d scored, %d near misses: the layout proves nothing", skipped, scored, ri.NearMisses)
 	}
 }

@@ -260,7 +260,9 @@ func (c *Collector) sampleBrute(env *sim.Env) {
 // to be a candidate; skipped pairs are provably separated by more
 // than NearMissDist, which is exactly the regime where the brute
 // force pass would reset their contact/near latches and where
-// MinSeparation is clamped anyway (see Report.MinSeparation).
+// MinSeparation is clamped anyway (see Report.MinSeparation). A
+// candidate whose bounding circles already lie that far apart is
+// released the same way without its footprint distance.
 func (c *Collector) sampleIndexed(env *sim.Env) {
 	maxDiag := 0.0
 	for _, hd := range c.halfDiag {
@@ -279,6 +281,11 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 	}
 	c.pairBuf = c.grid.CandidatePairs(c.pairBuf[:0])
 	for _, pr := range c.pairBuf {
+		if (c.relevant[pr[0]] || c.relevant[pr[1]]) && c.circlesApart(pr[0], pr[1]) {
+			delete(c.inContact, pr)
+			delete(c.inNear, pr)
+			continue
+		}
 		c.scorePair(env, pr[0], pr[1])
 	}
 	// Latch maintenance for pairs the broad-phase skipped: they are
@@ -287,6 +294,20 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 	// risk-irrelevant, which keeps the latch in both passes).
 	c.releaseSkippedLatches(c.inContact)
 	c.releaseSkippedLatches(c.inNear)
+}
+
+// circlesApart reports whether the bounding circles of footprints i
+// and j lie more than NearMissDist apart, so that their footprint gap
+// does too and scorePair would only release the pair's latches. The
+// circles are widened by a billionth of the coordinates' magnitude,
+// far above the float rounding of the centre distance and of
+// OrientedBox.Dist, so a pair that rounds to within NearMissDist is
+// always scored. NaN centres are never apart.
+func (c *Collector) circlesApart(i, j int) bool {
+	a, b := c.boxes[i].Center, c.boxes[j].Center
+	reach := c.halfDiag[i] + c.halfDiag[j] + c.NearMissDist
+	reach += 1e-9 * (reach + math.Abs(a.X) + math.Abs(a.Y) + math.Abs(b.X) + math.Abs(b.Y))
+	return a.Sub(b).LenSq() > reach*reach
 }
 
 func (c *Collector) releaseSkippedLatches(latch map[[2]int]bool) {

@@ -116,9 +116,12 @@ type fleet struct {
 	near  []int
 }
 
-// senseMargin is added to the fleet's largest sensor range to size the
-// index cells, so a target at exactly the effective range falls in an
-// adjacent cell whatever the float rounding of its cell key.
+// senseMargin is added to the members' largest footprint diagonal to
+// size the index cells, as the metrics collector adds its near-miss
+// distance: a lane then holds about one member per cell, so a corridor
+// query visits about one cell per member it could find. The cell size
+// bears on speed only: a box query serves every member inside the box
+// whatever the cell.
 const senseMargin = 1.0
 
 // add registers c as the fleet's next member and makes its body report
@@ -131,24 +134,23 @@ func (f *fleet) add(c *core.Constituent) {
 }
 
 // neighbours returns the obstacle feed of self: the live positions of
-// the other fleet members around self, in no particular order. It
-// serves the members in the index cells around self's position, a
-// superset of those within the largest sensor range in the fleet
-// (sensor.Suite.MaxRange, which no effective range exceeds), so the
-// obstacle monitor's range filter sees exactly the targets a scan of
-// the whole fleet gives it. The fleet is read at call time, so a feed
-// made before the fleet is complete sees all of it. The closure reuses
-// one scratch slice, so a steady-state tick allocates nothing; callers
-// must not retain the result across calls.
-func (f *fleet) neighbours(self *core.Constituent) func() []sensor.Target {
+// the other fleet members in the index cells that meet the box [lo,
+// hi], in no particular order. That is a superset of the members
+// inside the box, so the obstacle monitor's corridor test passes
+// exactly the targets it passes on a scan of the whole fleet. The
+// fleet is read at call time, so a feed made before the fleet is
+// complete sees all of it. The closure reuses one scratch slice, so a
+// steady-state tick allocates nothing; callers must not retain the
+// result across calls.
+func (f *fleet) neighbours(self *core.Constituent) func(lo, hi geom.Vec2) []sensor.Target {
 	var buf []sensor.Target
-	return func() []sensor.Target {
+	return func(lo, hi geom.Vec2) []sensor.Target {
 		buf = buf[:0]
 		if len(f.cs) < 2 {
 			return buf // alone: nothing to sense, no index to build
 		}
 		f.index()
-		f.near = f.grid.Near(f.near[:0], self.Body().Position())
+		f.near = f.grid.Box(f.near[:0], lo, hi)
 		for _, i := range f.near {
 			if o := f.cs[i]; o != self {
 				buf = append(buf, sensor.Target{ID: o.ID(), Pos: f.pos[i]})
@@ -171,7 +173,8 @@ func (f *fleet) index() {
 	}
 	if f.cell == 0 {
 		for _, c := range f.cs {
-			f.cell = max(f.cell, c.Suite().MaxRange())
+			spec := c.Body().Spec()
+			f.cell = max(f.cell, math.Hypot(spec.Length, spec.Width))
 		}
 		f.cell += senseMargin
 	}

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -31,24 +29,22 @@ func fullScan(f *fleet, self *core.Constituent) []sensor.Target {
 	return out
 }
 
-// inRange returns the targets within self's effective sensor range,
-// sorted by ID: what the obstacle monitor can see of a feed.
-func inRange(self *core.Constituent, targets []sensor.Target) []sensor.Target {
-	pos, r := self.Body().Position(), self.Suite().EffectiveRange()
+// inBox returns the targets whose position lies in [lo, hi]: what the
+// feed must serve at least.
+func inBox(targets []sensor.Target, lo, hi geom.Vec2) []sensor.Target {
 	var out []sensor.Target
 	for _, t := range targets {
-		if pos.Dist(t.Pos) <= r {
+		if p := t.Pos; p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y {
 			out = append(out, t)
 		}
 	}
-	slices.SortFunc(out, func(a, b sensor.Target) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
 // feedCheck wraps each monitor's feed so that every query the rig makes
 // is checked, at the moment it is made, against a full scan of the
-// fleet: the indexed targets within the observer's effective range
-// must equal the full scan's, and the feed must never serve the
+// fleet: the feed must serve every member the full scan finds inside
+// the queried box, at its live position, and must never serve the
 // observer itself or a member twice.
 type feedCheck struct {
 	queries, seen int
@@ -61,19 +57,24 @@ func (fc *feedCheck) wrap(t *testing.T, f *fleet, monitors []*agent.ObstacleMoni
 	}
 	for _, m := range monitors {
 		feed, self := m.Neighbors, m.C
-		m.Neighbors = func() []sensor.Target {
-			got := feed()
+		m.Neighbors = func(lo, hi geom.Vec2) []sensor.Target {
+			got := feed(lo, hi)
 			fc.queries++
+			served := map[sensor.Target]bool{}
 			ids := map[string]bool{}
 			for _, g := range got {
 				if g.ID == self.ID() || ids[g.ID] {
 					t.Fatalf("%s: feed serves %s twice or itself: %v", self.ID(), g.ID, got)
 				}
 				ids[g.ID] = true
+				served[g] = true
 			}
-			have, want := inRange(self, got), inRange(self, fullScan(f, self))
-			if !slices.Equal(have, want) {
-				t.Fatalf("%s at %v: indexed feed sees %v, full scan %v", self.ID(), self.Body().Position(), have, want)
+			want := inBox(fullScan(f, self), lo, hi)
+			for _, w := range want {
+				if !served[w] {
+					t.Fatalf("%s at %v: box %v–%v holds %v, the indexed feed serves %v",
+						self.ID(), self.Body().Position(), lo, hi, w, got)
+				}
 			}
 			fc.seen += len(want)
 			return got
@@ -83,9 +84,9 @@ func (fc *feedCheck) wrap(t *testing.T, f *fleet, monitors []*agent.ObstacleMoni
 
 func (fc *feedCheck) done(t *testing.T) {
 	t.Helper()
-	t.Logf("%d feed queries checked, %d targets in range", fc.queries, fc.seen)
+	t.Logf("%d feed queries checked, %d targets in their boxes", fc.queries, fc.seen)
 	if fc.queries == 0 || fc.seen == 0 {
-		t.Errorf("%d queries saw %d targets in range: nothing was checked", fc.queries, fc.seen)
+		t.Errorf("%d queries saw %d targets in their boxes: nothing was checked", fc.queries, fc.seen)
 	}
 }
 
@@ -194,14 +195,15 @@ func TestFleetFeedAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.Run(20 * time.Second)
-	feed := rig.neighbours(rig.Trucks[3])
-	if len(feed()) == 0 {
+	feed, at := rig.neighbours(rig.Trucks[3]), rig.Trucks[3].Body().Position()
+	lo, hi := at.Sub(geom.V(120, 120)), at.Add(geom.V(120, 120))
+	if len(feed(lo, hi)) == 0 {
 		t.Fatal("setup: the feed serves no neighbours")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { feed() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { feed(lo, hi) }); allocs != 0 {
 		t.Errorf("indexed query allocates %v times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { rig.moves++; feed() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { rig.moves++; feed(lo, hi) }); allocs != 0 {
 		t.Errorf("query with rebuild allocates %v times, want 0", allocs)
 	}
 }
@@ -214,7 +216,7 @@ func TestFleetFeedAloneBuildsNoIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.Run(10 * time.Second)
-	if got := rig.neighbours(rig.Ego)(); len(got) != 0 {
+	if got := rig.neighbours(rig.Ego)(geom.V(-1e300, -1e300), geom.V(1e300, 1e300)); len(got) != 0 {
 		t.Errorf("lone car senses %v", got)
 	}
 	if rig.grid != nil {

@@ -165,19 +165,6 @@ func (st *Suite) EffectiveRange() float64 {
 	return best
 }
 
-// MaxRange returns the best nominal range across all sensors: the
-// bound EffectiveRange never exceeds, whatever the sensors' health and
-// the weather.
-func (st *Suite) MaxRange() float64 {
-	best := 0.0
-	for i := range st.sensors {
-		if r := st.sensors[i].NominalRange; r > best {
-			best = r
-		}
-	}
-	return best
-}
-
 // Target is a detectable object.
 type Target struct {
 	ID  string

@@ -70,26 +70,6 @@ func TestBlind(t *testing.T) {
 	}
 }
 
-func TestMaxRange(t *testing.T) {
-	st := StandardSuite(100)
-	if r := st.MaxRange(); r != 100 {
-		t.Fatalf("MaxRange = %v, want 100", r)
-	}
-	// Faults and weather shrink the effective range, never the bound.
-	_ = st.Degrade("long_range_radar", 0)
-	_ = st.Degrade("camera", 0.5)
-	st.SetWeatherFactor(0.3)
-	if r := st.MaxRange(); r != 100 {
-		t.Errorf("MaxRange after faults = %v, want 100", r)
-	}
-	if st.EffectiveRange() > st.MaxRange() {
-		t.Errorf("EffectiveRange %v above MaxRange %v", st.EffectiveRange(), st.MaxRange())
-	}
-	if r := NewSuite(Sensor{Name: "a", NominalRange: 30}, Sensor{Name: "b", NominalRange: 70}).MaxRange(); r != 70 {
-		t.Errorf("custom suite MaxRange = %v, want 70", r)
-	}
-}
-
 func TestNewSuiteDuplicateNames(t *testing.T) {
 	st := NewSuite(
 		Sensor{Name: "x", NominalRange: 10},
