@@ -114,8 +114,9 @@ memprofile-campaign:
 
 # microbench runs the Go micro-benchmarks with allocation accounting:
 # the per-artefact experiment benchmarks plus the hot-path pairs
-# (network tick heap vs scan, proximity indexed vs brute, E16 full
-# tick).
+# (network tick heap vs scan, proximity fleet index vs all pairs, E16
+# full tick).
 microbench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -bench=. -benchmem ./internal/runner ./internal/comm ./internal/sim
+	$(GO) test -run '^$$' -bench=Proximity -benchmem ./internal/scenario

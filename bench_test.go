@@ -151,42 +151,12 @@ func BenchmarkMegaFleetTickSeq(b *testing.B) {
 	benchTickWindow(b, 200, scenario.PolicyBaseline, 30*time.Second)
 }
 
-// benchProximity measures one metrics.Collector.Sample pass over a
-// 10-pair quarry fleet mid-incident — the per-tick proximity hot path
-// — with either the brute-force O(n²) scorer or the uniform-grid
-// broad-phase. The rig reproduces the E16 baseline arm: a blind truck
-// stranded mid-tunnel with the rest of the fleet queued behind it, so
-// every constituent is stopped in active space and risk-relevant (the
-// regime where proximity scoring actually runs; ticks with no
-// relevant probe skip the pass entirely on both paths). The ratio
-// between the two benchmarks is the index speedup quoted in
-// README.md.
-func benchProximity(b *testing.B, brute bool) {
-	b.Helper()
-	rig := incidentRig(b, 10, scenario.PolicyBaseline, 90*time.Second)
-	rig.Collector.UseBruteForce = brute
-	env := rig.Engine.Env()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rig.Collector.Sample(env)
-	}
-}
-
-// BenchmarkProximityBrute10PairQuarry samples every pair (the
-// pre-index behaviour).
-func BenchmarkProximityBrute10PairQuarry(b *testing.B) { benchProximity(b, true) }
-
-// BenchmarkProximityIndexed10PairQuarry samples only broad-phase
-// candidate pairs.
-func BenchmarkProximityIndexed10PairQuarry(b *testing.B) { benchProximity(b, false) }
-
 // BenchmarkE16QuarryTick measures full engine ticks — comm delivery,
 // entity steps, fault injection, metrics sampling — on the 10-pair
 // E16 quarry rig with the status-sharing policy beaconing V2X traffic,
 // simulated seconds 90 to 100 of the incident. This is the whole-tick
-// companion to the per-subsystem benchmarks (BenchmarkProximity*,
-// BenchmarkNetworkTick*, BenchmarkEventLogQuery*): run with -benchmem,
+// companion to the per-subsystem benchmarks (BenchmarkProximity* in
+// internal/scenario, BenchmarkNetworkTick*, BenchmarkEventLogQuery*): run with -benchmem,
 // its allocs/op is the allocation audit of the tick window.
 func BenchmarkE16QuarryTick(b *testing.B) {
 	benchTickWindow(b, 10, scenario.PolicyStatusSharing, 90*time.Second)

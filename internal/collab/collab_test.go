@@ -252,7 +252,7 @@ func orchestratedRig(t *testing.T, nTasks int, concerted bool) (*quarry, *Direct
 	board := tms.NewBoard()
 	for i := 0; i < nTasks; i++ {
 		board.MustAdd(tms.Task{
-			ID: "haul-" + string(rune('a'+i)), Kind: "haul",
+			ID:   "haul-" + string(rune('a'+i)),
 			From: "load", To: "dep", Units: 1, RequiredRole: "truck",
 		})
 	}

@@ -19,8 +19,8 @@ const (
 	// TopicCommandMRC is a prescriptive/orchestrated order to reach a
 	// (specific) MRC.
 	TopicCommandMRC = "cmd.mrc"
-	// TopicCommandRoute is a prescriptive/orchestrated rerouting
-	// order (avoid a node).
+	// TopicCommandRoute is an orchestrated rerouting order (avoid a
+	// node).
 	TopicCommandRoute = "cmd.route"
 	// TopicTaskAssign carries a TMS task assignment.
 	TopicTaskAssign = "tms.assign"

@@ -391,21 +391,6 @@ func TestPrescriptiveNonCompliantFallsBack(t *testing.T) {
 	}
 }
 
-func TestPrescriptiveRouteCommand(t *testing.T) {
-	r := newRig(t, 1)
-	auth := NewAuthority("control", r.net)
-	r.net.MustRegister("control")
-	r.e.MustRegister(auth)
-	r.e.MustRegister(NewPrescriptive(NewBase(r.hauls[0], r.net, r.w.Graph(), time.Second)))
-	r.e.RunFor(time.Second)
-	r.net.Send(comm.NewMessage("control", "t1", comm.TypeCommand, comm.TopicCommandRoute,
-		&comm.Body{Fields: map[string]string{comm.KeyAvoid: "mid", comm.KeyReason: "maintenance"}}))
-	r.e.RunFor(2 * time.Second)
-	if !r.hauls[0].Avoided("mid") {
-		t.Error("route command ignored")
-	}
-}
-
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
 		indexOf(s, sub) >= 0)

@@ -7,8 +7,8 @@ import (
 
 // Authority is the directing entity of the prescriptive class (J3216
 // class D): a road operator, mine control room, or a larger machine
-// with right of way. It issues temporary prescriptive orders: reroute,
-// local MRC for one vehicle, or global MRC for everyone (the paper's
+// with right of way. It issues temporary prescriptive orders: local
+// MRC for one vehicle, or global MRC for everyone (the paper's
 // flooded-road example).
 type Authority struct {
 	id  string
@@ -85,10 +85,6 @@ func (p *Prescriptive) Step(env *sim.Env) {
 				c.TriggerMRMTo(env, mrc, reason)
 			} else {
 				c.CommandMRM(env, reason)
-			}
-		case comm.TopicCommandRoute:
-			if node := m.Get(comm.KeyAvoid); node != "" {
-				p.base.Haul.Avoid(node)
 			}
 		}
 	}

@@ -381,7 +381,6 @@ func (c *Constituent) Capabilities() vehicle.Capabilities {
 		EmergencyBrake: c.body.BrakeFactor() > 0.05,
 		Steering:       c.body.SteeringOK(),
 		Propulsion:     c.body.PropulsionOK(),
-		Comm:           c.commUp,
 		Tool:           c.toolUp,
 		Localization:   c.locUp,
 	}
@@ -895,7 +894,6 @@ func (c *Constituent) planRequest(m MRC, zone world.Zone, route *geom.Path) traj
 		cap = c.assistCap
 	}
 	req := traj.Request{
-		ID:           c.id,
 		Route:        route,
 		Pose:         c.body.Pose(),
 		Speed:        c.body.Speed(),

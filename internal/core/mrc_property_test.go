@@ -18,7 +18,6 @@ func capsFrom(bits uint8, rangeM float64) vehicle.Capabilities {
 		EmergencyBrake:  bits&2 != 0,
 		Steering:        bits&4 != 0,
 		Propulsion:      bits&8 != 0,
-		Comm:            true,
 		Localization:    true,
 	}
 }

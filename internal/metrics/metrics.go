@@ -73,22 +73,18 @@ func riskRelevant(p Probe, mode string) bool {
 // (≥ millimetres) to a collision.
 const ContactEpsilon = 1e-9
 
+// NearMissDist is the footprint separation below which a near miss is
+// counted (edge-triggered per pair). It is also the broad-phase
+// radius: separations beyond it are not safety-meaningful, so Report
+// clamps MinSeparation to it (see Report.MinSeparation).
+const NearMissDist = 1.0
+
 // Collector accumulates measurements over a run. Register it as a
 // post-step hook.
 type Collector struct {
 	probes []Probe
-
-	// NearMissDist is the separation below which a near miss is
-	// counted (edge-triggered per pair). It is also the broad-phase
-	// radius: separations beyond it are not safety-meaningful, so
-	// Report clamps MinSeparation to it (see Report.MinSeparation).
-	NearMissDist float64
-
-	// UseBruteForce disables the uniform-grid broad-phase and scores
-	// every pair exactly as the pre-index collector did — the oracle
-	// arm of the differential tests and the baseline of the proximity
-	// benchmarks. Reports are identical either way.
-	UseBruteForce bool
+	// pairs is the broad phase (see NewCollector).
+	pairs func(dst [][2]int) [][2]int
 
 	taskUnits    float64
 	riskExposure float64
@@ -108,16 +104,15 @@ type Collector struct {
 
 	// Per-tick scratch state, reused across samples: the footprint
 	// cache (each probe's Footprint() runs exactly once per tick), the
-	// cached risk relevance, and the broad-phase grid and its pair
-	// buffer, which also tells latch maintenance which pairs the
-	// broad phase scored this tick. halfDiag[i] is the half-diagonal
-	// of a footprint of shape[i] (length, width), recomputed only when
-	// probe i's shape changes; the zero shape has the zero radius.
+	// cached risk relevance, and the broad phase's pair buffer, which
+	// also tells latch maintenance which pairs were supplied this
+	// tick. halfDiag[i] is the half-diagonal of a footprint of
+	// shape[i] (length, width), recomputed only when probe i's shape
+	// changes; the zero shape has the zero radius.
 	boxes    []geom.OrientedBox
 	shape    [][2]float64
 	halfDiag []float64
 	relevant []bool
-	grid     *geom.Grid
 	pairBuf  [][2]int
 }
 
@@ -127,19 +122,25 @@ type modeSpan struct {
 	d    time.Duration
 }
 
-// NewCollector returns a collector over the given probes.
-func NewCollector(probes ...Probe) *Collector {
+// NewCollector returns a collector over the given probes. pairs is
+// its broad phase: on each tick that scores proximity it appends to
+// dst and returns every pair (i, j), i < j, of probe indices whose
+// footprint centres lie within the largest footprint diagonal plus
+// NearMissDist of each other, each pair once and sorted. It may add
+// farther pairs. Every pair it leaves out is farther apart than
+// NearMissDist, so its latches are released unscored.
+func NewCollector(pairs func(dst [][2]int) [][2]int, probes ...Probe) *Collector {
 	c := &Collector{
-		probes:       probes,
-		NearMissDist: 1.0,
-		modeTime:     make([][]modeSpan, len(probes)),
-		stoppedLane:  make([]time.Duration, len(probes)),
-		inContact:    make(map[[2]int]bool),
-		inNear:       make(map[[2]int]bool),
-		boxes:        make([]geom.OrientedBox, len(probes)),
-		shape:        make([][2]float64, len(probes)),
-		halfDiag:     make([]float64, len(probes)),
-		relevant:     make([]bool, len(probes)),
+		probes:      probes,
+		pairs:       pairs,
+		modeTime:    make([][]modeSpan, len(probes)),
+		stoppedLane: make([]time.Duration, len(probes)),
+		inContact:   make(map[[2]int]bool),
+		inNear:      make(map[[2]int]bool),
+		boxes:       make([]geom.OrientedBox, len(probes)),
+		shape:       make([][2]float64, len(probes)),
+		halfDiag:    make([]float64, len(probes)),
+		relevant:    make([]bool, len(probes)),
 	}
 	return c
 }
@@ -152,12 +153,11 @@ func NewCollector(probes ...Probe) *Collector {
 // re-adopts its constituent and body allocations in place; the rig
 // assembly checks fleet identity before reusing). Behaviour after Reinit is
 // identical to a fresh collector's: every accumulator and latch is
-// cleared, and the per-tick scratch (footprint cache, relevance,
-// grid, pair buffer) is overwritten before it is read each Sample. The
-// footprint radii carry over: each is a function of its shape alone.
+// cleared, and the per-tick scratch (footprint cache, relevance, pair
+// buffer) is overwritten before it is read each Sample. The footprint
+// radii carry over, each a function of its shape alone, and so does
+// the pair source.
 func (c *Collector) Reinit() {
-	c.NearMissDist = 1.0
-	c.UseBruteForce = false
 	c.taskUnits = 0
 	c.riskExposure = 0
 	c.collisions = 0
@@ -238,48 +238,11 @@ func (c *Collector) Sample(env *sim.Env) {
 			c.halfDiag[i] = 0.5 * math.Hypot(b.Length, b.Width)
 		}
 	}
-	if c.UseBruteForce {
-		c.sampleBrute(env)
-	} else {
-		c.sampleIndexed(env)
-	}
-}
-
-// sampleBrute scores every pair — the O(n²) oracle path.
-func (c *Collector) sampleBrute(env *sim.Env) {
-	for i := 0; i < len(c.probes); i++ {
-		for j := i + 1; j < len(c.probes); j++ {
-			c.scorePair(env, i, j)
-		}
-	}
-}
-
-// sampleIndexed scores only broad-phase candidate pairs. Cell size is
-// the largest footprint extent (diagonal) plus NearMissDist, so any
-// pair whose footprint gap could be below NearMissDist is guaranteed
-// to be a candidate; skipped pairs are provably separated by more
-// than NearMissDist, which is exactly the regime where the brute
-// force pass would reset their contact/near latches and where
-// MinSeparation is clamped anyway (see Report.MinSeparation). A
-// candidate whose bounding circles already lie that far apart is
-// released the same way without its footprint distance.
-func (c *Collector) sampleIndexed(env *sim.Env) {
-	maxDiag := 0.0
-	for _, hd := range c.halfDiag {
-		if 2*hd > maxDiag {
-			maxDiag = 2 * hd
-		}
-	}
-	cell := maxDiag + c.NearMissDist
-	if c.grid == nil {
-		c.grid = geom.NewGrid(cell)
-	} else {
-		c.grid.Reset(cell)
-	}
-	for i := range c.boxes {
-		c.grid.Insert(c.boxes[i].Center)
-	}
-	c.pairBuf = c.grid.CandidatePairs(c.pairBuf[:0])
+	// Only the supplied pairs are scored. A risk-relevant pair whose
+	// bounding circles already lie farther apart than NearMissDist has
+	// a footprint gap beyond it too, so scorePair would only release
+	// its latches: they are released without the footprint distance.
+	c.pairBuf = c.pairs(c.pairBuf[:0])
 	for _, pr := range c.pairBuf {
 		if (c.relevant[pr[0]] || c.relevant[pr[1]]) && c.circlesApart(pr[0], pr[1]) {
 			delete(c.inContact, pr)
@@ -288,10 +251,10 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 		}
 		c.scorePair(env, pr[0], pr[1])
 	}
-	// Latch maintenance for pairs the broad-phase skipped: they are
-	// guaranteed farther apart than NearMissDist, so the brute pass
-	// would have reset their latches (unless the pair is currently
-	// risk-irrelevant, which keeps the latch in both passes).
+	// Latch maintenance for pairs the broad phase left out: they are
+	// farther apart than NearMissDist, so scorePair would release their
+	// latches (unless the pair is currently risk-irrelevant, which
+	// keeps the latch).
 	c.releaseSkippedLatches(c.inContact)
 	c.releaseSkippedLatches(c.inNear)
 }
@@ -305,7 +268,7 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 // always scored. NaN centres are never apart.
 func (c *Collector) circlesApart(i, j int) bool {
 	a, b := c.boxes[i].Center, c.boxes[j].Center
-	reach := c.halfDiag[i] + c.halfDiag[j] + c.NearMissDist
+	reach := c.halfDiag[i] + c.halfDiag[j] + NearMissDist
 	reach += 1e-9 * (reach + math.Abs(a.X) + math.Abs(a.Y) + math.Abs(b.X) + math.Abs(b.Y))
 	return a.Sub(b).LenSq() > reach*reach
 }
@@ -321,8 +284,8 @@ func (c *Collector) releaseSkippedLatches(latch map[[2]int]bool) {
 	}
 }
 
-// scoredThisTick reports whether the broad phase paired key this tick.
-// CandidatePairs emits pairBuf sorted, so a binary search finds it.
+// scoredThisTick reports whether the broad phase supplied key this
+// tick. pairBuf is sorted, so a binary search finds it.
 func (c *Collector) scoredThisTick(key [2]int) bool {
 	lo, hi := 0, len(c.pairBuf)
 	for lo < hi {
@@ -373,7 +336,7 @@ func (c *Collector) scorePair(env *sim.Env, i, j int) {
 		}
 	} else {
 		delete(c.inContact, key)
-		if d < c.NearMissDist {
+		if d < NearMissDist {
 			if !c.inNear[key] {
 				c.inNear[key] = true
 				c.nearMisses++
@@ -394,12 +357,12 @@ type Report struct {
 	Collisions   int
 	NearMisses   int
 	// MinSeparation is the smallest footprint gap observed over any
-	// risk-relevant pair, clamped from above to the collector's
-	// NearMissDist (the broad-phase radius): separations beyond the
-	// near-miss threshold are not safety-meaningful and the spatial
-	// index does not measure them, so a run whose closest pass stayed
-	// outside near-miss range reports exactly NearMissDist. -1 when no
-	// risk-relevant pair was ever observed.
+	// risk-relevant pair, clamped from above to NearMissDist (the
+	// broad-phase radius): separations beyond the near-miss threshold
+	// are not safety-meaningful and the broad phase does not measure
+	// them, so a run whose closest pass stayed outside near-miss range
+	// reports exactly NearMissDist. -1 when no risk-relevant pair was
+	// ever observed.
 	MinSeparation float64
 	Interventions int
 	// ModeShare maps constituent -> mode -> fraction of run time.
@@ -432,7 +395,7 @@ func (c *Collector) Report() Report {
 		TaskUnits:     c.taskUnits,
 		Collisions:    c.collisions,
 		NearMisses:    c.nearMisses,
-		MinSeparation: math.Min(c.minSep, c.NearMissDist),
+		MinSeparation: math.Min(c.minSep, NearMissDist),
 		RiskExposure:  c.riskExposure,
 		ModeShare:     make(map[string]map[string]float64, len(c.probes)),
 	}
@@ -441,7 +404,7 @@ func (c *Collector) Report() Report {
 		// floor is the clamp itself. No pairs at all: -1.
 		r.MinSeparation = -1
 		if c.pairSeen {
-			r.MinSeparation = c.NearMissDist
+			r.MinSeparation = NearMissDist
 		}
 	}
 	if c.duration > 0 {

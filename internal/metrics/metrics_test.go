@@ -43,7 +43,7 @@ func env(step time.Duration) *sim.Env {
 func TestModeTimeAndOperationalShare(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
 	b := &fakeVehicle{pos: geom.V(100, 0), mode: "mrc"}
-	c := NewCollector(a.probe("a"), b.probe("b"))
+	c := NewCollector(allPairs(2), a.probe("a"), b.probe("b"))
 	e := sim.NewEngine(sim.Config{Step: time.Second})
 	e.AddPostHook(c.Hook())
 	e.RunFor(10 * time.Second)
@@ -66,7 +66,7 @@ func TestModeTimeAndOperationalShare(t *testing.T) {
 func TestCollisionEdgeTriggered(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
 	b := &fakeVehicle{pos: geom.V(100, 0), mode: "nominal"}
-	c := NewCollector(a.probe("a"), b.probe("b"))
+	c := NewCollector(allPairs(2), a.probe("a"), b.probe("b"))
 	ev := env(100 * time.Millisecond)
 
 	c.Sample(ev)
@@ -100,7 +100,7 @@ func TestCollisionEdgeTriggered(t *testing.T) {
 func TestContactLatchSurvivesRelevanceToggle(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "mrm"}
 	b := &fakeVehicle{pos: geom.V(3, 0), mode: "nominal"} // overlapping
-	c := NewCollector(a.filteredProbe("a"), b.filteredProbe("b"))
+	c := NewCollector(allPairs(2), a.filteredProbe("a"), b.filteredProbe("b"))
 	ev := env(100 * time.Millisecond)
 
 	c.Sample(ev)
@@ -132,7 +132,7 @@ func TestContactLatchSurvivesRelevanceToggle(t *testing.T) {
 func TestNearMissLatchSurvivesRelevanceToggle(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "mrm"}
 	b := &fakeVehicle{pos: geom.V(4.5, 0), mode: "nominal"} // gap 0.5 < 1.0
-	c := NewCollector(a.filteredProbe("a"), b.filteredProbe("b"))
+	c := NewCollector(allPairs(2), a.filteredProbe("a"), b.filteredProbe("b"))
 	ev := env(100 * time.Millisecond)
 
 	c.Sample(ev)
@@ -148,7 +148,7 @@ func TestNearMissLatchSurvivesRelevanceToggle(t *testing.T) {
 func TestNearMissAndMinSeparation(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
 	b := &fakeVehicle{pos: geom.V(10, 0), mode: "nominal"}
-	c := NewCollector(a.probe("a"), b.probe("b"))
+	c := NewCollector(allPairs(2), a.probe("a"), b.probe("b"))
 	ev := env(100 * time.Millisecond)
 	c.Sample(ev)
 	b.pos = geom.V(4.5, 0) // gap = 0.5 < 1.0
@@ -165,7 +165,7 @@ func TestNearMissAndMinSeparation(t *testing.T) {
 
 func TestStoppedInLane(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "mrc", lane: true}
-	c := NewCollector(a.probe("a"))
+	c := NewCollector(allPairs(1), a.probe("a"))
 	e := sim.NewEngine(sim.Config{Step: time.Second})
 	e.AddPostHook(c.Hook())
 	e.RunFor(5 * time.Second)
@@ -182,7 +182,7 @@ func TestStoppedInLane(t *testing.T) {
 
 func TestProductivityAndInterventions(t *testing.T) {
 	n := 0
-	c := NewCollector(Probe{
+	c := NewCollector(allPairs(1), Probe{
 		ID:            "a",
 		Mode:          func() string { return "nominal" },
 		Interventions: func() int { return n },
@@ -212,7 +212,7 @@ func TestProductivityAndInterventions(t *testing.T) {
 func TestModeSharesSumToOne(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
 	b := &fakeVehicle{pos: geom.V(100, 0), mode: "nominal"}
-	c := NewCollector(a.probe("a"), b.probe("b"))
+	c := NewCollector(allPairs(2), a.probe("a"), b.probe("b"))
 	e := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond})
 	e.AddPostHook(c.Hook())
 	e.RunFor(3 * time.Second)
@@ -246,7 +246,7 @@ func TestRiskExposureZeroWithoutMRC(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
 	p := a.probe("a")
 	p.StopRisk = func() float64 { return 0.8 }
-	c := NewCollector(p)
+	c := NewCollector(allPairs(1), p)
 	e := sim.NewEngine(sim.Config{Step: time.Second})
 	e.AddPostHook(c.Hook())
 	e.RunFor(10 * time.Second)
@@ -268,7 +268,7 @@ func TestRiskExposureZeroWithoutMRC(t *testing.T) {
 // Inf shares, zero productivity and operational share.
 func TestZeroDurationRunReport(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
-	c := NewCollector(a.probe("a"))
+	c := NewCollector(allPairs(1), a.probe("a"))
 	c.AddTaskUnits(3) // units but no time: rate must stay finite
 	r := c.Report()
 	if r.Duration != 0 {
@@ -290,7 +290,7 @@ func TestZeroDurationRunReport(t *testing.T) {
 }
 
 func TestEmptyReport(t *testing.T) {
-	r := NewCollector().Report()
+	r := NewCollector(allPairs(0)).Report()
 	if r.Duration != 0 || r.Productivity != 0 || r.OperationalShare != 0 {
 		t.Errorf("zero report = %+v", r)
 	}
@@ -298,7 +298,7 @@ func TestEmptyReport(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	a := &fakeVehicle{pos: geom.V(0, 0), mode: "nominal"}
-	c := NewCollector(a.probe("a"))
+	c := NewCollector(allPairs(1), a.probe("a"))
 	e := sim.NewEngine(sim.Config{Step: time.Second})
 	e.AddPostHook(c.Hook())
 	e.RunFor(time.Second)

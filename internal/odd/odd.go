@@ -15,7 +15,6 @@ import (
 
 // Spec defines one operational design domain.
 type Spec struct {
-	Name string
 	// MaxCondition is the worst weather condition still inside the
 	// ODD (conditions are ordered by severity in package world).
 	MaxCondition world.Condition
@@ -31,7 +30,6 @@ type Spec struct {
 // DefaultRoadSpec returns a permissive highway ODD.
 func DefaultRoadSpec() Spec {
 	return Spec{
-		Name:               "road",
 		MaxCondition:       world.HeavyRain,
 		MinTemperatureC:    -20,
 		MaxSlipRisk:        0.75,
@@ -43,7 +41,6 @@ func DefaultRoadSpec() Spec {
 // construction), which is stricter about traction.
 func DefaultSiteSpec() Spec {
 	return Spec{
-		Name:               "site",
 		MaxCondition:       world.Rain,
 		MinTemperatureC:    -10,
 		MaxSlipRisk:        0.4,

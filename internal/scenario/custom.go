@@ -13,7 +13,6 @@ import (
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
@@ -97,21 +96,12 @@ type WeatherConfig struct {
 // CustomRig is a scenario built from a FileConfig.
 type CustomRig struct {
 	Name         string
-	Engine       *sim.Engine
-	World        *world.World
 	Net          *comm.Network
 	Constituents []*core.Constituent
 	Hauls        map[string]*agent.HaulAgent
 	Model        *core.DependencyModel
-	Collector    *metrics.Collector
-	Injector     *fault.Injector
 
-	fleet // the constituents
-}
-
-// Run executes the scenario for the horizon.
-func (r *CustomRig) Run(horizon time.Duration) Result {
-	return runFor(r.Engine, r.Collector, horizon)
+	Fleet // the constituents
 }
 
 // Delivered sums the haul agents' deliveries.
@@ -170,16 +160,15 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 		}
 	}
 
-	engine := newEngine(cfg.Seed)
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(cfg.Seed))
 
-	rig := &CustomRig{Name: cfg.Name, Engine: engine, World: w, Net: net}
+	rig := &CustomRig{Name: cfg.Name, Fleet: newFleet(w, cfg.Seed), Net: net}
+	engine := rig.Engine
 	engine.AddPreHook(net.Hook())
 	rig.Hauls = make(map[string]*agent.HaulAgent)
 	rig.Model = core.NewDependencyModel()
 
 	// Constituents.
-	snap := &obstacleSnapshot{}
 	for _, vc := range cfg.Fleet {
 		kind, err := vehicle.ParseKind(vc.Kind)
 		if err != nil {
@@ -196,7 +185,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			Net:       net,
 			Goal:      vc.Goal,
 			Seed:      cfg.Seed,
-			Obstacles: snap.obstaclesFor(vc.ID),
+			Obstacles: rig.obstacles(vc.ID),
 		})
 		if err != nil {
 			return nil, err
@@ -214,8 +203,6 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			return nil, err
 		}
 	}
-	snap.track(rig.cs)
-	engine.AddPreHook(snap.hook())
 
 	toolersWork := func() bool {
 		for _, c := range rig.cs {
@@ -331,8 +318,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			ClearAt: time.Duration(fc.ClearAtSeconds * float64(time.Second)),
 		}
 	}
-	var err error
-	if rig.Collector, rig.Injector, err = rig.instrument(engine, w, nil, nil, faults); err != nil {
+	if err := rig.instrument(nil, nil, faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

@@ -2,14 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"coopmrm/internal/agent"
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/odd"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
@@ -45,24 +43,12 @@ func (c HarbourConfig) withDefaults() HarbourConfig {
 
 // HarbourRig is the assembled harbour scenario.
 type HarbourRig struct {
-	Engine     *sim.Engine
-	World      *world.World
 	Crane      *core.Constituent
 	Forklifts  []*core.Constituent
 	Hauls      []*agent.HaulAgent
 	Supervisor *HarbourSupervisor
-	Collector  *metrics.Collector
-	Injector   *fault.Injector
 
-	fleet // crane then forklifts
-}
-
-// All returns crane plus forklifts.
-func (r *HarbourRig) All() []*core.Constituent { return slices.Clone(r.cs) }
-
-// Run executes the scenario for the horizon.
-func (r *HarbourRig) Run(horizon time.Duration) Result {
-	return runFor(r.Engine, r.Collector, horizon)
+	Fleet // crane then forklifts
 }
 
 // Delivered returns the containers stacked.
@@ -172,8 +158,8 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(20, -100), geom.V(60, -60))})
 
-	e := newEngine(cfg.Seed)
-	rig := &HarbourRig{Engine: e, World: w}
+	rig := &HarbourRig{Fleet: newFleet(w, cfg.Seed)}
+	e := rig.Engine
 
 	// A schedule passed to several rigs must replay from t=0 in each.
 	if cfg.Weather != nil {
@@ -187,7 +173,6 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 	tolerantODD.MaxSlipRisk = 0.75
 	tolerantODD.MaxCondition = world.HeavyRain
 
-	snap := &obstacleSnapshot{}
 	rig.Crane = core.MustConstituent(core.Config{
 		ID:        "crane",
 		Spec:      vehicle.DefaultSpec(vehicle.KindCrane),
@@ -196,7 +181,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		ODD:       &tolerantODD,
 		Goal:      "unload ship",
 		Seed:      cfg.Seed,
-		Obstacles: snap.obstaclesFor("crane"),
+		Obstacles: rig.obstacles("crane"),
 	})
 	e.MustRegister(rig.Crane)
 	rig.add(rig.Crane)
@@ -212,7 +197,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 			ODD:       &tolerantODD,
 			Goal:      "stack containers",
 			Seed:      cfg.Seed,
-			Obstacles: snap.obstaclesFor(id),
+			Obstacles: rig.obstacles(id),
 		})
 		e.MustRegister(f)
 		rig.Forklifts = append(rig.Forklifts, f)
@@ -232,9 +217,6 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		e.MustRegister(h)
 		rig.Hauls = append(rig.Hauls, h)
 	}
-
-	snap.track(rig.cs)
-	e.AddPreHook(snap.hook())
 
 	rig.Supervisor = &HarbourSupervisor{
 		crane:     rig.Crane,
@@ -256,8 +238,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		})
 	}
 
-	var err error
-	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

@@ -10,7 +10,6 @@ import (
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/odd"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
@@ -50,21 +49,12 @@ func (c HighwayConfig) withDefaults() HighwayConfig {
 
 // HighwayRig is the assembled freeway scenario.
 type HighwayRig struct {
-	Engine    *sim.Engine
-	World     *world.World
-	Net       *comm.Network
-	Cars      []*core.Constituent
-	Hauls     []*agent.HaulAgent
-	Ego       *core.Constituent // the failure subject: car1, the lead car
-	Collector *metrics.Collector
-	Injector  *fault.Injector
+	Net   *comm.Network
+	Cars  []*core.Constituent
+	Hauls []*agent.HaulAgent
+	Ego   *core.Constituent // the failure subject: car1, the lead car
 
-	fleet // the cars
-}
-
-// Run executes the scenario for the horizon.
-func (r *HighwayRig) Run(horizon time.Duration) Result {
-	return runFor(r.Engine, r.Collector, horizon)
+	Fleet // the cars
 }
 
 // Progress returns the total path distance covered by all cars — the
@@ -118,14 +108,13 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 	g.AddNode("exit", geom.V(highwayLength, 2))
 	g.MustConnect("entry", "exit")
 
-	e := newEngine(cfg.Seed)
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond, LossProb: cfg.Loss},
 		sim.NewRNG(cfg.Seed))
 
-	rig := &HighwayRig{Engine: e, World: w, Net: net}
+	rig := &HighwayRig{Fleet: newFleet(w, cfg.Seed), Net: net}
+	e := rig.Engine
 	e.AddPreHook(net.Hook())
 
-	snap := &obstacleSnapshot{}
 	roadODD := odd.DefaultRoadSpec()
 	for i := 0; i < cfg.NCars; i++ {
 		id := fmt.Sprintf("car%d", i+1)
@@ -140,15 +129,13 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 			Hierarchy: core.DefaultRoadHierarchy(),
 			Goal:      "reach destination",
 			Seed:      cfg.Seed,
-			Obstacles: snap.obstaclesFor(id),
+			Obstacles: rig.obstacles(id),
 		})
 		e.MustRegister(c)
 		rig.Cars = append(rig.Cars, c)
 		rig.add(c)
 	}
 	rig.Ego = rig.Cars[0]
-	snap.track(rig.cs)
-	e.AddPreHook(snap.hook())
 
 	for _, c := range rig.Cars {
 		h := agent.New(agent.Config{
@@ -184,8 +171,7 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		return nil, fmt.Errorf("scenario: unsupported highway policy %v", cfg.Policy)
 	}
 
-	var err error
-	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

@@ -2,15 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/odd"
 	"coopmrm/internal/platoon"
-	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
 )
@@ -35,19 +32,10 @@ func (c PlatoonConfig) withDefaults() PlatoonConfig {
 
 // PlatoonRig is the assembled platoon scenario.
 type PlatoonRig struct {
-	Engine    *sim.Engine
-	World     *world.World
-	Platoon   *platoon.Platoon
-	Members   []*core.Constituent
-	Collector *metrics.Collector
-	Injector  *fault.Injector
+	Platoon *platoon.Platoon
+	Members []*core.Constituent
 
-	fleet // the members
-}
-
-// Run executes the scenario for the horizon.
-func (r *PlatoonRig) Run(horizon time.Duration) Result {
-	return runFor(r.Engine, r.Collector, horizon)
+	Fleet // the members
 }
 
 // NewPlatoon builds the platoon rig on a long highway, cruising at the
@@ -63,11 +51,10 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 	w.MustAddZone(world.Zone{ID: "rest", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(5000, 8), geom.V(5100, 30))})
 
-	e := newEngine(cfg.Seed)
-	rig := &PlatoonRig{Engine: e, World: w}
+	rig := &PlatoonRig{Fleet: newFleet(w, cfg.Seed)}
+	e := rig.Engine
 	roadODD := odd.DefaultRoadSpec()
 
-	snap := &obstacleSnapshot{}
 	for i := 0; i < cfg.Members; i++ {
 		id := fmt.Sprintf("member%d", i+1)
 		c := core.MustConstituent(core.Config{
@@ -79,20 +66,17 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 			Hierarchy: core.DefaultRoadHierarchy(),
 			Goal:      "transport goods",
 			Seed:      cfg.Seed,
-			Obstacles: snap.obstaclesFor(id),
+			Obstacles: rig.obstacles(id),
 		})
 		e.MustRegister(c)
 		rig.Members = append(rig.Members, c)
 		rig.add(c)
 	}
-	snap.track(rig.cs)
-	e.AddPreHook(snap.hook())
 	path := geom.MustPath(geom.V(-300, 2), geom.V(length, 2)).SetName("mission")
 	rig.Platoon = platoon.MustNew("platoon", path, rig.Members...)
 	e.MustRegister(rig.Platoon)
 
-	var err error
-	if rig.Collector, rig.Injector, err = rig.instrument(e, w, nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

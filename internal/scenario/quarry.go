@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"coopmrm/internal/agent"
@@ -74,25 +73,21 @@ func (c QuarryConfig) withDefaults() QuarryConfig {
 
 // QuarryRig is the assembled quarry scenario.
 type QuarryRig struct {
-	Engine    *sim.Engine
-	World     *world.World
 	Net       *comm.Network
 	Model     *core.DependencyModel
 	Diggers   []*core.Constituent
 	Trucks    []*core.Constituent
 	Hauls     []*agent.HaulAgent // truck haul agents, same order as Trucks
 	Groups    map[string]string  // constituent -> pair name
-	Collector *metrics.Collector
-	Injector  *fault.Injector
-	Director  *collab.Director // orchestrated only
-	Board     *tms.Board       // orchestrated only
-	Authority *coop.Authority  // prescriptive only
+	Director  *collab.Director   // orchestrated only
+	Board     *tms.Board         // orchestrated only
+	Authority *coop.Authority    // prescriptive only
 	// Policies holds the per-constituent policy entities in
 	// registration order (empty for the baseline), so experiments can
 	// reach class-specific knobs (evacuations, designed responses).
 	Policies []sim.Entity
 
-	fleet // diggers then trucks
+	Fleet // diggers then trucks
 
 	// Warm-rig lifecycle state: the configuration wire() replays on
 	// Reset, the world baseline taken right after chassis
@@ -104,14 +99,6 @@ type QuarryRig struct {
 	prev          map[string]*core.Constituent
 	prevCollector *metrics.Collector
 	poolKey       string
-}
-
-// All returns every constituent (diggers then trucks).
-func (r *QuarryRig) All() []*core.Constituent { return slices.Clone(r.cs) }
-
-// Run executes the scenario for the horizon.
-func (r *QuarryRig) Run(horizon time.Duration) Result {
-	return runFor(r.Engine, r.Collector, horizon)
 }
 
 // Delivered returns the total units delivered by the trucks' haul
@@ -155,7 +142,6 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(-90, -90), geom.V(-30, -30))})
 
-	e := newEngine(cfg.Seed)
 	netCfg := comm.NetConfig{Latency: 50 * time.Millisecond}
 	if cfg.Net != nil {
 		if err := cfg.Net.Validate(); err != nil {
@@ -165,7 +151,7 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	}
 	net := comm.NewNetwork(netCfg, sim.NewRNG(cfg.Seed))
 
-	rig := &QuarryRig{Engine: e, World: w, Net: net, wsnap: w.Snapshot()}
+	rig := &QuarryRig{Fleet: newFleet(w, cfg.Seed), Net: net, wsnap: w.Snapshot()}
 	if err := rig.wire(cfg); err != nil {
 		return nil, err
 	}
@@ -210,7 +196,7 @@ func (r *QuarryRig) Reset(seed int64) error {
 	clear(r.Policies)
 	r.Policies = r.Policies[:0]
 	clear(r.cs)
-	r.cs = r.cs[:0]
+	r.cs, r.radius = r.cs[:0], r.radius[:0]
 	r.prevCollector = r.Collector
 	r.Model = nil
 	r.Collector = nil
@@ -240,8 +226,8 @@ func (r *QuarryRig) constituent(cc core.Config) *core.Constituent {
 // wire performs every per-seed wiring step, in the exact order fresh
 // construction always has: network pre-hook, constituent registration
 // (network first, then engine — registration order drives broadcast
-// fan-out and step order), haul agents, the planner obstacle
-// snapshot, the policy layer, metrics, and fault injection. Reset
+// fan-out and step order), haul agents, the policy layer, then the
+// planner obstacle snapshot, metrics, and fault injection. Reset
 // replays it against rewound substrate.
 func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	e, w, net := r.Engine, r.World, r.Net
@@ -256,8 +242,6 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	} else {
 		clear(r.Groups)
 	}
-	snap := &obstacleSnapshot{}
-
 	// Diggers.
 	operationalDigger := func() bool {
 		for _, d := range r.Diggers {
@@ -278,7 +262,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 			Net:       net,
 			Goal:      "load trucks",
 			Seed:      cfg.Seed,
-			Obstacles: snap.obstaclesFor(id),
+			Obstacles: r.obstacles(id),
 		})
 		e.MustRegister(d)
 		r.Diggers = append(r.Diggers, d)
@@ -299,7 +283,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 				Net:       net,
 				Goal:      "haul material",
 				Seed:      cfg.Seed,
-				Obstacles: snap.obstaclesFor(id),
+				Obstacles: r.obstacles(id),
 			})
 			e.MustRegister(c)
 			r.Trucks = append(r.Trucks, c)
@@ -331,24 +315,15 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		}
 	}
 
-	// Planner obstacle snapshot: filled each tick before the entity
-	// steps.
-	snap.track(r.cs)
-	e.AddPreHook(snap.hook())
-
 	if err := r.wirePolicy(cfg); err != nil {
 		return err
 	}
 
-	// Metrics and faults; only the quarry logs fault injections and
-	// clears.
-	col, inj, err := r.instrument(e, w, r.prevCollector, r.logFault, cfg.Faults)
+	// Snapshot, metrics and faults; only the quarry logs fault
+	// injections and clears.
+	err := r.instrument(r.prevCollector, r.logFault, cfg.Faults)
 	r.prevCollector = nil
-	if err != nil {
-		return err
-	}
-	r.Collector, r.Injector = col, inj
-	return nil
+	return err
 }
 
 // logFault records an injection or clear in the event log.
@@ -416,7 +391,7 @@ func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 		r.Board = tms.NewBoard()
 		for i := 0; i < cfg.Tasks; i++ {
 			r.Board.MustAdd(tms.Task{
-				ID: fmt.Sprintf("haul-%03d", i), Kind: "haul",
+				ID:   fmt.Sprintf("haul-%03d", i),
 				From: "load", To: "dep", Units: 1, RequiredRole: "truck",
 			})
 		}

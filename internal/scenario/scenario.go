@@ -87,23 +87,31 @@ type Result struct {
 // policies and hooks (that order is part of the output bytes), and
 // its policy wiring. It adds every constituent to its fleet as it
 // registers it, and the fleet serves what all rigs share: the
-// obstacle monitors' neighbour feed and, as each constructor's last
-// step, instrument's metrics and fault layers.
+// obstacle monitors' neighbour feed, the planners' obstacle snapshot
+// and, as each constructor's last step, instrument's metrics and
+// fault layers.
 
-// newEngine returns the engine every rig runs on: 100 ms ticks and a
-// one-day ceiling.
-func newEngine(seed int64) *sim.Engine {
-	return sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed})
-}
+// Fleet is what every rig shares: the engine it runs on, its world,
+// its constituents in registration order with the per-tick views of
+// them, and the metrics and fault layers instrument attaches.
+type Fleet struct {
+	Engine    *sim.Engine
+	World     *world.World
+	Collector *metrics.Collector
+	Injector  *fault.Injector
 
-// fleet is a rig's constituents in registration order.
-type fleet struct {
 	cs []*core.Constituent
+	// radius is each member's footprint half-diagonal.
+	radius []float64
 	// ids is scratch for instrument's parked-collector check.
 	ids []string
+	// snap is the planners' view: every member's observed state at
+	// the start of the tick (see obstacles).
+	snap []traj.Obstacle
 
 	// The sensing index: the members' positions and a grid over them
-	// (site i is member i), answering the neighbour feeds. moves counts the members' position
+	// (site i is member i), answering the neighbour feeds and the
+	// collector's broad phase. moves counts the members' position
 	// changes (every member's body bumps it, and add does); the index is
 	// rebuilt on the first query after it changed, so it always holds
 	// the positions a full scan would read. cell is the grid's cell
@@ -116,18 +124,27 @@ type fleet struct {
 	near  []int
 }
 
-// senseMargin is added to the members' largest footprint diagonal to
-// size the index cells, as the metrics collector adds its near-miss
-// distance: a lane then holds about one member per cell, so a corridor
-// query visits about one cell per member it could find. The cell size
-// bears on speed only: a box query serves every member inside the box
-// whatever the cell.
-const senseMargin = 1.0
+// newFleet returns an empty fleet on w and the engine every rig runs
+// on: 100 ms ticks and a one-day ceiling.
+func newFleet(w *world.World, seed int64) Fleet {
+	return Fleet{Engine: sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed}), World: w}
+}
+
+// All returns every member in registration order.
+func (f *Fleet) All() []*core.Constituent { return slices.Clone(f.cs) }
+
+// Run executes the scenario for the horizon.
+func (f *Fleet) Run(horizon time.Duration) Result {
+	f.Engine.RunFor(horizon)
+	return Result{Report: f.Collector.Report(), Log: f.Engine.Env().Log}
+}
 
 // add registers c as the fleet's next member and makes its body report
 // position changes to the fleet's index.
-func (f *fleet) add(c *core.Constituent) {
+func (f *Fleet) add(c *core.Constituent) {
 	f.cs = append(f.cs, c)
+	spec := c.Body().Spec()
+	f.radius = append(f.radius, 0.5*math.Hypot(spec.Length, spec.Width))
 	c.Body().CountMoves(&f.moves)
 	f.moves++
 	f.cell = 0
@@ -142,7 +159,7 @@ func (f *fleet) add(c *core.Constituent) {
 // complete sees all of it. The closure reuses one scratch slice, so a
 // steady-state tick allocates nothing; callers must not retain the
 // result across calls.
-func (f *fleet) neighbours(self *core.Constituent) func(lo, hi geom.Vec2) []sensor.Target {
+func (f *Fleet) neighbours(self *core.Constituent) func(lo, hi geom.Vec2) []sensor.Target {
 	var buf []sensor.Target
 	return func(lo, hi geom.Vec2) []sensor.Target {
 		buf = buf[:0]
@@ -160,23 +177,38 @@ func (f *fleet) neighbours(self *core.Constituent) func(lo, hi geom.Vec2) []sens
 	}
 }
 
+// pairs is the collector's broad phase: the candidate pairs of the
+// sensing index, whose sites are the members in probe order. Its
+// cells are the largest footprint diagonal plus NearMissDist, so it
+// pairs every two members whose centres lie that close.
+func (f *Fleet) pairs(dst [][2]int) [][2]int {
+	f.index()
+	return f.grid.CandidatePairs(dst)
+}
+
 // index rebuilds the sensing index when a member moved or joined since
 // the last build. Rigs that step every constituent before any agent
-// rebuild once per tick; the harbour, which interleaves each forklift
-// with its haul agent, rebuilds whenever a forklift moved in between.
-// Neither a build per tick nor a travel allowance per tick would do:
-// the first serves the harbour's later agents stale positions, and a
-// body that takes a new path (vehicle.Body.SetPath) snaps onto it.
-func (f *fleet) index() {
+// rebuild once per tick, and the collector's post-hook reuses that
+// build unless a member moved after the tick's last feed query; the
+// harbour, which interleaves each forklift with its haul agent,
+// rebuilds whenever a forklift moved in between. Neither a build per
+// tick nor a travel allowance per tick would do: the first serves the
+// harbour's later agents stale positions, and a body that takes a new
+// path (vehicle.Body.SetPath) snaps onto it. The cells are the
+// largest footprint diagonal plus NearMissDist, as the broad phase
+// needs; a lane then holds about one member per cell, so a corridor
+// query visits about one cell per member it could find. For the feeds
+// the cell size bears on speed only: a box query serves every member
+// inside the box whatever the cell.
+func (f *Fleet) index() {
 	if f.grid != nil && f.built == f.moves {
 		return
 	}
 	if f.cell == 0 {
-		for _, c := range f.cs {
-			spec := c.Body().Spec()
-			f.cell = max(f.cell, math.Hypot(spec.Length, spec.Width))
+		for _, r := range f.radius {
+			f.cell = max(f.cell, 2*r)
 		}
-		f.cell += senseMargin
+		f.cell += metrics.NearMissDist
 	}
 	if f.grid == nil {
 		f.grid = geom.NewGrid(f.cell)
@@ -192,38 +224,78 @@ func (f *fleet) index() {
 	f.built = f.moves
 }
 
-// instrument attaches the metrics and fault layers to a complete
-// fleet: the collector's post-hook, then the injector's pre-hook, so
-// faults due at a tick land after every other pre-hook. A parked
-// collector (the warm quarry's; nil elsewhere) is reinitialised in
-// place when its probe IDs match the fleet in order, else a fresh one
-// is built. log observes injections and clears (nil for none). Every
-// fault must target a fleet member.
-func (f *fleet) instrument(e *sim.Engine, w *world.World, parked *metrics.Collector,
-	log func(string, fault.Fault), faults []fault.Fault) (*metrics.Collector, *fault.Injector, error) {
+// obstacles returns the planner feed of the member with the given ID:
+// the snapshot minus that member. A pre-hook fills the snapshot once
+// per tick, before any entity steps, so planners see the tick's
+// pre-step state of every other member, never a live body that may
+// already have stepped this tick: what a planner sees does not depend
+// on where its constituent sits in the registration order, and
+// reading live bodies instead would change the output bytes. The
+// snapshot is empty until instrument takes the first one. The returned
+// slice is reused across calls and must not be retained.
+func (f *Fleet) obstacles(id string) func() []traj.Obstacle {
+	var buf []traj.Obstacle
+	return func() []traj.Obstacle {
+		buf = buf[:0]
+		for _, o := range f.snap {
+			if o.ID != id {
+				buf = append(buf, o)
+			}
+		}
+		return buf
+	}
+}
+
+// fill takes the planners' snapshot of every member.
+func (f *Fleet) fill() {
+	f.snap = f.snap[:0]
+	for i, c := range f.cs {
+		b := c.Body()
+		f.snap = append(f.snap, traj.Obstacle{
+			ID:     c.ID(),
+			Pos:    b.Position(),
+			Vel:    b.Pose().Forward().Scale(b.Speed()),
+			Radius: f.radius[i],
+		})
+	}
+}
+
+// instrument completes a fleet: it takes the planners' first snapshot,
+// so MRMs triggered before the engine runs plan against real
+// positions, and attaches the snapshot's pre-hook, the collector's
+// post-hook and then the injector's pre-hook, so faults due at a tick
+// land after every other pre-hook. A parked collector (the warm
+// quarry's; nil elsewhere) is reinitialised in place when its probe
+// IDs match the fleet in order, else a fresh one is built. log
+// observes injections and clears (nil for none). Every fault must
+// target a fleet member.
+func (f *Fleet) instrument(parked *metrics.Collector, log func(string, fault.Fault), faults []fault.Fault) error {
 	for i, ft := range faults {
 		if !slices.ContainsFunc(f.cs, func(c *core.Constituent) bool { return c.ID() == ft.Target }) {
-			return nil, nil, fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, ft.Target)
+			return fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, ft.Target)
 		}
 	}
-	col := f.collector(w, parked)
-	e.AddPostHook(col.Hook())
-	inj := fault.NewInjector(log)
+	f.fill()
+	f.Engine.AddPreHook(func(*sim.Env) { f.fill() })
+	f.Collector = f.collector(parked)
+	f.Engine.AddPostHook(f.Collector.Hook())
+	f.Injector = fault.NewInjector(log)
 	for _, c := range f.cs {
-		inj.RegisterHandler(c.ID(), c)
+		f.Injector.RegisterHandler(c.ID(), c)
 	}
-	if err := inj.Schedule(faults...); err != nil {
-		return nil, nil, err
+	if err := f.Injector.Schedule(faults...); err != nil {
+		return err
 	}
-	e.AddPreHook(inj.Hook())
-	return col, inj, nil
+	f.Engine.AddPreHook(f.Injector.Hook())
+	return nil
 }
 
 // collector returns parked, reinitialised, when its probes describe
 // the fleet in order, else a fresh collector with one probe per
-// member. Reuse is sound because the probes close over constituent
-// and body pointers the warm path re-adopts in place.
-func (f *fleet) collector(w *world.World, parked *metrics.Collector) *metrics.Collector {
+// member over the fleet's broad phase. Reuse is sound because the
+// probes close over constituent and body pointers the warm path
+// re-adopts in place, and the broad phase over this fleet.
+func (f *Fleet) collector(parked *metrics.Collector) *metrics.Collector {
 	if parked != nil {
 		f.ids = parked.ProbeIDs(f.ids[:0])
 		if slices.EqualFunc(f.ids, f.cs, func(id string, c *core.Constituent) bool { return id == c.ID() }) {
@@ -233,9 +305,9 @@ func (f *fleet) collector(w *world.World, parked *metrics.Collector) *metrics.Co
 	}
 	probes := make([]metrics.Probe, len(f.cs))
 	for i, c := range f.cs {
-		probes[i] = probeFor(c, w)
+		probes[i] = probeFor(c, f.World)
 	}
-	return metrics.NewCollector(probes...)
+	return metrics.NewCollector(f.pairs, probes...)
 }
 
 // probeFor builds the standard metrics probe of a constituent.
@@ -273,70 +345,4 @@ func peersOf(cs []*core.Constituent, self *core.Constituent) []string {
 		}
 	}
 	return out
-}
-
-// obstacleSnapshot feeds the constituents' trajectory planners: a
-// pre-hook copies every constituent's observed state into a read-only
-// snapshot once per tick, and obstaclesFor serves everyone-but-self
-// views of it. Planners therefore see the tick's pre-step state of
-// every other constituent, never a live body that may already have
-// stepped this tick: what a planner sees does not depend on where its
-// constituent sits in the registration order, and reading live bodies
-// instead would change the output bytes.
-type obstacleSnapshot struct {
-	cs    []*core.Constituent
-	radii []float64
-	snap  []traj.Obstacle
-}
-
-// track registers the constituents. Call once after rig construction,
-// before the first tick; it also takes the initial snapshot so MRMs
-// triggered before the engine runs plan against real positions.
-func (s *obstacleSnapshot) track(cs []*core.Constituent) {
-	s.cs = cs
-	s.radii = make([]float64, len(cs))
-	s.snap = make([]traj.Obstacle, len(cs))
-	for i, c := range cs {
-		spec := c.Body().Spec()
-		s.radii[i] = 0.5 * math.Hypot(spec.Length, spec.Width)
-	}
-	s.fill()
-}
-
-func (s *obstacleSnapshot) fill() {
-	for i, c := range s.cs {
-		b := c.Body()
-		s.snap[i] = traj.Obstacle{
-			ID:     c.ID(),
-			Pos:    b.Position(),
-			Vel:    b.Pose().Forward().Scale(b.Speed()),
-			Radius: s.radii[i],
-		}
-	}
-}
-
-// hook returns the per-tick refresh; register it as a pre-hook so the
-// snapshot is filled before any entity steps.
-func (s *obstacleSnapshot) hook() sim.Hook { return func(*sim.Env) { s.fill() } }
-
-// obstaclesFor returns the planner feed for the constituent with the
-// given ID: the current snapshot minus itself. The returned slice is
-// reused across calls and must not be retained.
-func (s *obstacleSnapshot) obstaclesFor(id string) func() []traj.Obstacle {
-	var buf []traj.Obstacle
-	return func() []traj.Obstacle {
-		buf = buf[:0]
-		for _, o := range s.snap {
-			if o.ID != id {
-				buf = append(buf, o)
-			}
-		}
-		return buf
-	}
-}
-
-// runFor drives an engine for the horizon and packages the result.
-func runFor(e *sim.Engine, col *metrics.Collector, horizon time.Duration) Result {
-	e.RunFor(horizon)
-	return Result{Report: col.Report(), Log: e.Env().Log}
 }

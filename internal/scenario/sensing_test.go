@@ -19,7 +19,7 @@ import (
 // fullScan is the oracle for the indexed neighbour feed: every other
 // fleet member at its live position, in fleet order — the feed before
 // the sensing index.
-func fullScan(f *fleet, self *core.Constituent) []sensor.Target {
+func fullScan(f *Fleet, self *core.Constituent) []sensor.Target {
 	var out []sensor.Target
 	for _, o := range f.cs {
 		if o != self {
@@ -50,7 +50,7 @@ type feedCheck struct {
 	queries, seen int
 }
 
-func (fc *feedCheck) wrap(t *testing.T, f *fleet, monitors []*agent.ObstacleMonitor) {
+func (fc *feedCheck) wrap(t *testing.T, f *Fleet, monitors []*agent.ObstacleMonitor) {
 	t.Helper()
 	if len(monitors) == 0 {
 		t.Fatal("setup: rig has no obstacle monitors")
@@ -116,7 +116,7 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 		victim.ApplyFault(fault.Fault{ID: "blind", Target: victim.ID(),
 			Kind: fault.KindSensor, Severity: 1, Permanent: true})
 		var fc feedCheck
-		fc.wrap(t, &rig.fleet, haulMonitors(rig.Hauls))
+		fc.wrap(t, &rig.Fleet, haulMonitors(rig.Hauls))
 		rig.Run(60 * time.Second)
 		fc.done(t)
 	})
@@ -134,7 +134,7 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 			}
 		}
 		var fc feedCheck
-		fc.wrap(t, &rig.fleet, monitors)
+		fc.wrap(t, &rig.Fleet, monitors)
 		rig.Run(2 * time.Minute)
 		fc.done(t)
 	})
@@ -148,7 +148,7 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fc feedCheck
-		fc.wrap(t, &rig.fleet, haulMonitors(rig.Hauls))
+		fc.wrap(t, &rig.Fleet, haulMonitors(rig.Hauls))
 		rig.Run(2 * time.Minute)
 		fc.done(t)
 	})
@@ -161,7 +161,7 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fc feedCheck
-		fc.wrap(t, &rig.fleet, haulMonitors(rig.Hauls))
+		fc.wrap(t, &rig.Fleet, haulMonitors(rig.Hauls))
 		rig.Run(90 * time.Second)
 		fc.done(t)
 	})
@@ -180,7 +180,7 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 			hauls = append(hauls, rig.Hauls[c.ID()])
 		}
 		var fc feedCheck
-		fc.wrap(t, &rig.fleet, haulMonitors(hauls))
+		fc.wrap(t, &rig.Fleet, haulMonitors(hauls))
 		rig.Run(2 * time.Minute)
 		fc.done(t)
 	})

@@ -16,8 +16,6 @@ import (
 type Sensor struct {
 	Name         string
 	NominalRange float64 // metres in clear weather
-	// FrontFacing marks sensors needed for lead roles (platooning).
-	FrontFacing bool
 
 	health float64 // 0 = dead, 1 = nominal
 }
@@ -80,8 +78,8 @@ func NewSuiteStrict(sensors ...Sensor) (*Suite, error) {
 // and ReinitStandard — one source so the two paths cannot diverge.
 func standardSensors(nominalRange float64) [3]Sensor {
 	return [3]Sensor{
-		{Name: "long_range_radar", NominalRange: nominalRange, FrontFacing: true},
-		{Name: "camera", NominalRange: nominalRange * 0.6, FrontFacing: true},
+		{Name: "long_range_radar", NominalRange: nominalRange},
+		{Name: "camera", NominalRange: nominalRange * 0.6},
 		{Name: "short_range", NominalRange: nominalRange * 0.3},
 	}
 }

@@ -42,8 +42,6 @@ func (s TaskState) String() string {
 // Task is one unit of work in the common strategic goal.
 type Task struct {
 	ID string
-	// Kind labels the work ("haul", "stack", "load").
-	Kind string
 	// From and To are zone IDs (scenario-interpreted).
 	From, To string
 	// Units is the productivity credited on completion.
@@ -62,7 +60,6 @@ type Board struct {
 	order []string
 
 	doneUnits float64
-	doneCount int
 }
 
 // NewBoard returns an empty board.
@@ -132,7 +129,6 @@ func (b *Board) Complete(taskID string) (float64, error) {
 	}
 	t.state = TaskDone
 	b.doneUnits += t.Units
-	b.doneCount++
 	return t.Units, nil
 }
 

@@ -29,7 +29,7 @@ func TestAddValidation(t *testing.T) {
 
 func TestLifecycle(t *testing.T) {
 	b := NewBoard()
-	b.MustAdd(Task{ID: "t1", Kind: "haul", Units: 2, RequiredRole: "truck"})
+	b.MustAdd(Task{ID: "t1", Units: 2, RequiredRole: "truck"})
 
 	got, ok := b.NextFor("truck")
 	if !ok || got.ID != "t1" {

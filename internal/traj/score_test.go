@@ -122,7 +122,6 @@ func randomRequest(rng *rand.Rand, safe float64) Request {
 	end := mid.Add(geom.V(rng.Float64()*40-20, 10+rng.Float64()*40))
 	route := geom.MustPath(start, mid, end)
 	return Request{
-		ID:           "t1",
 		Route:        route,
 		Pose:         geom.Pose{Pos: start, Heading: mid.Sub(start).Angle()},
 		Speed:        rng.Float64() * 10,
@@ -203,7 +202,7 @@ func TestScoreRetainsNoPairBuffer(t *testing.T) {
 	}
 	spec := vehicle.DefaultSpec(vehicle.KindTruck)
 	req := Request{
-		ID: "victim", Pose: geom.Pose{Pos: geom.V(150, 0)}, Speed: 8,
+		Pose: geom.Pose{Pos: geom.V(150, 0)}, Speed: 8,
 		SpeedCap: spec.MaxSpeed, Spec: spec, BrakeFactor: 1, Radius: 5,
 		FallbackRisk: 0.5, Obstacles: obs,
 	}

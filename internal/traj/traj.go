@@ -87,7 +87,6 @@ type Obstacle struct {
 // Request describes one planning problem: the manoeuvring vehicle's
 // state, the base route toward the target zone, and the environment.
 type Request struct {
-	ID    string
 	Route *geom.Path // base route ending at the stop point
 	Pose  geom.Pose
 	Speed float64 // current speed (m/s)

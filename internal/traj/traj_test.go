@@ -24,7 +24,6 @@ func testWorld(t *testing.T) *world.World {
 func testRequest(w *world.World) Request {
 	spec := vehicle.DefaultSpec(vehicle.KindTruck)
 	return Request{
-		ID:           "t1",
 		Route:        geom.MustPath(geom.V(0, 0), geom.V(60, 0), geom.V(80, 20)),
 		Pose:         geom.Pose{Pos: geom.V(0, 0)},
 		Speed:        6,

@@ -118,8 +118,6 @@ type Capabilities struct {
 	Steering bool
 	// Propulsion reports whether the vehicle can accelerate.
 	Propulsion bool
-	// Comm reports whether the V2X link works.
-	Comm bool
 	// Tool reports whether the work tool is operational.
 	Tool bool
 	// Localization reports whether the vehicle knows its own pose.
@@ -135,7 +133,6 @@ func FullCapabilities(s Spec) Capabilities {
 		EmergencyBrake:  true,
 		Steering:        true,
 		Propulsion:      true,
-		Comm:            true,
 		Tool:            s.HasTool,
 		Localization:    true,
 	}

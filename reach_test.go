@@ -50,12 +50,17 @@ func TestInternalDeclarationsReached(t *testing.T) {
 }
 
 // TestInternalKnobsSet fails on every exported field of an internal/
-// struct that no program writes: a knob no caller sets.
+// struct that no program writes: a knob no caller sets; and on every
+// unexported field that no program reads: state kept for nothing.
 func TestInternalKnobsSet(t *testing.T) {
 	rep := reachRepo(t)
 	if len(rep.Unwritten) > 0 {
 		t.Errorf("%d exported internal/ struct fields are written by no program; delete them, or allowlist one in reachAllow with a reason and ROADMAP item:\n\t%s",
 			len(rep.Unwritten), strings.Join(rep.Unwritten, "\n\t"))
+	}
+	if len(rep.Unread) > 0 {
+		t.Errorf("%d unexported internal/ struct fields are read by no program; delete them, or allowlist one in reachAllow with a reason and ROADMAP item:\n\t%s",
+			len(rep.Unread), strings.Join(rep.Unread, "\n\t"))
 	}
 }
 
@@ -77,7 +82,11 @@ func TestReachGateFixture(t *testing.T) {
 			"internal/lib/lib.go:18: lib.orphan.get (method)",
 		},
 		Unwritten: []string{
-			"internal/lib/lib.go:28: lib.Knob.Unset (field)",
+			"internal/lib/lib.go:30: lib.Knob.Unset (field)",
+		},
+		Unread: []string{
+			"internal/lib/lib.go:33: lib.Knob.tested (field)",
+			"internal/lib/lib.go:34: lib.Knob.written (field)",
 		},
 		Stale: []string{"lib.Used"},
 	}
@@ -90,6 +99,7 @@ func TestReachGateFixture(t *testing.T) {
 type reachReport struct {
 	Unreached []string // "file:line: pkg.Name (kind)"
 	Unwritten []string // "file:line: pkg.Type.Field (field)"
+	Unread    []string // "file:line: pkg.Type.field (field)"
 	Stale     []string // allowlist entries neither check lists
 }
 
@@ -151,7 +161,9 @@ type reachDecl struct {
 // method of that name, as a call through the interface may run it. A
 // field is written by an assignment, ++ or --, &x.f, or a keyed or
 // unkeyed composite literal in a reached declaration; structs with json
-// tags are skipped, as encoding/json writes them.
+// tags are skipped, as encoding/json writes them. An unexported field
+// is read by any use in a reached declaration other than as the
+// operand an assignment, ++ or -- stores to.
 func reachGate(allow map[string]string, dirs ...string) (reachReport, error) {
 	fset := token.NewFileSet()
 	pkgs, ifaces, err := reachLoad(fset, dirs)
@@ -312,13 +324,15 @@ func reachGate(allow map[string]string, dirs ...string) (reachReport, error) {
 	}
 
 	reached := reach(true)
-	written := map[*types.Var]bool{}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
 	for d := range reached {
 		reachWrites(d.pkg.info, d.node, written)
+		reachReads(d.pkg.info, d.node, read)
 	}
 	type field struct {
-		name string
-		pos  token.Pos
+		name   string
+		pos    token.Pos
+		unread bool
 	}
 	var fields []field
 	for _, d := range decls {
@@ -327,12 +341,17 @@ func reachGate(allow map[string]string, dirs ...string) (reachReport, error) {
 			continue
 		}
 		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || reachJSONTagged(st) {
+		if !ok {
 			continue
 		}
+		tagged := reachJSONTagged(st)
 		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() && !f.Anonymous() && !written[f] {
-				fields = append(fields, field{d.name + "." + f.Name(), f.Pos()})
+			f := st.Field(i)
+			if f.Anonymous() || f.Name() == "_" {
+				continue
+			}
+			if f.Exported() && !tagged && !written[f] || !f.Exported() && !read[f] {
+				fields = append(fields, field{d.name + "." + f.Name(), f.Pos(), !f.Exported()})
 			}
 		}
 	}
@@ -349,7 +368,11 @@ func reachGate(allow map[string]string, dirs ...string) (reachReport, error) {
 			listed[e] = true
 			continue
 		}
-		rep.Unwritten = append(rep.Unwritten, line)
+		if f.unread {
+			rep.Unread = append(rep.Unread, line)
+		} else {
+			rep.Unwritten = append(rep.Unwritten, line)
+		}
 	}
 	for _, d := range unreached(reach(false)) {
 		listed[d.name] = true
@@ -451,6 +474,32 @@ func reachWrites(info *types.Info, node ast.Node, written map[*types.Var]bool) {
 				} else {
 					written[st.Field(i).Origin()] = true
 				}
+			}
+		}
+		return true
+	})
+}
+
+// reachReads marks every field the subtree reads: every use of a field
+// except as the operand an assignment, ++ or -- stores to.
+func reachReads(info *types.Info, node ast.Node, read map[*types.Var]bool) {
+	stored := map[*ast.Ident]bool{}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			stored[sel.Sel] = true
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				store(lhs)
+			}
+		case *ast.IncDecStmt:
+			store(n.X)
+		case *ast.SelectorExpr:
+			if f, ok := info.Uses[n.Sel].(*types.Var); ok && f.IsField() && !stored[n.Sel] {
+				read[f.Origin()] = true
 			}
 		}
 		return true

@@ -22,11 +22,24 @@ type Named int
 
 func (Named) String() string { return "named" }
 
-// Knob has one field main sets and one that no program writes.
+// Knob has one field main sets and one that no program writes, and
+// unexported state that Sum reads, that only a test reads, and that
+// nothing reads.
 type Knob struct {
 	Set   int
 	Unset int
+
+	count   int
+	tested  int
+	written int
 }
 
-// Sum reads both fields.
-func (k Knob) Sum() int { return k.Set + k.Unset }
+// Sum reads both exported fields and count.
+func (k Knob) Sum() int { return k.Set + k.Unset + k.count }
+
+// Bump records a call in all three unexported fields.
+func (k *Knob) Bump() {
+	k.count++
+	k.tested = k.count
+	k.written++
+}

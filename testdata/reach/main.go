@@ -10,5 +10,6 @@ import (
 
 func main() {
 	k := lib.Knob{Set: 1}
+	k.Bump()
 	fmt.Println(lib.Used(), k.Sum(), lib.Named(1))
 }
