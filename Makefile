@@ -61,29 +61,28 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -threshold 0.5 BENCH_quick.json .bench-out/bench.json
 
 # campaign-smoke is the end-to-end exercise of the seed campaign path:
-# run a small E19 sweep uninterrupted on fresh rig construction,
-# run the same campaign on the warm-rig pool (-reuse-rigs) aborted
+# run a small E19 sweep uninterrupted, run the same campaign aborted
 # mid-flight (-abort-after, the deterministic stand-in for a kill),
-# resume it — also warm — from the checkpoint, and require the resumed
-# output to be byte-identical to the fresh uninterrupted run. One cmp
-# therefore pins two contracts at once: checkpoint/resume loses no
-# folded seed, and a campaign mixing warm and cold rigs produces the
-# same bytes as an all-cold one. Exit 1 on any divergence; not a
-# timing gate, so CI runs it blocking.
+# resume it from the checkpoint, and require the resumed output to be
+# byte-identical to the uninterrupted run: checkpoint/resume loses no
+# folded seed. (That a campaign mixing warm and cold rigs renders the
+# same bytes as an all-cold one is TestSweepStreamKillResumeWarmColdMix,
+# on E20's cell, the only one served from the warm-rig pool.) Exit 1
+# on any divergence; not a timing gate, so CI runs it blocking.
 campaign-smoke:
 	rm -rf .campaign-smoke && mkdir -p .campaign-smoke
 	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 \
 		>.campaign-smoke/uninterrupted.txt
-	-$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -reuse-rigs \
+	-$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 \
 		-checkpoint .campaign-smoke/campaign.json -checkpoint-every 2 \
 		-abort-after 4 >/dev/null 2>&1
 	test -s .campaign-smoke/campaign.json
-	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 -reuse-rigs \
+	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..8 \
 		-checkpoint .campaign-smoke/campaign.json -resume \
 		>.campaign-smoke/resumed.txt
 	cmp .campaign-smoke/uninterrupted.txt .campaign-smoke/resumed.txt
 	rm -rf .campaign-smoke
-	@echo "campaign-smoke: warm resumed output byte-identical to cold run"
+	@echo "campaign-smoke: resumed output byte-identical to the uninterrupted run"
 
 # serve-smoke is the coopmrmd drain/resume contract through real
 # processes and signals: run a sweep job to completion, run the same
@@ -102,13 +101,14 @@ servebench:
 	$(GO) run ./cmd/coopmrmd -selfbench -bench-clients 8 -bench-jobs 32 \
 		-bench-out BENCH_serve.json
 
-# memprofile-campaign captures a heap profile of a warm-rig seed
-# campaign: an E19 seed sweep served from the snapshot/reset rig pool,
-# serial so the profile reflects one worker's steady state. Inspect
-# with `go tool pprof campaign.memprofile`; the live heap should be
-# dominated by the parked rig chassis, not per-seed garbage.
+# memprofile-campaign captures a heap profile of the warm-rig seed
+# campaign: E20, whose warm arm serves its seeds from the
+# snapshot/reset rig pool, serial so the profile reflects one worker's
+# steady state. Inspect with `go tool pprof campaign.memprofile`; the
+# live heap should be dominated by the parked rig chassis, not
+# per-seed garbage.
 memprofile-campaign:
-	$(GO) run ./cmd/experiments -quick -run E19 -seeds 1..32 -reuse-rigs \
+	$(GO) run ./cmd/experiments -quick -run E20 \
 		-parallel 1 -memprofile campaign.memprofile >/dev/null
 	@echo "campaign.memprofile written (go tool pprof campaign.memprofile)"
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	coopmrmd [-listen 127.0.0.1:8355] [-state DIR]
-//	         [-cache-max-bytes N] [-max-jobs N] [-parallel N] [-reuse-rigs]
+//	         [-cache-max-bytes N] [-max-jobs N] [-parallel N]
 //	         [-job-timeout D] [-checkpoint-every N] [-drain-timeout D]
 //	coopmrmd -selfbench [-bench-clients N] [-bench-jobs N] [-bench-out FILE]
 //
@@ -59,7 +59,6 @@ func run(args []string) error {
 	cacheMax := fs.Int64("cache-max-bytes", 1<<30, "result cache size bound; least-recently-fetched results are evicted past it")
 	maxJobs := fs.Int("max-jobs", 2, "maximum concurrently running jobs")
 	parallel := fs.Int("parallel", 0, "worker pool size per job (0: one per CPU)")
-	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset); result bytes are identical either way, so it never enters the cache key")
 	jobTimeout := fs.Duration("job-timeout", 15*time.Minute, "per-job run time bound (requests may shorten, never extend)")
 	ckEvery := fs.Int("checkpoint-every", 16, "folded seeds between campaign checkpoints for seed-sweep jobs")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long to wait for in-flight jobs to park on shutdown")
@@ -76,7 +75,6 @@ func run(args []string) error {
 		CacheMaxBytes:   *cacheMax,
 		MaxJobs:         *maxJobs,
 		Parallel:        *parallel,
-		ReuseRigs:       *reuseRigs,
 		JobTimeout:      *jobTimeout,
 		CheckpointEvery: *ckEvery,
 	}

@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-run E3,E5] [-quick] [-seed 7] [-list]
-//	            [-parallel N] [-reuse-rigs]
+//	experiments [-run E3,E5] [-quick] [-seed 7] [-list] [-parallel N]
 //	            [-seeds 1..32] [-format text|csv|markdown]
 //	            [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	            [-out DIR] [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]
@@ -26,13 +25,13 @@
 // hook that exercises exactly that path.
 //
 // -out writes one machine-readable artifact bundle per experiment
-// (table.json, runs.json, events/*.jsonl, trace/*.jsonl — see
-// EXPERIMENTS.md for the schema) plus a run-level bench.json with the
-// wall-clock accounting. A seed sweep's bundle carries the runs of
-// its first eight seeds. Bundle bytes depend only on the selected
-// experiments and seeds — never on -parallel, and never on where a
-// resumed campaign was interrupted; bench.json is the one
-// intentionally non-deterministic file.
+// (table.json, runs.json, events/*.jsonl — see EXPERIMENTS.md for the
+// schema) plus a run-level bench.json with the wall-clock accounting.
+// A seed sweep's bundle carries the runs of its first eight seeds.
+// Bundle bytes depend only on the selected experiments and seeds —
+// never on -parallel, and never on where a resumed campaign was
+// interrupted; bench.json is the one intentionally non-deterministic
+// file.
 //
 // The profiling flags wire the standard Go tooling through the runner:
 // -cpuprofile and -memprofile write runtime/pprof profiles (inspect
@@ -70,7 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	ablations := fs.Bool("ablations", false, "run the design ablations (A1..A5) instead of the experiments")
 	format := fs.String("format", "text", "output format: text | csv | markdown")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker pool size; 1 runs serially, output is identical either way")
-	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset) instead of constructing per seed; output is identical either way")
 	seeds := fs.String("seeds", "", `seed sweep: "1..32", "3,5,9", or "x8" (derived from -seed); folds per-seed tables online into mean±sd [n, 95% CI half-width] cells`)
 	checkpoint := fs.String("checkpoint", "", "campaign/v1 checkpoint file for a -seeds campaign: written atomically every -checkpoint-every seeds and at completion (single experiment only)")
 	checkpointEvery := fs.Int("checkpoint-every", 1000, "folded seeds between checkpoint writes; requires -seeds")
@@ -130,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	opt := coopmrm.Options{Seed: *seed, Quick: *quick, ReuseRigs: *reuseRigs}
+	opt := coopmrm.Options{Seed: *seed, Quick: *quick}
 
 	var seedList []int64
 	if *seeds != "" {

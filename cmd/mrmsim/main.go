@@ -117,7 +117,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		attachTrace(rig.Engine, rig.Cars)
+		attachTrace(rig.Engine, rig.All())
 		res = rig.Run(*horizon)
 		fmt.Printf("traffic progress: %.1f km, ego MRC: %s\n\n",
 			rig.Progress()/1000, rig.Ego.CurrentMRC().ID)
@@ -128,7 +128,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		attachTrace(rig.Engine, rig.Members)
+		attachTrace(rig.Engine, rig.All())
 		res = rig.Run(*horizon)
 		fmt.Printf("platoon speed: %.1f m/s, elections: %d, order: %s\n\n",
 			rig.Platoon.MeanSpeed(), rig.Platoon.Elections(),

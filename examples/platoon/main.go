@@ -53,7 +53,7 @@ func run() error {
 	fmt.Printf("t=185s  leader=%-8s speed=%4.1f m/s  elections=%d\n",
 		rig.Platoon.Leader().ID(), rig.Platoon.MeanSpeed(), rig.Platoon.Elections())
 
-	m1 := rig.Members[0]
+	m1 := rig.All()[0]
 	fmt.Printf("\nmember1: mode=%s, permanent fault=%v, follower=%v\n",
 		m1.Mode(), m1.HasPermanentFault(), m1.PlatoonFollower())
 	fmt.Println("-> system view: no degradation (same speed and capacity)")

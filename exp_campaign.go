@@ -113,11 +113,23 @@ func runE20Seed(opt Options) Table {
 		Header: []string{"cell", "events", "sent", "min_sep", "delivered"},
 	}
 	horizon := e20Ticks * 100 * time.Millisecond
-	rig, release := quarryRig(opt, scenario.QuarryConfig{
+	// The warm arm serves rigs from the pool. Release parks a pooled
+	// rig for the next seed once its results have been read, because
+	// the next acquisition truncates its event log in place; it is a
+	// no-op for a fresh rig.
+	acquire := scenario.NewQuarry
+	if opt.ReuseRigs {
+		acquire = scenario.AcquireQuarry
+	}
+	rig, err := acquire(scenario.QuarryConfig{
 		Pairs: 2, TrucksPerPair: 1,
 		Policy: scenario.PolicyCoordinated,
 		Seed:   opt.Seed,
 	})
+	if err != nil {
+		panic(err)
+	}
+	defer rig.Release()
 	res := rig.Run(horizon)
 	opt.Observe("cell", res.Report, res.Log, rig.Net, rig.Injector)
 	sent, _ := rig.Net.Stats()
@@ -126,7 +138,6 @@ func runE20Seed(opt Options) Table {
 		fmt.Sprintf("%d", sent),
 		f2(res.Report.MinSeparation),
 		f2(rig.Delivered()))
-	release()
 	return t
 }
 

@@ -109,11 +109,12 @@ func RunE7(opt Options) Table {
 // transition-risk measure of the intent-sharing example.
 func attachEgoSeparation(rig *scenario.HighwayRig) *float64 {
 	minSep := -1.0
+	cars := rig.All()
 	rig.Engine.AddPostHook(func(env *sim.Env) {
 		if !rig.Ego.MRMActive() {
 			return
 		}
-		for _, c := range rig.Cars {
+		for _, c := range cars {
 			if c == rig.Ego {
 				continue
 			}
@@ -131,8 +132,9 @@ func attachEgoSeparation(rig *scenario.HighwayRig) *float64 {
 // (intent-based) adaptation reduces.
 func attachHoldTimer(rig *scenario.HighwayRig) *time.Duration {
 	var held time.Duration
+	cars := rig.All()
 	rig.Engine.AddPostHook(func(env *sim.Env) {
-		for _, c := range rig.Cars {
+		for _, c := range cars {
 			if c != rig.Ego && c.Holding() {
 				held += env.Clock.Step()
 			}
@@ -181,7 +183,7 @@ func RunE8(opt Options) Table {
 		if err != nil {
 			panic(err)
 		}
-		for _, c := range rig.Cars {
+		for _, c := range rig.All() {
 			if c != rig.Ego {
 				rig.Net.SetNodeDown(c.ID(), true)
 			}

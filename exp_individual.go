@@ -197,19 +197,3 @@ func mustQuarry(cfg scenario.QuarryConfig) *scenario.QuarryRig {
 	}
 	return rig
 }
-
-// quarryRig builds a quarry rig, serving it from the warm-rig pool
-// when opt.ReuseRigs is set. The returned release parks a pooled rig
-// for the next seed; call it only after the rig's results have been
-// fully read — the next acquisition truncates the rig's event log in
-// place. For unpooled rigs release is a no-op.
-func quarryRig(opt Options, cfg scenario.QuarryConfig) (rig *scenario.QuarryRig, release func()) {
-	if !opt.ReuseRigs {
-		return mustQuarry(cfg), func() {}
-	}
-	rig, err := scenario.AcquireQuarry(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return rig, rig.Release
-}

@@ -89,7 +89,7 @@ func runE19Seed(opt Options) Table {
 	}
 	for _, class := range e19Classes {
 		for _, fm := range e19Faults {
-			rig, release := quarryRig(opt, scenario.QuarryConfig{
+			rig := mustQuarry(scenario.QuarryConfig{
 				Pairs: 2, TrucksPerPair: 1,
 				Policy: class.policy,
 				Seed:   opt.Seed,
@@ -112,7 +112,6 @@ func runE19Seed(opt Options) Table {
 				fmt.Sprintf("%d", res.Log.Count(sim.EventMRMSwitched)),
 				fmt.Sprintf("%d", replans),
 				f2(rig.Delivered()/horizon.Minutes()))
-			release()
 		}
 	}
 	return t

@@ -18,12 +18,14 @@ type Options struct {
 	// must never share a recorder; the parallel harness attaches one
 	// per job.
 	Artifacts *artifact.Recorder
-	// ReuseRigs serves campaign rigs from the warm-rig pool: a parked
-	// rig is Reset to the requested seed instead of constructed from
-	// scratch (internal/scenario.AcquireQuarry). It is an operational
-	// knob — reset output is byte-identical to fresh construction (the
-	// warm-rig differentials), so tables, bundles and checkpoints do
-	// not depend on it; only wall time changes.
+	// ReuseRigs serves E20's per-seed rigs from the warm-rig pool: a
+	// parked rig is Reset to the requested seed instead of constructed
+	// from scratch (internal/scenario.AcquireQuarry). E20 sets it per
+	// arm, and its per-seed cell is the only reader; every other
+	// experiment builds fresh rigs. Reset output is byte-identical to
+	// fresh construction (the warm-rig differentials), so tables,
+	// bundles and checkpoints do not depend on it; only wall time
+	// changes.
 	ReuseRigs bool
 }
 

@@ -46,11 +46,6 @@ type AgreementSeeking struct {
 
 var _ sim.Entity = (*AgreementSeeking)(nil)
 
-// gapRetry is the gap request's ack schedule: 3 s, then 6 s and 12 s
-// after the resends, so the give-up instant is 21 s after the first
-// request.
-var gapRetry = RetryPolicy{Timeout: 3 * time.Second, Backoff: 2, MaxAttempts: 3}
-
 // A consenting helper holds its speed to helpSpeed (m/s) until the
 // requester reports MRC, or for at most helpFor.
 const (
@@ -176,7 +171,7 @@ func (s *AgreementSeeking) stepInitiator(env *sim.Env) {
 		return
 	}
 	if s.exchange == nil {
-		s.exchange = NewExchange(gapRetry)
+		s.exchange = NewExchange()
 		s.exchange.Begin(now, s.Peers)
 		s.sendGapRequest(c.ID())
 		env.Emit(sim.EventInfo, c.ID(), "requested gap: "+s.pendingReason)

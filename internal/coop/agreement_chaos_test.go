@@ -34,7 +34,7 @@ func TestAgreementRetrySucceedsAfterHeal(t *testing.T) {
 	if r.trucks[0].MRMActive() || r.trucks[0].InMRC() {
 		t.Fatal("MRM should be deferred while the first attempt is lost")
 	}
-	// The cut heals before the first retry (default AckTimeout 3s):
+	// The cut heals before the first retry (ackTimeout, 3s):
 	// the resend crosses, t2 consents, and the exchange completes.
 	r.e.RunFor(5 * time.Second)
 	if !r.trucks[0].MRMActive() && !r.trucks[0].InMRC() {

@@ -2,37 +2,22 @@ package coop
 
 import "time"
 
-// RetryPolicy parameterises the shared ack/timeout/retry primitive of
-// the cooperative classes: how long to wait for acknowledgements, how
-// the wait grows between attempts, and when to give up. The paper's
-// taxonomy requires every V2X-dependent class to degrade
+// The retry schedule of the shared ack/timeout/retry primitive of the
+// cooperative classes: how long to wait for acknowledgements, how the
+// wait grows between attempts, and when to give up. The waits are 3 s,
+// 6 s and 12 s, so an exchange expires 21 s after its first send. The
+// paper's taxonomy requires every V2X-dependent class to degrade
 // deterministically when communication is absent — "alternative plans
 // must be considered" — so the give-up instant is a pure function of
-// the policy and the start time, never of message arrival.
-type RetryPolicy struct {
-	// Timeout is the ack wait of the first attempt.
-	Timeout time.Duration
-	// Backoff multiplies the wait after every failed attempt
-	// (default 2).
-	Backoff float64
-	// MaxAttempts bounds the number of sends before giving up
-	// (default 3).
-	MaxAttempts int
-}
-
-// withDefaults fills the zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Timeout <= 0 {
-		p.Timeout = 3 * time.Second
-	}
-	if p.Backoff < 1 {
-		p.Backoff = 2
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	return p
-}
+// the start time, never of message arrival.
+const (
+	// ackTimeout is the ack wait of the first attempt.
+	ackTimeout = 3 * time.Second
+	// ackBackoff multiplies the wait after every failed attempt.
+	ackBackoff = 2
+	// ackAttempts bounds the number of sends before giving up.
+	ackAttempts = 3
+)
 
 // Outcome is what Poll tells the owning policy to do.
 type Outcome int
@@ -57,7 +42,6 @@ const (
 // laggards, ...). Acks are cumulative across attempts: a peer heard
 // during attempt 1 stays acknowledged during attempt 2.
 type Exchange struct {
-	policy   RetryPolicy
 	want     []string
 	acks     map[string]bool
 	attempt  int
@@ -65,10 +49,9 @@ type Exchange struct {
 	active   bool
 }
 
-// NewExchange returns an idle exchange with the given policy (zero
-// fields defaulted).
-func NewExchange(policy RetryPolicy) *Exchange {
-	return &Exchange{policy: policy.withDefaults(), acks: make(map[string]bool)}
+// NewExchange returns an idle exchange.
+func NewExchange() *Exchange {
+	return &Exchange{acks: make(map[string]bool)}
 }
 
 // Begin arms the exchange: the first attempt is considered sent at
@@ -78,7 +61,7 @@ func (x *Exchange) Begin(now time.Duration, peers []string) {
 	x.want = append(x.want[:0], peers...)
 	x.acks = make(map[string]bool, len(peers))
 	x.attempt = 1
-	x.deadline = now + x.policy.Timeout
+	x.deadline = now + ackTimeout
 	x.active = true
 }
 
@@ -127,7 +110,7 @@ func (x *Exchange) Outstanding() []string {
 // and incomplete it returns OutcomeWait until the current attempt's
 // deadline, then either OutcomeResend (arming the next attempt with
 // the backed-off timeout — the caller must resend now) or, after
-// MaxAttempts timeouts, OutcomeExpired exactly once. Completion is the
+// ackAttempts timeouts, OutcomeExpired exactly once. Completion is the
 // caller's check: an exchange whose Complete() turned true is simply
 // disarmed on the next Poll.
 func (x *Exchange) Poll(now time.Duration) Outcome {
@@ -141,13 +124,13 @@ func (x *Exchange) Poll(now time.Duration) Outcome {
 	if now < x.deadline {
 		return OutcomeWait
 	}
-	if x.attempt >= x.policy.MaxAttempts {
+	if x.attempt >= ackAttempts {
 		x.active = false
 		return OutcomeExpired
 	}
-	wait := float64(x.policy.Timeout)
+	wait := float64(ackTimeout)
 	for i := 1; i < x.attempt+1; i++ {
-		wait *= x.policy.Backoff
+		wait *= ackBackoff
 	}
 	x.attempt++
 	x.deadline = now + time.Duration(wait)

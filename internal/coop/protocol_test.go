@@ -5,17 +5,10 @@ import (
 	"time"
 )
 
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	if p.Timeout != 3*time.Second || p.Backoff != 2 || p.MaxAttempts != 3 {
-		t.Errorf("defaults = %+v, want 3s/2/3", p)
-	}
-}
-
 // The retry deadlines back off deterministically: resends fire at 3s
 // and 9s, expiry at 21s — and Expired is reported exactly once.
 func TestExchangeBackoffSchedule(t *testing.T) {
-	x := NewExchange(RetryPolicy{})
+	x := NewExchange()
 	x.Begin(0, []string{"p1"})
 	type step struct {
 		at   time.Duration
@@ -44,7 +37,7 @@ func TestExchangeBackoffSchedule(t *testing.T) {
 // stays acknowledged through later attempts, and completion disarms
 // the exchange without ever reporting expiry.
 func TestExchangeCumulativeAcks(t *testing.T) {
-	x := NewExchange(RetryPolicy{})
+	x := NewExchange()
 	x.Begin(0, []string{"p1", "p2"})
 	x.Ack("p1", true)
 	if x.Complete() {
@@ -71,19 +64,24 @@ func TestExchangeCumulativeAcks(t *testing.T) {
 	}
 }
 
-// A denial is an answer, not consent: the peer stays outstanding and
-// the exchange can still expire.
+// A denial is an answer, not consent: the peer stays outstanding
+// through every resend and the exchange still expires.
 func TestExchangeDenialStaysOutstanding(t *testing.T) {
-	x := NewExchange(RetryPolicy{Timeout: time.Second, MaxAttempts: 1})
+	x := NewExchange()
 	x.Begin(0, []string{"p1"})
 	x.Ack("p1", false)
 	if x.Complete() || x.acks["p1"] {
 		t.Fatal("denial must not count as consent")
 	}
-	if got := x.Outstanding(); len(got) != 1 {
-		t.Fatalf("Outstanding = %v, want the denier", got)
+	for _, at := range []time.Duration{3 * time.Second, 9 * time.Second} {
+		if got := x.Poll(at); got != OutcomeResend {
+			t.Fatalf("Poll(%v) = %v, want resend to the denier", at, got)
+		}
+		if got := x.Outstanding(); len(got) != 1 {
+			t.Fatalf("Outstanding = %v, want the denier", got)
+		}
 	}
-	if got := x.Poll(time.Second); got != OutcomeExpired {
+	if got := x.Poll(21 * time.Second); got != OutcomeExpired {
 		t.Fatalf("Poll = %v, want expired", got)
 	}
 }
@@ -91,22 +89,24 @@ func TestExchangeDenialStaysOutstanding(t *testing.T) {
 // An exchange with no required peers never completes — there is nobody
 // to agree with — so it runs the full retry schedule and expires.
 func TestExchangeEmptyPeersExpires(t *testing.T) {
-	x := NewExchange(RetryPolicy{Timeout: time.Second, Backoff: 2, MaxAttempts: 2})
+	x := NewExchange()
 	x.Begin(0, nil)
 	if x.Complete() {
 		t.Fatal("empty exchange must not complete")
 	}
-	if got := x.Poll(time.Second); got != OutcomeResend {
-		t.Fatalf("Poll = %v, want resend", got)
+	for _, at := range []time.Duration{3 * time.Second, 9 * time.Second} {
+		if got := x.Poll(at); got != OutcomeResend {
+			t.Fatalf("Poll(%v) = %v, want resend", at, got)
+		}
 	}
-	if got := x.Poll(3 * time.Second); got != OutcomeExpired {
-		t.Fatalf("Poll = %v, want expired at 1+2=3s", got)
+	if got := x.Poll(21 * time.Second); got != OutcomeExpired {
+		t.Fatalf("Poll = %v, want expired at 3+6+12=21s", got)
 	}
 }
 
 // Ack before Begin is ignored; Begin clears prior state.
 func TestExchangeBeginResets(t *testing.T) {
-	x := NewExchange(RetryPolicy{})
+	x := NewExchange()
 	x.Ack("p1", true) // no-op: nothing armed
 	x.Begin(0, []string{"p1"})
 	if x.acks["p1"] {

@@ -61,18 +61,22 @@ type Assessment struct {
 // goal, and if not, that an MRC is required.
 type DegradationManager struct {
 	spec vehicle.Spec
-	// MinOperatingSpeed is the lowest useful speed; if safe operation
-	// requires going slower, the change cannot be absorbed
-	// tactically.
-	MinOperatingSpeed float64
-	// PerceptionSafetyFactor scales how much of the perception range
-	// must cover the stopping distance (>= 1 keeps a buffer).
-	PerceptionSafetyFactor float64
 }
 
-// NewDegradationManager returns a manager with conventional defaults:
-// a vehicle must keep at least 1 m/s to remain useful and must be
-// able to stop within half its perception range.
+// The conventional tactical bounds: a vehicle must keep at least
+// minOperatingSpeed to remain useful and must be able to stop within
+// its perception range divided by perceptionSafetyFactor.
+const (
+	// minOperatingSpeed is the lowest useful speed in m/s; if safe
+	// operation requires going slower, the change cannot be absorbed
+	// tactically.
+	minOperatingSpeed = 1.0
+	// perceptionSafetyFactor scales how much of the perception range
+	// must cover the stopping distance (>= 1 keeps a buffer).
+	perceptionSafetyFactor = 2.0
+)
+
+// NewDegradationManager returns the manager of a vehicle with spec.
 func NewDegradationManager(spec vehicle.Spec) *DegradationManager {
 	d := new(DegradationManager)
 	d.Reinit(spec)
@@ -82,11 +86,7 @@ func NewDegradationManager(spec vehicle.Spec) *DegradationManager {
 // Reinit resets the manager in place to NewDegradationManager(spec) —
 // the warm-rig path reuses manager allocations across runs.
 func (d *DegradationManager) Reinit(spec vehicle.Spec) {
-	*d = DegradationManager{
-		spec:                   spec,
-		MinOperatingSpeed:      1.0,
-		PerceptionSafetyFactor: 2.0,
-	}
+	*d = DegradationManager{spec: spec}
 }
 
 // SafeSpeed returns the maximum speed at which the stopping distance
@@ -100,7 +100,7 @@ func (d *DegradationManager) SafeSpeed(caps vehicle.Capabilities) float64 {
 	if a <= 0 || caps.PerceptionRange <= 0 {
 		return 0
 	}
-	v := math.Sqrt(2 * a * caps.PerceptionRange / d.PerceptionSafetyFactor)
+	v := math.Sqrt(2 * a * caps.PerceptionRange / perceptionSafetyFactor)
 	return math.Min(v, math.Min(d.spec.MaxSpeed, caps.MaxSpeed))
 }
 
@@ -135,9 +135,9 @@ func (d *DegradationManager) Assess(caps vehicle.Capabilities, oddStatus odd.Sta
 	}
 
 	safe := d.SafeSpeed(caps)
-	if safe < d.MinOperatingSpeed {
+	if safe < minOperatingSpeed {
 		return Assessment{Kind: AssessRequireMRM,
-			Reason: fmt.Sprintf("safe speed %.2f m/s below minimum %.2f m/s", safe, d.MinOperatingSpeed)}
+			Reason: fmt.Sprintf("safe speed %.2f m/s below minimum %.2f m/s", safe, minOperatingSpeed)}
 	}
 
 	nominalSafe := d.SafeSpeed(vehicle.FullCapabilities(d.spec))

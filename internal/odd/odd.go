@@ -78,23 +78,25 @@ func (s Status) String() string {
 	}
 }
 
-// Monitor evaluates Inputs against a Spec with a near-exit margin.
+// nearMargin is the relative closeness (0..1) to a limit at which
+// NearExit triggers: "within 20% of a limit".
+const nearMargin = 0.2
+
+// Monitor evaluates Inputs against a Spec with the nearMargin
+// near-exit margin.
 type Monitor struct {
 	spec Spec
-	// Margin is the relative closeness (0..1) at which NearExit
-	// triggers; 0.2 means "within 20% of a limit".
-	Margin float64
 }
 
-// NewMonitor returns a monitor with the default 0.2 margin.
+// NewMonitor returns a monitor for spec.
 func NewMonitor(spec Spec) *Monitor {
-	return &Monitor{spec: spec, Margin: 0.2}
+	return &Monitor{spec: spec}
 }
 
 // Reinit resets the monitor in place to NewMonitor(spec) — the
 // warm-rig path reuses monitor allocations across runs.
 func (m *Monitor) Reinit(spec Spec) {
-	*m = Monitor{spec: spec, Margin: 0.2}
+	*m = Monitor{spec: spec}
 }
 
 // Evaluate checks in against the spec.
@@ -122,7 +124,7 @@ func (m *Monitor) Evaluate(in Input) Status {
 		st.Inside = false
 		st.Violations = append(st.Violations,
 			fmt.Sprintf("slip risk %.2f exceeds ODD max %.2f", slip, m.spec.MaxSlipRisk))
-	} else if m.spec.MaxSlipRisk > 0 && slip > (1-m.Margin)*m.spec.MaxSlipRisk {
+	} else if m.spec.MaxSlipRisk > 0 && slip > (1-nearMargin)*m.spec.MaxSlipRisk {
 		st.NearReasons = append(st.NearReasons, "slip risk near ODD max")
 	}
 
@@ -131,7 +133,7 @@ func (m *Monitor) Evaluate(in Input) Status {
 		st.Violations = append(st.Violations,
 			fmt.Sprintf("perception %.1fm below ODD min %.1fm", in.Caps.PerceptionRange, m.spec.MinPerceptionRange))
 	} else if m.spec.MinPerceptionRange > 0 &&
-		in.Caps.PerceptionRange < (1+m.Margin)*m.spec.MinPerceptionRange {
+		in.Caps.PerceptionRange < (1+nearMargin)*m.spec.MinPerceptionRange {
 		st.NearReasons = append(st.NearReasons, "perception near ODD min")
 	}
 

@@ -21,20 +21,23 @@ import (
 	"coopmrm/internal/sim"
 )
 
+// The convoy's control constants.
+const (
+	// missionSpeed is the cruise speed in m/s.
+	missionSpeed = 20.0
+	// followGap is the desired inter-vehicle spacing in metres.
+	followGap = 15.0
+	// gapGain is the follower speed-control gain.
+	gapGain = 0.4
+	// leadRange is the forward perception in metres required to lead.
+	leadRange = 100.0
+)
+
 // Platoon coordinates a convoy of constituents on a shared path.
 type Platoon struct {
 	id      string
 	members []*core.Constituent // convoy order; index 0 is the leader
 	path    *geom.Path
-
-	// Speed is the mission cruise speed.
-	Speed float64
-	// Gap is the desired inter-vehicle spacing in metres.
-	Gap float64
-	// GainP is the follower speed-control gain.
-	GainP float64
-	// LeadRange is the forward perception required to lead.
-	LeadRange float64
 
 	started   bool
 	disbanded bool
@@ -51,15 +54,7 @@ func New(id string, path *geom.Path, members ...*core.Constituent) (*Platoon, er
 	}
 	ms := make([]*core.Constituent, len(members))
 	copy(ms, members)
-	return &Platoon{
-		id:        id,
-		members:   ms,
-		path:      path,
-		Speed:     20,
-		Gap:       15,
-		GainP:     0.4,
-		LeadRange: 100,
-	}, nil
+	return &Platoon{id: id, members: ms, path: path}, nil
 }
 
 // MustNew is New that panics on error.
@@ -123,7 +118,7 @@ func (p *Platoon) Step(env *sim.Env) {
 func (p *Platoon) start(env *sim.Env) {
 	p.started = true
 	for _, m := range p.members {
-		if err := m.Dispatch(p.path, p.Speed); err != nil {
+		if err := m.Dispatch(p.path, missionSpeed); err != nil {
 			env.Emit(sim.EventInfo, p.id, m.ID()+" could not join: "+err.Error())
 		}
 	}
@@ -142,13 +137,13 @@ func (p *Platoon) applyRoles() {
 func (p *Platoon) checkLeadership(env *sim.Env) {
 	leader := p.members[0]
 	caps := leader.Capabilities()
-	if leader.Operational() && caps.CanLead(p.LeadRange) {
+	if leader.Operational() && caps.CanLead(leadRange) {
 		return
 	}
 	// Find the first operational member qualified to lead.
 	for i := 1; i < len(p.members); i++ {
 		c := p.members[i]
-		if c.Operational() && c.Capabilities().CanLead(p.LeadRange) {
+		if c.Operational() && c.Capabilities().CanLead(leadRange) {
 			p.members[0], p.members[i] = p.members[i], p.members[0]
 			p.elections++
 			p.applyRoles()
@@ -180,13 +175,13 @@ func (p *Platoon) control() {
 			continue
 		}
 		if prev < 0 {
-			m.SetCruiseSpeed(min(p.Speed, m.SpeedCap()))
+			m.SetCruiseSpeed(min(missionSpeed, m.SpeedCap()))
 			prev = i
 			continue
 		}
 		ahead := p.members[prev]
 		gap := p.progress(ahead) - p.progress(m)
-		v := ahead.Body().Speed() + p.GainP*(gap-p.Gap)
+		v := ahead.Body().Speed() + gapGain*(gap-followGap)
 		if v < 0 {
 			v = 0
 		}

@@ -47,16 +47,16 @@ func TestPlatoonFormsAndCruises(t *testing.T) {
 	if p.Leader() != members[0] {
 		t.Error("leader should be the first member")
 	}
-	if s := p.MeanSpeed(); s < p.Speed*0.9 {
-		t.Errorf("mean speed = %v, want ~%v", s, p.Speed)
+	if s := p.MeanSpeed(); s < missionSpeed*0.9 {
+		t.Errorf("mean speed = %v, want ~%v", s, missionSpeed)
 	}
 	// Gaps roughly at the setpoint.
 	for i := 1; i < 4; i++ {
 		d0, _ := members[i-1].Body().PathProgress()
 		d1, _ := members[i].Body().PathProgress()
 		gap := d0 - d1
-		if gap < p.Gap*0.5 || gap > p.Gap*2 {
-			t.Errorf("gap %d = %v, want ~%v", i, gap, p.Gap)
+		if gap < followGap*0.5 || gap > followGap*2 {
+			t.Errorf("gap %d = %v, want ~%v", i, gap, followGap)
 		}
 	}
 	// Followers are marked as such.
@@ -180,7 +180,7 @@ func TestLeaderMRCTriggersElection(t *testing.T) {
 	if p.disbanded {
 		t.Error("platoon should continue with remaining members")
 	}
-	if s := p.MeanSpeed(); s < p.Speed*0.8 {
+	if s := p.MeanSpeed(); s < missionSpeed*0.8 {
 		t.Errorf("surviving platoon speed = %v", s)
 	}
 }

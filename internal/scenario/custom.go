@@ -95,22 +95,10 @@ type WeatherConfig struct {
 
 // CustomRig is a scenario built from a FileConfig.
 type CustomRig struct {
-	Name         string
-	Net          *comm.Network
-	Constituents []*core.Constituent
-	Hauls        map[string]*agent.HaulAgent
-	Model        *core.DependencyModel
+	Name  string
+	Model *core.DependencyModel
 
-	Fleet // the constituents
-}
-
-// Delivered sums the haul agents' deliveries.
-func (r *CustomRig) Delivered() float64 {
-	sum := 0.0
-	for _, h := range r.Hauls {
-		sum += h.Delivered()
-	}
-	return sum
+	Fleet // the vehicles in file order; Fleet.Hauls[i] drives vehicle i
 }
 
 // Load parses a FileConfig from JSON and builds the rig.
@@ -162,10 +150,9 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(cfg.Seed))
 
-	rig := &CustomRig{Name: cfg.Name, Fleet: newFleet(w, cfg.Seed), Net: net}
+	rig := &CustomRig{Name: cfg.Name, Fleet: newFleet(w, net, cfg.Seed)}
 	engine := rig.Engine
 	engine.AddPreHook(net.Hook())
-	rig.Hauls = make(map[string]*agent.HaulAgent)
 	rig.Model = core.NewDependencyModel()
 
 	// Constituents.
@@ -174,27 +161,14 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := net.Register(vc.ID); err != nil {
+		if _, err := rig.join(core.Config{
+			ID:    vc.ID,
+			Spec:  vehicle.DefaultSpec(kind),
+			Start: geom.Pose{Pos: geom.V(vc.X, vc.Y)},
+			Goal:  vc.Goal,
+		}); err != nil {
 			return nil, err
 		}
-		c, err := core.NewConstituent(core.Config{
-			ID:        vc.ID,
-			Spec:      vehicle.DefaultSpec(kind),
-			Start:     geom.Pose{Pos: geom.V(vc.X, vc.Y)},
-			World:     w,
-			Net:       net,
-			Goal:      vc.Goal,
-			Seed:      cfg.Seed,
-			Obstacles: rig.obstacles(vc.ID),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := engine.Register(c); err != nil {
-			return nil, err
-		}
-		rig.Constituents = append(rig.Constituents, c)
-		rig.add(c)
 		role := vc.Role
 		if role == "" {
 			role = vc.Kind
@@ -222,12 +196,11 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 				}
 			}
 		}
-		c := rig.cs[i]
 		hc := agent.Config{
-			C: c, Graph: g, World: w,
-			Loop:      vc.Loop,
-			Speed:     vc.SpeedMS,
-			Neighbors: rig.neighbours(c),
+			C:     rig.cs[i],
+			World: w,
+			Loop:  vc.Loop,
+			Speed: vc.SpeedMS,
 		}
 		if hc.Speed <= 0 {
 			hc.Speed = 8
@@ -246,32 +219,29 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			hc.ServiceTime = 3 * time.Second
 			hc.ServiceGate = toolersWork
 		}
-		h := agent.New(hc)
-		if err := engine.Register(h); err != nil {
+		if err := rig.haul(hc); err != nil {
 			return nil, err
 		}
-		rig.Hauls[vc.ID] = h
 	}
 
 	// Policy.
-	base := func(id string) *coop.Base { return newBase(rig.Hauls[id], net, w, time.Second) }
 	switch cfg.Policy {
 	case "", "baseline":
 	case "status_sharing":
-		for _, vc := range cfg.Fleet {
-			if err := engine.Register(coop.NewStatusSharing(base(vc.ID))); err != nil {
+		for _, h := range rig.Hauls {
+			if err := engine.Register(coop.NewStatusSharing(rig.base(h, time.Second))); err != nil {
 				return nil, err
 			}
 		}
 	case "intent_sharing":
-		for _, vc := range cfg.Fleet {
-			if err := engine.Register(coop.NewIntentSharing(base(vc.ID))); err != nil {
+		for _, h := range rig.Hauls {
+			if err := engine.Register(coop.NewIntentSharing(rig.base(h, time.Second))); err != nil {
 				return nil, err
 			}
 		}
 	case "coordinated":
-		for _, vc := range cfg.Fleet {
-			if err := engine.Register(collab.NewCoordinated(base(vc.ID), rig.Model)); err != nil {
+		for _, h := range rig.Hauls {
+			if err := engine.Register(collab.NewCoordinated(rig.base(h, time.Second), rig.Model)); err != nil {
 				return nil, err
 			}
 		}
@@ -318,7 +288,7 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 			ClearAt: time.Duration(fc.ClearAtSeconds * float64(time.Second)),
 		}
 	}
-	if err := rig.instrument(nil, nil, faults); err != nil {
+	if err := rig.instrument(nil, faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

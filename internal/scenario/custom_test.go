@@ -44,14 +44,14 @@ func TestLoadAndRunCustomSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rig.Name != "test-site" || len(rig.Constituents) != 3 {
-		t.Fatalf("rig = %q with %d constituents", rig.Name, len(rig.Constituents))
+	if rig.Name != "test-site" || len(rig.All()) != 3 {
+		t.Fatalf("rig = %q with %d constituents", rig.Name, len(rig.All()))
 	}
 	res := rig.Run(4 * time.Minute)
 	// The faulted truck reaches MRC; the coordinated survivors keep
 	// delivering around the tunnel.
 	var victim, survivor bool
-	for _, c := range rig.Constituents {
+	for _, c := range rig.All() {
 		switch c.ID() {
 		case "truck1":
 			victim = !c.Operational()
@@ -115,6 +115,8 @@ var badSiteConfigs = map[string]string{
 		"fleet":[{"id":"a","kind":"truck","loop":["q","p"],"serviceNodes":["r"]}]}`,
 	"duplicate node": `{"nodes":[{"id":"p","x":0,"y":0},{"id":"p","x":50,"y":0}],
 		"fleet":[{"id":"a","kind":"truck"}]}`,
+	"empty vehicle id": `{"fleet":[{"id":"","kind":"truck"}]}`,
+	"agent id clash":   `{"fleet":[{"id":"a:agent","kind":"truck"},{"id":"a","kind":"truck"}]}`,
 }
 
 func TestLoadRejectsBadConfigs(t *testing.T) {

@@ -105,7 +105,7 @@ func TestRigCollectorMatchesAllPairs(t *testing.T) {
 			}
 			// car2 follows the stopping ego seeing 15 m ahead.
 			rig.Injector.MustSchedule(fault.Fault{ID: "p", Target: "car2", Kind: fault.KindSensor,
-				Severity: 1 - 15/rig.Cars[1].Body().Spec().SensorRange, Permanent: true, At: 10 * time.Second})
+				Severity: 1 - 15/rig.All()[1].Body().Spec().SensorRange, Permanent: true, At: 10 * time.Second})
 			return &rig.Fleet
 		}, 90 * time.Second},
 		{"platoon", func(t *testing.T) *Fleet {

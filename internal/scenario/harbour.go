@@ -44,35 +44,27 @@ func (c HarbourConfig) withDefaults() HarbourConfig {
 // HarbourRig is the assembled harbour scenario.
 type HarbourRig struct {
 	Crane      *core.Constituent
-	Forklifts  []*core.Constituent
-	Hauls      []*agent.HaulAgent
+	Forklifts  []*core.Constituent // Fleet.Hauls[i] drives Forklifts[i]
 	Supervisor *HarbourSupervisor
 
-	Fleet // crane then forklifts
+	Fleet // crane then forklifts; Delivered counts the containers stacked
 }
 
-// Delivered returns the containers stacked.
-func (r *HarbourRig) Delivered() float64 {
-	sum := 0.0
-	for _, h := range r.Hauls {
-		sum += h.Delivered()
-	}
-	return sum
-}
+// harbourSlipLimit is the traction risk above which the harbour
+// supervisor declares MRC1.
+const harbourSlipLimit = 0.3
 
 // HarbourSupervisor implements the site's two-level MRC hierarchy
 // from Sec. III-C. Level 0 is nominal. When the traction risk exceeds
-// SlipLimit the supervisor aborts the common strategic goal with MRM1
-// into MRC1 — a local MRC: the crane halts, forklifts finish the
-// containers already unloaded and then park. If a forklift indicates
-// slipping during MRM1, MRM2 into MRC2 follows — the global MRC: all
-// machines stop immediately and set their loads down.
+// harbourSlipLimit the supervisor aborts the common strategic goal
+// with MRM1 into MRC1 — a local MRC: the crane halts, forklifts finish
+// the containers already unloaded and then park. If a forklift
+// indicates slipping during MRM1, MRM2 into MRC2 follows — the global
+// MRC: all machines stop immediately and set their loads down.
 type HarbourSupervisor struct {
 	crane     *core.Constituent
 	forklifts []*core.Constituent
 	hauls     []*agent.HaulAgent
-	// SlipLimit triggers MRC1.
-	SlipLimit float64
 	// TwoLevel false makes the first trigger go straight to MRC2.
 	TwoLevel bool
 
@@ -94,7 +86,7 @@ func (s *HarbourSupervisor) Step(env *sim.Env) {
 		return
 	}
 	slip := s.world.Weather.SlipRisk()
-	if s.level == 0 && slip > s.SlipLimit {
+	if s.level == 0 && slip > harbourSlipLimit {
 		if s.TwoLevel {
 			s.declareLocal(env)
 		} else {
@@ -158,7 +150,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 	w.MustAddZone(world.Zone{ID: "park", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(20, -100), geom.V(60, -60))})
 
-	rig := &HarbourRig{Fleet: newFleet(w, cfg.Seed)}
+	rig := &HarbourRig{Fleet: newFleet(w, nil, cfg.Seed)}
 	e := rig.Engine
 
 	// A schedule passed to several rigs must replay from t=0 in each.
@@ -168,43 +160,38 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 
 	// The machines themselves tolerate poor traction (heavy treads);
 	// the *site's* risk decision belongs to the supervisor, whose
-	// stricter SlipLimit triggers the MRC hierarchy of Sec. III-C.
+	// stricter slip limit triggers the MRC hierarchy of Sec. III-C.
 	tolerantODD := odd.DefaultSiteSpec()
 	tolerantODD.MaxSlipRisk = 0.75
 	tolerantODD.MaxCondition = world.HeavyRain
 
-	rig.Crane = core.MustConstituent(core.Config{
-		ID:        "crane",
-		Spec:      vehicle.DefaultSpec(vehicle.KindCrane),
-		Start:     geom.Pose{Pos: geom.V(-5, 10)},
-		World:     w,
-		ODD:       &tolerantODD,
-		Goal:      "unload ship",
-		Seed:      cfg.Seed,
-		Obstacles: rig.obstacles("crane"),
+	crane, err := rig.join(core.Config{
+		ID:    "crane",
+		Spec:  vehicle.DefaultSpec(vehicle.KindCrane),
+		Start: geom.Pose{Pos: geom.V(-5, 10)},
+		ODD:   &tolerantODD,
+		Goal:  "unload ship",
 	})
-	e.MustRegister(rig.Crane)
-	rig.add(rig.Crane)
+	if err != nil {
+		return nil, err
+	}
+	rig.Crane = crane
 
-	craneWorks := func() bool { return rig.Crane.Operational() }
+	craneWorks := func() bool { return crane.Operational() }
 	for i := 0; i < cfg.Forklifts; i++ {
-		id := fmt.Sprintf("forklift%d", i+1)
-		f := core.MustConstituent(core.Config{
-			ID:        id,
-			Spec:      vehicle.DefaultSpec(vehicle.KindForklift),
-			Start:     geom.Pose{Pos: geom.V(float64(-10*(i+1)), -5)},
-			World:     w,
-			ODD:       &tolerantODD,
-			Goal:      "stack containers",
-			Seed:      cfg.Seed,
-			Obstacles: rig.obstacles(id),
+		f, err := rig.join(core.Config{
+			ID:    fmt.Sprintf("forklift%d", i+1),
+			Spec:  vehicle.DefaultSpec(vehicle.KindForklift),
+			Start: geom.Pose{Pos: geom.V(float64(-10*(i+1)), -5)},
+			ODD:   &tolerantODD,
+			Goal:  "stack containers",
 		})
-		e.MustRegister(f)
+		if err != nil {
+			return nil, err
+		}
 		rig.Forklifts = append(rig.Forklifts, f)
-		rig.add(f)
-		h := agent.New(agent.Config{
+		if err := rig.haul(agent.Config{
 			C:            f,
-			Graph:        g,
 			Loop:         []string{"storage", "quay"},
 			DepositNodes: map[string]bool{"storage": true},
 			Speed:        5,
@@ -212,17 +199,15 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 			ServiceTime:  4 * time.Second,
 			ServiceGate:  craneWorks,
 			World:        w,
-			Neighbors:    rig.neighbours(f),
-		})
-		e.MustRegister(h)
-		rig.Hauls = append(rig.Hauls, h)
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	rig.Supervisor = &HarbourSupervisor{
-		crane:     rig.Crane,
+		crane:     crane,
 		forklifts: rig.Forklifts,
 		hauls:     rig.Hauls,
-		SlipLimit: 0.3,
 		TwoLevel:  cfg.TwoLevel,
 		world:     w,
 	}
@@ -238,7 +223,7 @@ func NewHarbour(cfg HarbourConfig) (*HarbourRig, error) {
 		})
 	}
 
-	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

@@ -49,19 +49,16 @@ func (c HighwayConfig) withDefaults() HighwayConfig {
 
 // HighwayRig is the assembled freeway scenario.
 type HighwayRig struct {
-	Net   *comm.Network
-	Cars  []*core.Constituent
-	Hauls []*agent.HaulAgent
-	Ego   *core.Constituent // the failure subject: car1, the lead car
+	Ego *core.Constituent // the failure subject: car1, the lead car
 
-	Fleet // the cars
+	Fleet // the cars; Fleet.Hauls[i] drives car i+1
 }
 
 // Progress returns the total path distance covered by all cars — the
 // traffic-throughput measure.
 func (r *HighwayRig) Progress() float64 {
 	sum := 0.0
-	for _, c := range r.Cars {
+	for _, c := range r.cs {
 		done, _ := c.Body().PathProgress()
 		sum += done
 	}
@@ -111,58 +108,50 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond, LossProb: cfg.Loss},
 		sim.NewRNG(cfg.Seed))
 
-	rig := &HighwayRig{Fleet: newFleet(w, cfg.Seed), Net: net}
+	rig := &HighwayRig{Fleet: newFleet(w, net, cfg.Seed)}
 	e := rig.Engine
 	e.AddPreHook(net.Hook())
 
 	roadODD := odd.DefaultRoadSpec()
 	for i := 0; i < cfg.NCars; i++ {
-		id := fmt.Sprintf("car%d", i+1)
-		net.MustRegister(id)
-		c := core.MustConstituent(core.Config{
-			ID:        id,
+		if _, err := rig.join(core.Config{
+			ID:        fmt.Sprintf("car%d", i+1),
 			Spec:      vehicle.DefaultSpec(vehicle.KindCar),
 			Start:     geom.Pose{Pos: geom.V(float64((cfg.NCars-1-i)*60), 2)},
-			World:     w,
-			Net:       net,
 			ODD:       &roadODD,
 			Hierarchy: core.DefaultRoadHierarchy(),
 			Goal:      "reach destination",
-			Seed:      cfg.Seed,
-			Obstacles: rig.obstacles(id),
-		})
-		e.MustRegister(c)
-		rig.Cars = append(rig.Cars, c)
-		rig.add(c)
+		}); err != nil {
+			return nil, err
+		}
 	}
-	rig.Ego = rig.Cars[0]
+	rig.Ego = rig.cs[0]
 
-	for _, c := range rig.Cars {
-		h := agent.New(agent.Config{
+	// No World: the cars' obstacle holds never pass around.
+	for _, c := range rig.cs {
+		if err := rig.haul(agent.Config{
 			C:            c,
-			Graph:        g,
 			Loop:         []string{"exit"},
 			DepositNodes: map[string]bool{"exit": true},
 			Speed:        highwaySpeed,
-			Neighbors:    rig.neighbours(c),
-		})
-		e.MustRegister(h)
-		rig.Hauls = append(rig.Hauls, h)
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	switch cfg.Policy {
 	case PolicyBaseline:
 	case PolicyStatusSharing:
 		for _, h := range rig.Hauls {
-			e.MustRegister(coop.NewStatusSharing(newBase(h, net, w, time.Second)))
+			e.MustRegister(coop.NewStatusSharing(rig.base(h, time.Second)))
 		}
 	case PolicyIntentSharing:
 		for _, h := range rig.Hauls {
-			e.MustRegister(coop.NewIntentSharing(newBase(h, net, w, time.Second)))
+			e.MustRegister(coop.NewIntentSharing(rig.base(h, time.Second)))
 		}
 	case PolicyAgreementSeeking:
-		for i, c := range rig.Cars {
-			p := coop.NewAgreementSeeking(newBase(rig.Hauls[i], net, w, time.Second), peersOf(rig.Cars, c))
+		for i, h := range rig.Hauls {
+			p := coop.NewAgreementSeeking(rig.base(h, time.Second), peersOf(rig.cs, rig.cs[i]))
 			p.FallbackMRC = "in_lane"
 			p.EvacMRC = "rest_stop"
 			e.MustRegister(p)
@@ -171,7 +160,7 @@ func NewHighway(cfg HighwayConfig) (*HighwayRig, error) {
 		return nil, fmt.Errorf("scenario: unsupported highway policy %v", cfg.Policy)
 	}
 
-	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

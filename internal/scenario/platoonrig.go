@@ -33,9 +33,8 @@ func (c PlatoonConfig) withDefaults() PlatoonConfig {
 // PlatoonRig is the assembled platoon scenario.
 type PlatoonRig struct {
 	Platoon *platoon.Platoon
-	Members []*core.Constituent
 
-	Fleet // the members
+	Fleet // the members, in the platoon's initial convoy order
 }
 
 // NewPlatoon builds the platoon rig on a long highway, cruising at the
@@ -51,32 +50,26 @@ func NewPlatoon(cfg PlatoonConfig) (*PlatoonRig, error) {
 	w.MustAddZone(world.Zone{ID: "rest", Kind: world.ZoneParking,
 		Area: geom.NewRect(geom.V(5000, 8), geom.V(5100, 30))})
 
-	rig := &PlatoonRig{Fleet: newFleet(w, cfg.Seed)}
-	e := rig.Engine
+	rig := &PlatoonRig{Fleet: newFleet(w, nil, cfg.Seed)}
 	roadODD := odd.DefaultRoadSpec()
 
 	for i := 0; i < cfg.Members; i++ {
-		id := fmt.Sprintf("member%d", i+1)
-		c := core.MustConstituent(core.Config{
-			ID:        id,
+		if _, err := rig.join(core.Config{
+			ID:        fmt.Sprintf("member%d", i+1),
 			Spec:      vehicle.DefaultSpec(vehicle.KindTruck),
 			Start:     geom.Pose{Pos: geom.V(float64(-25*i), 2)},
-			World:     w,
 			ODD:       &roadODD,
 			Hierarchy: core.DefaultRoadHierarchy(),
 			Goal:      "transport goods",
-			Seed:      cfg.Seed,
-			Obstacles: rig.obstacles(id),
-		})
-		e.MustRegister(c)
-		rig.Members = append(rig.Members, c)
-		rig.add(c)
+		}); err != nil {
+			return nil, err
+		}
 	}
 	path := geom.MustPath(geom.V(-300, 2), geom.V(length, 2)).SetName("mission")
-	rig.Platoon = platoon.MustNew("platoon", path, rig.Members...)
-	e.MustRegister(rig.Platoon)
+	rig.Platoon = platoon.MustNew("platoon", path, rig.cs...)
+	rig.Engine.MustRegister(rig.Platoon)
 
-	if err := rig.instrument(nil, nil, cfg.Faults); err != nil {
+	if err := rig.instrument(nil, cfg.Faults); err != nil {
 		return nil, err
 	}
 	return rig, nil

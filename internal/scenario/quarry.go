@@ -11,7 +11,6 @@ import (
 	"coopmrm/internal/core"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
-	"coopmrm/internal/metrics"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/tms"
 	"coopmrm/internal/vehicle"
@@ -73,15 +72,13 @@ func (c QuarryConfig) withDefaults() QuarryConfig {
 
 // QuarryRig is the assembled quarry scenario.
 type QuarryRig struct {
-	Net       *comm.Network
 	Model     *core.DependencyModel
 	Diggers   []*core.Constituent
-	Trucks    []*core.Constituent
-	Hauls     []*agent.HaulAgent // truck haul agents, same order as Trucks
-	Groups    map[string]string  // constituent -> pair name
-	Director  *collab.Director   // orchestrated only
-	Board     *tms.Board         // orchestrated only
-	Authority *coop.Authority    // prescriptive only
+	Trucks    []*core.Constituent // Fleet.Hauls[i] drives Trucks[i]
+	Groups    map[string]string   // constituent -> pair name
+	Director  *collab.Director    // orchestrated only
+	Board     *tms.Board          // orchestrated only
+	Authority *coop.Authority     // prescriptive only
 	// Policies holds the per-constituent policy entities in
 	// registration order (empty for the baseline), so experiments can
 	// reach class-specific knobs (evacuations, designed responses).
@@ -91,23 +88,18 @@ type QuarryRig struct {
 
 	// Warm-rig lifecycle state: the configuration wire() replays on
 	// Reset, the world baseline taken right after chassis
-	// construction, the parked constituent shells and collector a
-	// Reset re-adopts, and the pool key a Release files the rig under
-	// (empty for unpooled rigs).
-	cfg           QuarryConfig
-	wsnap         world.Snapshot
-	prev          map[string]*core.Constituent
-	prevCollector *metrics.Collector
-	poolKey       string
+	// construction, and the pool key a Release files the rig under
+	// (empty for unpooled rigs). The fleet parks the members and the
+	// collector.
+	cfg     QuarryConfig
+	wsnap   world.Snapshot
+	poolKey string
 }
 
 // Delivered returns the total units delivered by the trucks' haul
 // agents plus the TMS board (orchestrated).
 func (r *QuarryRig) Delivered() float64 {
-	sum := 0.0
-	for _, h := range r.Hauls {
-		sum += h.Delivered()
-	}
+	sum := r.Fleet.Delivered()
 	if r.Board != nil {
 		sum += r.Board.DoneUnits()
 	}
@@ -151,7 +143,7 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	}
 	net := comm.NewNetwork(netCfg, sim.NewRNG(cfg.Seed))
 
-	rig := &QuarryRig{Fleet: newFleet(w, cfg.Seed), Net: net, wsnap: w.Snapshot()}
+	rig := &QuarryRig{Fleet: newFleet(w, net, cfg.Seed), wsnap: w.Snapshot()}
 	if err := rig.wire(cfg); err != nil {
 		return nil, err
 	}
@@ -162,7 +154,7 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 // seed, in O(mutable state) instead of O(world): the engine, network
 // and world rewind in place (retaining the route graph, its memoized
 // path cache, the zone index, event-log and heap backing arrays),
-// constituent shells are re-adopted by ID with their planners
+// the fleet parks its members for join to re-adopt with their planners
 // reseeded in place, and wire() replays the exact per-seed wiring
 // fresh construction runs. A reset rig's output is byte-identical to
 // a fresh rig's at the same seed — the warm-rig differential tests
@@ -172,35 +164,18 @@ func (r *QuarryRig) Reset(seed int64) error {
 	cfg.Seed = seed
 	cfg = cfg.withDefaults()
 
-	// Park the constituent shells for wire() to re-adopt by ID.
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Diggers)+len(r.Trucks))
-	}
-	for _, c := range r.Diggers {
-		r.prev[c.ID()] = c
-	}
-	for _, c := range r.Trucks {
-		r.prev[c.ID()] = c
-	}
-
 	r.Engine.Reset(cfg.Seed)
 	r.Net.Reset(cfg.Seed)
 	r.World.Restore(r.wsnap)
+	r.park(cfg.Seed)
 
 	clear(r.Diggers)
 	r.Diggers = r.Diggers[:0]
 	clear(r.Trucks)
 	r.Trucks = r.Trucks[:0]
-	clear(r.Hauls)
-	r.Hauls = r.Hauls[:0]
 	clear(r.Policies)
 	r.Policies = r.Policies[:0]
-	clear(r.cs)
-	r.cs, r.radius = r.cs[:0], r.radius[:0]
-	r.prevCollector = r.Collector
 	r.Model = nil
-	r.Collector = nil
-	r.Injector = nil
 	r.Director = nil
 	r.Board = nil
 	r.Authority = nil
@@ -208,31 +183,14 @@ func (r *QuarryRig) Reset(seed int64) error {
 	return r.wire(cfg)
 }
 
-// constituent returns the parked shell for id reinitialised under cc
-// when the rig holds one from a prior run, or a fresh constituent.
-// Both paths run core.Constituent.Reinit, so a re-adopted shell is
-// identical to a fresh one by construction.
-func (r *QuarryRig) constituent(cc core.Config) *core.Constituent {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	return core.MustConstituent(cc)
-}
-
 // wire performs every per-seed wiring step, in the exact order fresh
-// construction always has: network pre-hook, constituent registration
-// (network first, then engine — registration order drives broadcast
+// construction always has: network pre-hook, the members (each on the
+// network, then the engine — registration order drives broadcast
 // fan-out and step order), haul agents, the policy layer, then the
 // planner obstacle snapshot, metrics, and fault injection. Reset
 // replays it against rewound substrate.
 func (r *QuarryRig) wire(cfg QuarryConfig) error {
-	e, w, net := r.Engine, r.World, r.Net
-	g := w.Graph()
-	e.AddPreHook(net.Hook())
+	r.Engine.AddPreHook(r.Net.Hook())
 
 	r.cfg = cfg
 	r.Model = core.NewDependencyModel()
@@ -253,20 +211,16 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	}
 	for p := 0; p < cfg.Pairs; p++ {
 		id := fmt.Sprintf("digger%d", p+1)
-		net.MustRegister(id)
-		d := r.constituent(core.Config{
-			ID:        id,
-			Spec:      vehicle.DefaultSpec(vehicle.KindDigger),
-			Start:     geom.Pose{Pos: geom.V(5, float64(6*(p+1))), Heading: 0},
-			World:     w,
-			Net:       net,
-			Goal:      "load trucks",
-			Seed:      cfg.Seed,
-			Obstacles: r.obstacles(id),
+		d, err := r.join(core.Config{
+			ID:    id,
+			Spec:  vehicle.DefaultSpec(vehicle.KindDigger),
+			Start: geom.Pose{Pos: geom.V(5, float64(6*(p+1))), Heading: 0},
+			Goal:  "load trucks",
 		})
-		e.MustRegister(d)
+		if err != nil {
+			return err
+		}
 		r.Diggers = append(r.Diggers, d)
-		r.add(d)
 		r.Model.MustAddConstituent(id, "digger", "truck")
 		r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 	}
@@ -274,20 +228,16 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	for p := 0; p < cfg.Pairs; p++ {
 		for k := 0; k < cfg.TrucksPerPair; k++ {
 			id := fmt.Sprintf("truck%d_%d", p+1, k+1)
-			net.MustRegister(id)
-			c := r.constituent(core.Config{
-				ID:        id,
-				Spec:      vehicle.DefaultSpec(vehicle.KindTruck),
-				Start:     geom.Pose{Pos: geom.V(float64(-14*(p*cfg.TrucksPerPair+k+1)), 0)},
-				World:     w,
-				Net:       net,
-				Goal:      "haul material",
-				Seed:      cfg.Seed,
-				Obstacles: r.obstacles(id),
+			c, err := r.join(core.Config{
+				ID:    id,
+				Spec:  vehicle.DefaultSpec(vehicle.KindTruck),
+				Start: geom.Pose{Pos: geom.V(float64(-14*(p*cfg.TrucksPerPair+k+1)), 0)},
+				Goal:  "haul material",
 			})
-			e.MustRegister(c)
+			if err != nil {
+				return err
+			}
 			r.Trucks = append(r.Trucks, c)
-			r.add(c)
 			r.Model.MustAddConstituent(id, "truck", "digger")
 			r.Groups[id] = fmt.Sprintf("pair%d", p+1)
 		}
@@ -297,21 +247,19 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	// orchestrated drives via TMS tasks instead).
 	if cfg.Policy != PolicyOrchestrated {
 		for _, c := range r.Trucks {
-			h := agent.New(agent.Config{
+			if err := r.haul(agent.Config{
 				C:            c,
-				Graph:        g,
 				Loop:         []string{"dep", "load"},
 				DepositNodes: map[string]bool{"dep": true},
 				Speed:        8,
 				ServiceNodes: map[string]bool{"load": true},
 				ServiceTime:  3 * time.Second,
 				ServiceGate:  operationalDigger,
-				Neighbors:    r.neighbours(c),
-				World:        w,
+				World:        r.World,
 				Patience:     cfg.Patience,
-			})
-			e.MustRegister(h)
-			r.Hauls = append(r.Hauls, h)
+			}); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -321,9 +269,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 
 	// Snapshot, metrics and faults; only the quarry logs fault
 	// injections and clears.
-	err := r.instrument(r.prevCollector, r.logFault, cfg.Faults)
-	r.prevCollector = nil
-	return err
+	return r.instrument(r.logFault, cfg.Faults)
 }
 
 // logFault records an injection or clear in the event log.
@@ -346,7 +292,7 @@ func (r *QuarryRig) addPolicy(p sim.Entity) {
 
 func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 	g := r.World.Graph()
-	base := func(h *agent.HaulAgent) *coop.Base { return newBase(h, r.Net, r.World, cfg.BeaconPeriod) }
+	base := func(h *agent.HaulAgent) *coop.Base { return r.base(h, cfg.BeaconPeriod) }
 	switch cfg.Policy {
 	case PolicyBaseline:
 		// No interaction at all.

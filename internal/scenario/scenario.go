@@ -83,26 +83,39 @@ type Result struct {
 }
 
 // Rig assembly. Each constructor keeps what makes its site: the world
-// geometry, the order in which it registers constituents, agents,
-// policies and hooks (that order is part of the output bytes), and
-// its policy wiring. It adds every constituent to its fleet as it
-// registers it, and the fleet serves what all rigs share: the
-// obstacle monitors' neighbour feed, the planners' obstacle snapshot
-// and, as each constructor's last step, instrument's metrics and
-// fault layers.
+// geometry, the members' roles, the order in which it registers
+// constituents, agents, policies and hooks (that order is part of the
+// output bytes), and its policy wiring. Every member joins through the
+// fleet and every haul agent through haul, and the fleet serves what
+// all rigs share: the obstacle monitors' neighbour feed, the planners'
+// obstacle snapshot, the delivery count and, as each constructor's
+// last step, instrument's metrics and fault layers.
 
-// Fleet is what every rig shares: the engine it runs on, its world,
-// its constituents in registration order with the per-tick views of
-// them, and the metrics and fault layers instrument attaches.
+// Fleet is what every rig shares: the engine it runs on, its world and
+// V2X channel, its constituents in registration order with the
+// per-tick views of them, their haul agents, and the metrics and fault
+// layers instrument attaches.
 type Fleet struct {
-	Engine    *sim.Engine
-	World     *world.World
+	Engine *sim.Engine
+	World  *world.World
+	// Net is the rig's V2X channel; nil where the members have no
+	// radio (the harbour and the platoon).
+	Net       *comm.Network
 	Collector *metrics.Collector
 	Injector  *fault.Injector
+	// Hauls holds the haul agents haul registered, in registration
+	// order.
+	Hauls []*agent.HaulAgent
 
-	cs []*core.Constituent
+	// seed is the run seed join gives every member.
+	seed int64
+	cs   []*core.Constituent
 	// radius is each member's footprint half-diagonal.
 	radius []float64
+	// What park set aside for join and instrument to re-adopt: the
+	// members in registration order and the collector.
+	parked          []*core.Constituent
+	parkedCollector *metrics.Collector
 	// ids is scratch for instrument's parked-collector check.
 	ids []string
 	// snap is the planners' view: every member's observed state at
@@ -112,9 +125,9 @@ type Fleet struct {
 	// The sensing index: the members' positions and a grid over them
 	// (site i is member i), answering the neighbour feeds and the
 	// collector's broad phase. moves counts the members' position
-	// changes (every member's body bumps it, and add does); the index is
-	// rebuilt on the first query after it changed, so it always holds
-	// the positions a full scan would read. cell is the grid's cell
+	// changes (every member's body bumps it, and join does); the index
+	// is rebuilt on the first query after it changed, so it always
+	// holds the positions a full scan would read. cell is the grid's cell
 	// size, zero until the first build after a member joined.
 	grid  *geom.Grid
 	pos   []geom.Vec2
@@ -124,13 +137,14 @@ type Fleet struct {
 	near  []int
 }
 
-// newFleet returns an empty fleet on w and the engine every rig runs
-// on: 100 ms ticks and a one-day ceiling.
-func newFleet(w *world.World, seed int64) Fleet {
-	return Fleet{Engine: sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed}), World: w}
+// newFleet returns an empty fleet on w and net (nil for none) and the
+// engine every rig runs on, with 100 ms ticks.
+func newFleet(w *world.World, net *comm.Network, seed int64) Fleet {
+	return Fleet{Engine: sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, Seed: seed}),
+		World: w, Net: net, seed: seed}
 }
 
-// All returns every member in registration order.
+// All returns a copy of the members in registration order.
 func (f *Fleet) All() []*core.Constituent { return slices.Clone(f.cs) }
 
 // Run executes the scenario for the horizon.
@@ -139,15 +153,88 @@ func (f *Fleet) Run(horizon time.Duration) Result {
 	return Result{Report: f.Collector.Report(), Log: f.Engine.Env().Log}
 }
 
-// add registers c as the fleet's next member and makes its body report
-// position changes to the fleet's index.
-func (f *Fleet) add(c *core.Constituent) {
+// Delivered returns the units the haul agents delivered.
+func (f *Fleet) Delivered() float64 {
+	sum := 0.0
+	for _, h := range f.Hauls {
+		sum += h.Delivered()
+	}
+	return sum
+}
+
+// join makes the member cc describes, the only way a constituent
+// enters a rig. It fills in the fleet's world, channel and seed and the
+// member's planner feed, builds the constituent (or re-adopts the
+// shell park set aside at this place in the registration order, when
+// it has cc's ID), and registers it on the channel, then on the
+// engine, then in the fleet. Registration order is step and broadcast
+// order, so it is part of the output bytes.
+func (f *Fleet) join(cc core.Config) (*core.Constituent, error) {
+	cc.World, cc.Net, cc.Seed, cc.Obstacles = f.World, f.Net, f.seed, f.obstacles(cc.ID)
+	var c *core.Constituent
+	if i := len(f.cs); i < len(f.parked) && f.parked[i].ID() == cc.ID {
+		c = f.parked[i]
+	} else {
+		c = new(core.Constituent)
+	}
+	// NewConstituent is Reinit on a zero struct, so a re-adopted shell
+	// is identical to a fresh one by construction.
+	if err := c.Reinit(cc); err != nil {
+		return nil, err
+	}
+	if f.Net != nil {
+		if err := f.Net.Register(cc.ID); err != nil {
+			return nil, err
+		}
+	}
+	if err := f.Engine.Register(c); err != nil {
+		return nil, err
+	}
+	// The new member resizes the index cells, and its body reports
+	// position changes to the index.
 	f.cs = append(f.cs, c)
 	spec := c.Body().Spec()
 	f.radius = append(f.radius, 0.5*math.Hypot(spec.Length, spec.Width))
 	c.Body().CountMoves(&f.moves)
 	f.moves++
 	f.cell = 0
+	return c, nil
+}
+
+// haul registers the haul agent hc describes, with the fleet's route
+// graph and hc.C's neighbour feed filled in, and appends it to Hauls.
+// hc.World stays the caller's: an agent without one never passes
+// around an obstacle.
+func (f *Fleet) haul(hc agent.Config) error {
+	hc.Graph, hc.Neighbors = f.World.Graph(), f.neighbours(hc.C)
+	h := agent.New(hc)
+	if err := f.Engine.Register(h); err != nil {
+		return err
+	}
+	f.Hauls = append(f.Hauls, h)
+	return nil
+}
+
+// base returns the cooperation substrate over one haul agent on the
+// fleet's channel, with the world attached for zone-aware MRC choices.
+func (f *Fleet) base(h *agent.HaulAgent, period time.Duration) *coop.Base {
+	b := coop.NewBase(h, f.Net, f.World.Graph(), period)
+	b.World = f.World
+	return b
+}
+
+// park empties the fleet for a warm rig's next run at seed: the
+// members and the collector are set aside for join and instrument to
+// re-adopt in place, and the haul agents and the injector go. The rig
+// rewinds the engine, the channel and the world itself.
+func (f *Fleet) park(seed int64) {
+	f.seed = seed
+	f.parked = append(f.parked[:0], f.cs...)
+	clear(f.cs)
+	f.cs, f.radius = f.cs[:0], f.radius[:0]
+	clear(f.Hauls)
+	f.Hauls = f.Hauls[:0]
+	f.parkedCollector, f.Collector, f.Injector = f.Collector, nil, nil
 }
 
 // neighbours returns the obstacle feed of self: the live positions of
@@ -264,12 +351,9 @@ func (f *Fleet) fill() {
 // so MRMs triggered before the engine runs plan against real
 // positions, and attaches the snapshot's pre-hook, the collector's
 // post-hook and then the injector's pre-hook, so faults due at a tick
-// land after every other pre-hook. A parked collector (the warm
-// quarry's; nil elsewhere) is reinitialised in place when its probe
-// IDs match the fleet in order, else a fresh one is built. log
-// observes injections and clears (nil for none). Every fault must
-// target a fleet member.
-func (f *Fleet) instrument(parked *metrics.Collector, log func(string, fault.Fault), faults []fault.Fault) error {
+// land after every other pre-hook. log observes injections and clears
+// (nil for none). Every fault must target a fleet member.
+func (f *Fleet) instrument(log func(string, fault.Fault), faults []fault.Fault) error {
 	for i, ft := range faults {
 		if !slices.ContainsFunc(f.cs, func(c *core.Constituent) bool { return c.ID() == ft.Target }) {
 			return fmt.Errorf("scenario: fault %d targets %q, which is not in the fleet", i, ft.Target)
@@ -277,7 +361,7 @@ func (f *Fleet) instrument(parked *metrics.Collector, log func(string, fault.Fau
 	}
 	f.fill()
 	f.Engine.AddPreHook(func(*sim.Env) { f.fill() })
-	f.Collector = f.collector(parked)
+	f.Collector = f.collector()
 	f.Engine.AddPostHook(f.Collector.Hook())
 	f.Injector = fault.NewInjector(log)
 	for _, c := range f.cs {
@@ -290,13 +374,14 @@ func (f *Fleet) instrument(parked *metrics.Collector, log func(string, fault.Fau
 	return nil
 }
 
-// collector returns parked, reinitialised, when its probes describe
-// the fleet in order, else a fresh collector with one probe per
-// member over the fleet's broad phase. Reuse is sound because the
-// probes close over constituent and body pointers the warm path
+// collector returns the collector park set aside, reinitialised, when
+// its probes describe the fleet in order, else a fresh collector with
+// one probe per member over the fleet's broad phase. Reuse is sound
+// because the probes close over constituent and body pointers join
 // re-adopts in place, and the broad phase over this fleet.
-func (f *Fleet) collector(parked *metrics.Collector) *metrics.Collector {
-	if parked != nil {
+func (f *Fleet) collector() *metrics.Collector {
+	if parked := f.parkedCollector; parked != nil {
+		f.parkedCollector = nil
 		f.ids = parked.ProbeIDs(f.ids[:0])
 		if slices.EqualFunc(f.ids, f.cs, func(id string, c *core.Constituent) bool { return id == c.ID() }) {
 			parked.Reinit()
@@ -326,14 +411,6 @@ func probeFor(c *core.Constituent, w *world.World) metrics.Probe {
 				w.HasZoneKindAt(world.ZoneTunnel, pos)
 		},
 	}
-}
-
-// newBase returns the cooperation substrate over one haul agent, with
-// the site's world attached for zone-aware MRC choices.
-func newBase(h *agent.HaulAgent, net *comm.Network, w *world.World, period time.Duration) *coop.Base {
-	b := coop.NewBase(h, net, w.Graph(), period)
-	b.World = w
-	return b
 }
 
 // peersOf lists the IDs of every constituent in cs but self, in order.

@@ -175,12 +175,8 @@ func TestFleetFeedMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hauls []*agent.HaulAgent
-		for _, c := range rig.Constituents {
-			hauls = append(hauls, rig.Hauls[c.ID()])
-		}
 		var fc feedCheck
-		fc.wrap(t, &rig.Fleet, haulMonitors(hauls))
+		fc.wrap(t, &rig.Fleet, haulMonitors(rig.Hauls))
 		rig.Run(2 * time.Minute)
 		fc.done(t)
 	})

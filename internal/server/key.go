@@ -72,13 +72,10 @@ func (s *SeedsSpec) UnmarshalJSON(data []byte) error {
 // significant: the streaming fold is order-sensitive, so [2,1] and
 // [1,2] are genuinely different campaigns.
 //
-// Knobs proven not to change output bytes (-parallel, worker counts,
-// -reuse-rigs warm-rig pooling) and wall-clock knobs (timeouts) are
-// deliberately excluded: determinism is what makes the cache correct,
-// exclusion is what makes it useful. A result computed on warm rigs
-// is served to — and coalesces with — fresh-construction submissions,
-// which is sound precisely because the fresh-vs-reset differentials
-// prove the bytes equal.
+// Knobs proven not to change output bytes (-parallel, worker counts)
+// and wall-clock knobs (timeouts) are deliberately excluded:
+// determinism is what makes the cache correct, exclusion is what
+// makes it useful.
 type CanonicalJob struct {
 	Experiment string  `json:"experiment"`
 	Seed       int64   `json:"seed"`

@@ -59,13 +59,6 @@ type Config struct {
 	// CheckpointEvery is the folded-seed interval between campaign
 	// checkpoint writes for seed-sweep jobs (<= 0: 16).
 	CheckpointEvery int
-	// ReuseRigs serves each job's campaign rigs from the warm-rig pool
-	// (snapshot/reset) instead of constructing one per seed. Like
-	// Parallel this is an operational knob: it changes wall time, never
-	// result bytes, so it is deliberately absent from the cache key —
-	// a warm-rig result is byte-identical to (and cache-compatible
-	// with) a fresh-construction one.
-	ReuseRigs bool
 
 	// foldHook, when non-nil, observes every campaign fold before the
 	// drain and timeout checks. Test-only: it makes drain triggers
@@ -380,7 +373,6 @@ func (s *Server) run(j *job) {
 			}
 		}()
 		opt := j.spec.options()
-		opt.ReuseRigs = s.cfg.ReuseRigs
 		var out outcome
 		if sweep {
 			out.res, out.err = coopmrm.SweepSeedsStreamWithArtifacts(e, opt, j.spec.Seeds, s.cfg.Parallel, cfg)

@@ -299,13 +299,11 @@ func TestSweepStreamKillAndResumeByteIdentical(t *testing.T) {
 // dies, and resumes on fresh-construction cold rigs must still render
 // byte-identically to an uninterrupted all-cold campaign. The rig
 // source is an operational knob, so a checkpoint written by one must
-// be seamlessly continuable by the other — E19 is the arm because its
-// per-seed cell actually goes through the warm-rig pool.
+// be seamlessly continuable by the other. E20's per-seed cell is the
+// arm because it is the one experiment cell that goes through the
+// warm-rig pool.
 func TestSweepStreamKillResumeWarmColdMix(t *testing.T) {
-	e, ok := ExperimentByID("E19")
-	if !ok {
-		t.Fatal("E19 missing")
-	}
+	e := Experiment{ID: "E20", Title: "campaign throughput cell", Run: runE20Seed}
 	opt := Options{Quick: true}
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
